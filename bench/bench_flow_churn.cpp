@@ -17,9 +17,10 @@
 ///     flows into one component, the adversarial case where only the
 ///     event-driven solver (not incrementality) can help.
 ///
-/// Reports end-to-end churn throughput, the mean re-solved component size,
-/// and the final divergence from a full from-scratch solve, which must stay
-/// within the 1e-9 check-mode tolerance.
+/// Reports end-to-end churn throughput (steps/s and committed rebalances/s
+/// over the churn window), the mean re-solved component size, and the
+/// final divergence from a full from-scratch solve, which must stay within
+/// the 1e-9 check-mode tolerance.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,28 +41,25 @@ namespace {
 
 struct ChurnResult {
   double StepsPerSec = 0.0;
-  double EventsPerSec = 0.0;
+  /// Committed rebalances per wall second over the churn window.  Churn
+  /// rebalances synchronously inside each operation and the flows are too
+  /// large to complete within the window, so kernel events/s would read
+  /// ~0 here; rebalances are the work the window measures.
+  double RebalancesPerSec = 0.0;
   double MeanComponent = 0.0;
   double MaxError = 0.0;
   /// Wall seconds of the churn window (host-side; provenance only).
   double WallSeconds = 0.0;
-  /// Kernel events executed during the window — deterministic, so the
-  /// threaded arms must reproduce it exactly.
-  uint64_t Events = 0;
-  uint64_t DemandsSolved = 0;
-  /// Component solves the partitioned parallel path handled.
-  uint64_t ParallelSolves = 0;
+  /// Committed rebalances during the window (deterministic).
+  uint64_t Rebalances = 0;
 };
 
 /// Builds the topology, ramps up to \p NumFlows concurrent flows, then runs
 /// \p Steps churn operations with the clock advancing so completions and
-/// stale heap entries are exercised too.  \p Threads drives the
-/// simulator's parallel executor; rates and statistics are bit-identical
-/// for any value.
+/// stale heap entries are exercised too.
 ChurnResult runChurn(size_t NumFlows, bool SharedCore, size_t Steps,
-                     uint64_t Seed, unsigned Threads = 1) {
+                     uint64_t Seed) {
   Simulator Sim(Seed);
-  Sim.setThreads(Threads);
   Topology Topo;
   constexpr size_t NumSites = 128;
   std::vector<NodeId> Src(NumSites), Dst(NumSites);
@@ -115,7 +113,6 @@ ChurnResult runChurn(size_t NumFlows, bool SharedCore, size_t Steps,
 
   uint64_t Events0 = Net.rebalanceEvents();
   uint64_t Demands0 = Net.rebalanceDemandsSolved();
-  uint64_t SimEvents0 = Sim.eventsExecuted();
   auto Wall0 = std::chrono::steady_clock::now();
   for (size_t I = 0; I < Steps; ++I) {
     // Drop flows that completed while the clock advanced.
@@ -148,15 +145,12 @@ ChurnResult runChurn(size_t NumFlows, bool SharedCore, size_t Steps,
   double Seconds = std::chrono::duration<double>(Wall1 - Wall0).count();
   R.WallSeconds = Seconds;
   R.StepsPerSec = Seconds > 0.0 ? double(Steps) / Seconds : 0.0;
-  uint64_t SimEvents = Sim.eventsExecuted() - SimEvents0;
-  R.Events = SimEvents;
-  R.EventsPerSec = Seconds > 0.0 ? double(SimEvents) / Seconds : 0.0;
   uint64_t Events = Net.rebalanceEvents() - Events0;
   uint64_t Demands = Net.rebalanceDemandsSolved() - Demands0;
-  R.DemandsSolved = Demands;
+  R.Rebalances = Events;
+  R.RebalancesPerSec = Seconds > 0.0 ? double(Events) / Seconds : 0.0;
   R.MeanComponent = Events > 0 ? double(Demands) / double(Events) : 0.0;
   R.MaxError = Net.maxRebalanceError();
-  R.ParallelSolves = Net.parallelSolves();
   return R;
 }
 
@@ -165,7 +159,6 @@ ChurnResult runChurn(size_t NumFlows, bool SharedCore, size_t Steps,
 int main(int argc, char **argv) {
   exp::BenchOptions Opt =
       exp::parseBenchOptions(argc, argv, "flow_churn", /*BaseSeed=*/7);
-  const unsigned Threads = Opt.threads();
   const uint64_t Seed = Opt.BaseSeed;
   const size_t Div = Opt.Quick ? 4 : 1;
   bench::banner("Network substrate: flow churn at scale",
@@ -173,39 +166,25 @@ int main(int argc, char **argv) {
                 "one component, not every concurrent flow)");
 
   Table T;
-  T.setHeader(
-      {"flows", "topology", "threads", "steps/s", "events/s",
-       "mean component", "max err"});
+  T.setHeader({"flows", "topology", "steps/s", "rebalances/s",
+               "mean component", "max err"});
   ChurnResult Pairs1k = runChurn(1000, false, 2000 / Div, Seed);
   ChurnResult Pairs10k = runChurn(10000, false, 2000 / Div, Seed);
   ChurnResult Core1k = runChurn(1000, true, 1000 / Div, Seed);
   ChurnResult Core10k = runChurn(10000, true, 200 / Div, Seed);
-  auto Row = [&](size_t Flows, const char *Topo, unsigned Thr,
-                 const ChurnResult &R) {
+  auto Row = [&](size_t Flows, const char *Topo, const ChurnResult &R) {
     T.beginRow();
     T.add(static_cast<long long>(Flows));
     T.add(Topo);
-    T.add(static_cast<long long>(Thr));
     T.add(R.StepsPerSec, 0);
-    T.add(R.EventsPerSec, 0);
+    T.add(R.RebalancesPerSec, 0);
     T.add(R.MeanComponent, 1);
     T.add(R.MaxError, 12);
   };
-  Row(1000, "isolated-pairs", 1, Pairs1k);
-  Row(10000, "isolated-pairs", 1, Pairs10k);
-  Row(1000, "shared-core", 1, Core1k);
-  Row(10000, "shared-core", 1, Core10k);
-
-  // Threaded arms: re-run the coupled topologies (where components get
-  // large enough for the partitioned parallel solve) and demand bitwise
-  // agreement with the serial statistics.
-  ChurnResult Core1kT, Core10kT;
-  if (Threads > 1) {
-    Core1kT = runChurn(1000, true, 1000 / Div, Seed, Threads);
-    Core10kT = runChurn(10000, true, 200 / Div, Seed, Threads);
-    Row(1000, "shared-core", Threads, Core1kT);
-    Row(10000, "shared-core", Threads, Core10kT);
-  }
+  Row(1000, "isolated-pairs", Pairs1k);
+  Row(10000, "isolated-pairs", Pairs10k);
+  Row(1000, "shared-core", Core1k);
+  Row(10000, "shared-core", Core10k);
   T.print(stdout);
   std::printf("\n");
 
@@ -233,65 +212,34 @@ int main(int argc, char **argv) {
   bench::shapeCheck(Scales,
                     "churn throughput degrades sublinearly from 1k to 10k "
                     "concurrent flows");
-  if (Threads > 1) {
-    auto Same = [](const ChurnResult &A, const ChurnResult &B) {
-      return A.Events == B.Events && A.DemandsSolved == B.DemandsSolved &&
-             A.MeanComponent == B.MeanComponent && A.MaxError == B.MaxError;
-    };
-    bench::shapeCheck(Same(Core1k, Core1kT) && Same(Core10k, Core10kT),
-                      "threaded churn reproduces the serial rebalance "
-                      "statistics bit-for-bit");
-    std::printf("threads: %u, shared-core 10k events/s %.0f (serial) vs "
-                "%.0f (threaded), speedup %.2fx, %llu parallel solves\n",
-                Threads, Core10k.EventsPerSec, Core10kT.EventsPerSec,
-                Core10kT.WallSeconds > 0.0
-                    ? Core10k.WallSeconds / Core10kT.WallSeconds
-                    : 0.0,
-                static_cast<unsigned long long>(Core10kT.ParallelSolves));
-  }
 
   std::string JsonPath = Opt.jsonPath();
   if (!JsonPath.empty()) {
     json::JsonWriter W;
     W.beginObject();
-    W.member("schema", "dgsim-flow-churn-v1");
+    W.member("schema", "dgsim-flow-churn-v2");
     W.member("id", Opt.Id);
     W.member("git", exp::gitDescribe());
     W.member("seed", Seed);
     W.key("configs");
     W.beginArray();
-    auto Emit = [&W](size_t Flows, const char *Topo, unsigned Thr,
-                     const ChurnResult &R) {
+    auto Emit = [&W](size_t Flows, const char *Topo, const ChurnResult &R) {
       W.beginObject();
       W.member("flows", uint64_t(Flows));
       W.member("topology", Topo);
-      W.member("threads", uint64_t(Thr));
       W.member("steps_per_s", R.StepsPerSec);
-      W.member("events_per_s", R.EventsPerSec);
+      W.member("rebalances_per_s", R.RebalancesPerSec);
       W.member("mean_component", R.MeanComponent);
       W.member("max_err", R.MaxError);
-      W.member("events", R.Events);
+      W.member("rebalances", R.Rebalances);
       W.member("wall_s", R.WallSeconds);
       W.endObject();
     };
-    Emit(1000, "isolated-pairs", 1, Pairs1k);
-    Emit(10000, "isolated-pairs", 1, Pairs10k);
-    Emit(1000, "shared-core", 1, Core1k);
-    Emit(10000, "shared-core", 1, Core10k);
-    if (Threads > 1) {
-      Emit(1000, "shared-core", Threads, Core1kT);
-      Emit(10000, "shared-core", Threads, Core10kT);
-    }
+    Emit(1000, "isolated-pairs", Pairs1k);
+    Emit(10000, "isolated-pairs", Pairs10k);
+    Emit(1000, "shared-core", Core1k);
+    Emit(10000, "shared-core", Core10k);
     W.endArray();
-    W.key("parallel");
-    W.beginObject();
-    W.member("threads", uint64_t(Threads));
-    if (Threads > 1 && Core10kT.WallSeconds > 0.0) {
-      W.member("speedup_shared_core_10k",
-               Core10k.WallSeconds / Core10kT.WallSeconds);
-      W.member("parallel_solves", Core10kT.ParallelSolves);
-    }
-    W.endObject();
     W.endObject();
     std::string Doc = W.take();
     if (std::FILE *F = std::fopen(JsonPath.c_str(), "w")) {

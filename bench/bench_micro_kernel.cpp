@@ -305,63 +305,6 @@ BENCHMARK(BM_SelectReplica)
     ->Args({0, 0})
     ->ArgNames({"cached", "warm"});
 
-//===----------------------------------------------------------------------===//
-// Scheduler alternatives: the calendar queue against the indexed heap
-//===----------------------------------------------------------------------===//
-
-/// Pure dispatch throughput: schedule range(1) events at random times and
-/// drain them, under the heap (arg 0 = 0) or the calendar (arg 0 = 1).
-static void BM_CalendarVsHeapDispatch(benchmark::State &State) {
-  const bool Calendar = State.range(0);
-  const size_t N = State.range(1);
-  for (auto _ : State) {
-    Simulator Sim;
-    Sim.setScheduler(Calendar ? Simulator::SchedulerKind::CalendarQueue
-                              : Simulator::SchedulerKind::IndexedHeap);
-    RandomEngine Rng(1);
-    size_t Fired = 0;
-    for (size_t I = 0; I < N; ++I)
-      Sim.schedule(Rng.uniform(0, 1000), [&Fired] { ++Fired; });
-    Sim.run();
-    benchmark::DoNotOptimize(Fired);
-  }
-  State.SetItemsProcessed(State.iterations() * N);
-}
-BENCHMARK(BM_CalendarVsHeapDispatch)
-    ->Args({0, 10000})
-    ->Args({1, 10000})
-    ->Args({0, 100000})
-    ->Args({1, 100000})
-    ->ArgNames({"calendar", "events"});
-
-/// Windowed cancel+reschedule churn against a standing population of
-/// range(1) pending events — the timeout/watchdog pattern, dominated by
-/// cancel cost (O(log n) heap removal vs O(1) calendar swap-remove).
-static void BM_CalendarVsHeapChurn(benchmark::State &State) {
-  const bool Calendar = State.range(0);
-  const size_t Window = State.range(1);
-  Simulator Sim;
-  Sim.setScheduler(Calendar ? Simulator::SchedulerKind::CalendarQueue
-                            : Simulator::SchedulerKind::IndexedHeap);
-  RandomEngine Rng(5);
-  std::vector<EventId> Ring(Window);
-  for (EventId &Id : Ring)
-    Id = Sim.schedule(1e6 + Rng.uniform(0, 1000), [] {});
-  size_t Cursor = 0;
-  for (auto _ : State) {
-    Sim.cancel(Ring[Cursor]);
-    Ring[Cursor] = Sim.schedule(1e6 + Rng.uniform(0, 1000), [] {});
-    Cursor = (Cursor + 1) % Window;
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_CalendarVsHeapChurn)
-    ->Args({0, 10000})
-    ->Args({1, 10000})
-    ->Args({0, 100000})
-    ->Args({1, 100000})
-    ->ArgNames({"calendar", "window"});
-
 static void BM_NwsForecasterObserve(benchmark::State &State) {
   RandomEngine Rng(4);
   std::vector<double> Series(4096);
@@ -522,12 +465,9 @@ dgsim::exp::TrialResult runKernelTrial(const dgsim::exp::TrialPoint &P) {
     }
     Ops = double(Selects);
     Events = F.Sim.eventsExecuted();
-  } else if (Workload == "heap-dispatch" || Workload == "calendar-dispatch") {
+  } else if (Workload == "heap-dispatch") {
     constexpr size_t N = 200000;
     Simulator Sim(P.Seed);
-    Sim.setScheduler(Workload == "calendar-dispatch"
-                         ? Simulator::SchedulerKind::CalendarQueue
-                         : Simulator::SchedulerKind::IndexedHeap);
     RandomEngine Rng(P.Seed);
     size_t Fired = 0;
     for (size_t I = 0; I < N; ++I)
@@ -564,8 +504,7 @@ int writeKernelReport(const std::string &Path) {
   S.Title = "Event-kernel microbench workloads";
   S.Axes = {{"workload",
              {"event-churn", "periodic-tick", "interned-lookup",
-              "select-cached", "select-uncached", "heap-dispatch",
-              "calendar-dispatch"}}};
+              "select-cached", "select-uncached", "heap-dispatch"}}};
   S.Seeds = {1};
   S.Metrics = {"ops_per_sec", "events_per_sec", "wall_seconds"};
   S.Run = runKernelTrial;

@@ -22,7 +22,9 @@
 ///
 /// Reports events/s, transfers/s and peak RSS alongside the usual shape
 /// checks; an RSS probe at the workload midpoint checks that memory is
-/// flat after warm-up (sublinear in transfer count).
+/// flat after warm-up (sublinear in transfer count).  --baseline PATH
+/// gates the run against a committed capture of the same configuration
+/// (see main()).
 ///
 /// Default: 1024 sites, ~1M transfers, one seed.  --quick: 64 sites,
 /// ~10k transfers (the CI smoke configuration).
@@ -43,7 +45,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -66,11 +67,8 @@ std::mutex RssMutex;
 std::vector<RssProbe> RssProbes;
 
 /// Builds the tiered grid for \p Sites sites and runs the open-loop
-/// stream of roughly \p Transfers fetches through it, with \p Threads
-/// intra-run worker threads on the simulator's parallel executor
-/// (results are bit-identical for any value).
-exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
-                         unsigned Threads) {
+/// stream of roughly \p Transfers fetches through it.
+exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed) {
   GridSpec Spec;
   Spec.Seed = Seed;
   // Scale-mode monitoring: shared batch ticks instead of one heap event
@@ -134,7 +132,6 @@ exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
   Spec.Workloads.push_back(Load);
 
   std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
-  G->sim().setThreads(Threads);
 
   CostModelPolicy Cost;
   // Two-choice sampling over the cost model: at 2500 selections/s
@@ -190,38 +187,69 @@ exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
   return Result;
 }
 
-/// Reads the serial-arm event throughput out of a committed baseline
-/// document (the `"events_per_s_t1":` member of the parallel footer).
-/// Hand-rolled scan: the repo carries a JSON writer, not a parser, and a
-/// one-key probe does not justify growing one.  \returns 0.0 when the
-/// file or the key is missing (the caller treats that as "no baseline").
-double readBaselineEventsPerS(const std::string &Path) {
+/// Floor on events/s relative to the committed baseline.  Host time on a
+/// shared machine: twenty back-to-back quick runs on a 4-core x86-64 host
+/// spread from 0.64x to 1.30x of their median, and a run inside an
+/// oversubscribed ctest -j8 read 0.51x of the capture, so the floor sits
+/// below both (EXPERIMENTS.md).
+constexpr double EventsPerSFloor = 0.4;
+
+/// Whether host time is comparable with the committed capture, which was
+/// taken in an optimized build.  Rebalance check mode, sanitizers and
+/// unoptimized builds run several times slower by design, so they gate
+/// on the exact counters alone (bench/CMakeLists.txt).
+#ifdef DGSIM_INSTRUMENTED_BUILD
+constexpr bool TimedBuild = false;
+#else
+constexpr bool TimedBuild = true;
+#endif
+
+/// The run-level figures the JSON footer's "perf" object records and a
+/// --baseline run is gated on.
+struct PerfFigures {
+  double EventsExecuted = 0.0;
+  double EventsPerS = 0.0;
+  double CallbackHeapFallbacks = 0.0;
+};
+
+/// Reads the "perf" figures out of a committed document.  Hand-rolled
+/// scan: the repo carries a JSON writer, not a parser, and a three-key
+/// probe does not justify growing one.  \returns false, after saying why,
+/// when the file or any key is missing.
+bool readBaseline(const std::string &Path, PerfFigures &Out) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F) {
     std::fprintf(stderr, "baseline: cannot open %s\n", Path.c_str());
-    return 0.0;
+    return false;
   }
   std::string Doc;
   char Buf[4096];
   for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
     Doc.append(Buf, N);
   std::fclose(F);
-  constexpr std::string_view Key = "\"events_per_s_t1\":";
-  size_t At = Doc.find(Key);
-  if (At == std::string::npos) {
-    std::fprintf(stderr, "baseline: no %s in %s\n",
-                 std::string(Key).c_str(), Path.c_str());
-    return 0.0;
-  }
-  return std::strtod(Doc.c_str() + At + Key.size(), nullptr);
+  size_t Perf = Doc.find("\"perf\":");
+  auto Read = [&](std::string_view Name, double &V) {
+    std::string Key = "\"" + std::string(Name) + "\":";
+    size_t At = Perf == std::string::npos ? Perf : Doc.find(Key, Perf);
+    if (At == std::string::npos) {
+      std::fprintf(stderr, "baseline: no perf.%s in %s\n",
+                   std::string(Name).c_str(), Path.c_str());
+      return false;
+    }
+    V = std::strtod(Doc.c_str() + At + Key.size(), nullptr);
+    return true;
+  };
+  bool Ok = Read("events_executed", Out.EventsExecuted);
+  Ok = Read("events_per_s", Out.EventsPerS) && Ok;
+  Ok = Read("callback_heap_fallbacks", Out.CallbackHeapFallbacks) && Ok;
+  return Ok && Out.EventsPerS > 0.0;
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  // --baseline PATH pins this run's serial events/s against a committed
-  // reference document; stripped here because the shared option parser
-  // rejects flags it does not know.
+  // --baseline PATH gates this run against a committed capture; stripped
+  // here because the shared option parser rejects flags it does not know.
   std::string BaselinePath;
   std::vector<char *> Args;
   Args.push_back(argv[0]);
@@ -235,83 +263,65 @@ int main(int argc, char **argv) {
   int Argc = static_cast<int>(Args.size());
   exp::BenchOptions Opt =
       exp::parseBenchOptions(Argc, Args.data(), "scale", /*BaseSeed=*/7);
-  const double BaselineEps =
-      BaselinePath.empty() ? 0.0 : readBaselineEventsPerS(BaselinePath);
   bench::banner("Tiered-grid scale-out",
                 "paper future work: replica selection in a dynamic, larger "
                 "number of sites environment (MONARC-style tiers)");
 
   const size_t Sites = Opt.Quick ? 64 : 1024;
   const uint64_t Transfers = Opt.Quick ? 10000 : 1000000;
-  const unsigned Threads = Opt.threads();
 
-  // With --threads T > 1 the sweep runs two arms, serial and threaded, so
-  // the run measures its own intra-run speedup (events/s per arm).  The
-  // metrics columns must agree between arms — that is the determinism
-  // contract — and the footer reports the wall-clock ratio.
-  std::vector<std::string> ThreadArms = {"1"};
-  if (Threads > 1)
-    ThreadArms.push_back(std::to_string(Threads));
-
-  struct ArmStat {
-    double WallSeconds = 0.0;
-    uint64_t Events = 0;
+  // Host-side figures for the footer and the baseline gate, summed over
+  // trials.  The heap-fallback counter is process-wide, so it is read
+  // around the whole sweep.
+  std::mutex PerfMutex;
+  double TrialWall = 0.0;
+  uint64_t TrialEvents = 0;
+  const uint64_t Sbo0 = InlineFunctionStats::heapFallbacks();
+  auto CurrentPerf = [&] {
+    PerfFigures P;
+    P.EventsExecuted = double(TrialEvents);
+    P.EventsPerS = TrialWall > 0.0 ? double(TrialEvents) / TrialWall : 0.0;
+    P.CallbackHeapFallbacks =
+        double(InlineFunctionStats::heapFallbacks() - Sbo0);
+    return P;
   };
-  std::mutex ArmMutex;
-  std::map<unsigned, ArmStat> Arms;
 
   exp::Scenario S;
   S.Id = Opt.Id;
   S.Title = "Open-loop fetch stream over a tiered grid";
-  S.Axes = {{"sites", {std::to_string(Sites)}}, {"threads", ThreadArms}};
+  S.Axes = {{"sites", {std::to_string(Sites)}}};
   S.Seeds = Opt.seeds();
   S.Metrics = {"arrivals",   "completed",  "failed",
                "local_hits", "goodput_gb", "mean_sojourn_s"};
-  S.Run = [Transfers, &ArmMutex, &Arms](const exp::TrialPoint &P) {
-    unsigned T =
-        unsigned(std::strtoul(P.param("threads").c_str(), nullptr, 10));
+  S.Run = [Transfers, &PerfMutex, &TrialWall,
+           &TrialEvents](const exp::TrialPoint &P) {
     auto A0 = std::chrono::steady_clock::now();
-    exp::TrialResult R =
-        runTier(std::strtoull(P.param("sites").c_str(), nullptr, 10),
-                Transfers, P.Seed, T);
+    exp::TrialResult R = runTier(
+        std::strtoull(P.param("sites").c_str(), nullptr, 10), Transfers,
+        P.Seed);
     double Wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - A0)
             .count();
-    std::lock_guard<std::mutex> Lock(ArmMutex);
-    Arms[T].WallSeconds += Wall;
-    Arms[T].Events += R.EventsExecuted;
+    std::lock_guard<std::mutex> Lock(PerfMutex);
+    TrialWall += Wall;
+    TrialEvents += R.EventsExecuted;
     return R;
   };
-  auto Footer = [Threads, &Arms, BaselineEps](json::JsonWriter &W) {
-    W.key("parallel");
+  auto Footer = [&](json::JsonWriter &W) {
+    PerfFigures P = CurrentPerf();
+    W.key("perf");
     W.beginObject();
-    W.member("threads", uint64_t(Threads));
-    for (const auto &[T, A] : Arms) {
-      std::string Key = "events_per_s_t" + std::to_string(T);
-      W.member(Key, A.WallSeconds > 0.0 ? double(A.Events) / A.WallSeconds
-                                        : 0.0);
-    }
-    if (Threads > 1 && Arms.count(1) && Arms.count(Threads) &&
-        Arms.at(Threads).WallSeconds > 0.0)
-      W.member("speedup", Arms.at(1).WallSeconds /
-                              Arms.at(Threads).WallSeconds);
+    W.member("events_executed", uint64_t(P.EventsExecuted));
+    W.member("events_per_s", P.EventsPerS);
+    W.member("callback_heap_fallbacks", uint64_t(P.CallbackHeapFallbacks));
     W.endObject();
-    if (BaselineEps > 0.0) {
-      double Cur = Arms.count(1) && Arms.at(1).WallSeconds > 0.0
-                       ? double(Arms.at(1).Events) / Arms.at(1).WallSeconds
-                       : 0.0;
-      W.key("baseline");
-      W.beginObject();
-      W.member("events_per_s", BaselineEps);
-      W.member("ratio", Cur / BaselineEps);
-      W.endObject();
-    }
   };
   auto T0 = std::chrono::steady_clock::now();
   std::vector<exp::TrialRecord> Records = exp::runScenario(S, Opt, Footer);
   double SweepWall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
           .count();
+  const PerfFigures Perf = CurrentPerf();
 
   double Arrivals = 0.0, Completed = 0.0;
   uint64_t Events = 0;
@@ -334,36 +344,42 @@ int main(int argc, char **argv) {
   bench::shapeCheckLe(SlowestTrial, Opt.Quick ? 60.0 : 300.0,
                       "slowest_trial_s",
                       "a full trial fits the single-core time budget");
-  if (Threads > 1) {
-    // The determinism contract, checked end to end: the threaded arm must
-    // reproduce the serial arm bit for bit (metrics and event counts).
-    std::map<uint64_t, const exp::TrialRecord *> SerialBySeed;
-    for (const exp::TrialRecord &R : Records)
-      if (R.Point.param("threads") == "1")
-        SerialBySeed[R.Point.Seed] = &R;
-    bool Identical = true;
-    for (const exp::TrialRecord &R : Records)
-      if (R.Point.param("threads") != "1") {
-        const exp::TrialRecord *Ser = SerialBySeed[R.Point.Seed];
-        Identical = Identical && Ser &&
-                    Ser->Result.Metrics == R.Result.Metrics &&
-                    Ser->Result.EventsExecuted == R.Result.EventsExecuted &&
-                    Ser->Result.SpecHash == R.Result.SpecHash;
-      }
-    bench::shapeCheck(Identical,
-                      "threaded arm reproduces the serial arm bit-for-bit");
-  }
-  if (BaselineEps > 0.0 && Arms.count(1) && Arms.at(1).WallSeconds > 0.0) {
-    // The perf-regression gate: serial event throughput must hold within
-    // 10% of the committed baseline capture.  The margin absorbs host
-    // noise; a real hot-path regression (the caches or the scheduler
-    // falling out) costs far more than 10%.
-    double Cur = double(Arms.at(1).Events) / Arms.at(1).WallSeconds;
-    std::printf("baseline: %.0f events/s vs %.0f committed (%.2fx)\n", Cur,
-                BaselineEps, Cur / BaselineEps);
-    bench::shapeCheckGe(Cur / BaselineEps, 0.9, "events_per_s_vs_baseline",
-                        "serial event throughput holds against the "
-                        "committed baseline");
+  if (!BaselinePath.empty()) {
+    // The perf-regression gate.  Work counters repeat exactly for a fixed
+    // configuration, so they are gated tightly: a run may not execute more
+    // kernel events or spill more callbacks to the heap than the capture.
+    // Events/s is host time and noisy; its floor sits below the spread of
+    // back-to-back quick runs (EXPERIMENTS.md), so only a real hot-path
+    // regression trips it.
+    PerfFigures Base;
+    bool Readable = readBaseline(BaselinePath, Base);
+    bench::shapeCheck(Readable, "the committed baseline is readable and "
+                                "names every gated figure");
+    if (Readable) {
+      std::printf("baseline: %.0f events, %.0f callback heap fallbacks, "
+                  "%.0f events/s vs %.0f, %.0f, %.0f committed (%.2fx)\n",
+                  Perf.EventsExecuted, Perf.CallbackHeapFallbacks,
+                  Perf.EventsPerS, Base.EventsExecuted,
+                  Base.CallbackHeapFallbacks, Base.EventsPerS,
+                  Perf.EventsPerS / Base.EventsPerS);
+      bench::shapeCheckLe(Perf.EventsExecuted, Base.EventsExecuted,
+                          "events_executed",
+                          "the run executes no more kernel events than the "
+                          "committed baseline");
+      bench::shapeCheckLe(Perf.CallbackHeapFallbacks,
+                          Base.CallbackHeapFallbacks,
+                          "callback_heap_fallbacks",
+                          "no more callbacks spill to the heap than in the "
+                          "committed baseline");
+      if (TimedBuild)
+        bench::shapeCheckGe(Perf.EventsPerS / Base.EventsPerS,
+                            EventsPerSFloor, "events_per_s_vs_baseline",
+                            "event throughput holds against the committed "
+                            "baseline");
+      else
+        std::printf("baseline: events/s not gated in a check-mode, "
+                    "sanitizer or debug build\n");
+    }
   }
   if (Opt.Jobs == 1) {
     // Memory must be flat once the sensor population is warm: the probes
@@ -381,15 +397,6 @@ int main(int argc, char **argv) {
 
   std::printf("\ntransfers: %.0f completed (%.0f transfers/s host-side)\n",
               Completed, SweepWall > 0.0 ? Completed / SweepWall : 0.0);
-  if (Threads > 1 && Arms.count(1) && Arms.count(Threads) &&
-      Arms.at(Threads).WallSeconds > 0.0 && Arms.at(1).WallSeconds > 0.0) {
-    const ArmStat &Serial = Arms.at(1), &Par = Arms.at(Threads);
-    std::printf("threads: %u, events/s %.0f (serial) vs %.0f (threaded), "
-                "speedup %.2fx\n",
-                Threads, double(Serial.Events) / Serial.WallSeconds,
-                double(Par.Events) / Par.WallSeconds,
-                Serial.WallSeconds / Par.WallSeconds);
-  }
   bench::printRunFooter(Events, SweepWall);
   return bench::exitCode();
 }

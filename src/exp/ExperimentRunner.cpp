@@ -6,7 +6,6 @@
 
 #include "exp/ExperimentRunner.h"
 
-#include "sim/ParallelExecutor.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
@@ -112,11 +111,6 @@ std::vector<TrialRecord> ExperimentRunner::run(const Scenario &S,
     for (size_t I = 0; I < Points.size(); ++I)
       RunOne(I);
   } else {
-    // Trial-level parallelism owns the worker budget: while the region is
-    // open every per-simulator executor degrades to serial, so N trials x
-    // M intra-run shards never oversubscribes to N*M threads.  Safe
-    // because shard results are thread-count-invariant.
-    TrialParallelRegion Region;
     ThreadPool Pool(Info.Jobs);
     for (size_t I = 0; I < Points.size(); ++I)
       Pool.submit([&RunOne, I] { RunOne(I); });

@@ -15,12 +15,8 @@
 ///   * wall-clock scales with min(Jobs, hardware threads) because trials
 ///     never share state.
 ///
-/// With Jobs > 1 the runner opens a TrialParallelRegion for the duration
-/// of the pool: per-simulator parallel executors inside the trials degrade
-/// to serial while it is open, so trial-level and intra-run parallelism
-/// never compose into Jobs x threads oversubscription.  Trial-level wins
-/// because independent trials scale perfectly; intra-run sharding exists
-/// for the single-run, many-resource regime.
+/// Trials are the only unit of parallelism: each simulator runs on one
+/// thread (DESIGN.md §12).
 ///
 /// The runner is the execution layer under every sweep-shaped bench; the
 /// benches only describe scenarios and aggregate the returned records.

@@ -83,7 +83,7 @@ public:
   /// Installs a callback writing extra top-level members into the
   /// document footer at end() time (after the trials array, alongside the
   /// wall-time provenance).  Benches use it for run-level derived data —
-  /// e.g. intra-run thread count and measured speedup — computed from
+  /// e.g. events/s and allocation counters — computed from
   /// state their Run closures accumulated during the sweep.  Determinism
   /// comparisons should not install one (footers may legitimately vary
   /// between runs, like the other timing fields).

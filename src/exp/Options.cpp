@@ -22,17 +22,6 @@ std::vector<uint64_t> BenchOptions::seeds() const {
   return Seeds;
 }
 
-unsigned BenchOptions::threads() const {
-  if (Threads != 0)
-    return Threads;
-  if (const char *Env = std::getenv("DGSIM_THREADS")) {
-    long V = std::atol(Env);
-    if (V >= 1)
-      return static_cast<unsigned>(V);
-  }
-  return 1;
-}
-
 std::string BenchOptions::jsonPath() const {
   if (!WriteJson)
     return "";
@@ -45,8 +34,6 @@ static void usage(const char *Prog, const BenchOptions &Defaults) {
       "  --seeds N       seeds per sweep point (default 1)\n"
       "  --base-seed S   first seed (default %llu)\n"
       "  --jobs M        worker threads; results are identical for any M\n"
-      "  --threads T     intra-run threads per simulator; results are\n"
-      "                  identical for any T (default $DGSIM_THREADS or 1)\n"
       "  --json PATH     write results to PATH (default BENCH_%s.json)\n"
       "  --no-json       do not write the JSON document\n"
       "  --trials        print the per-trial table as well\n"
@@ -88,13 +75,6 @@ BenchOptions exp::parseBenchOptions(int Argc, char **Argv, std::string Id,
         std::exit(2);
       }
       O.Jobs = static_cast<unsigned>(V);
-    } else if (!std::strcmp(Arg, "--threads")) {
-      long V = std::atol(NumArg(I, Arg));
-      if (V < 1) {
-        std::fprintf(stderr, "%s: --threads must be >= 1\n", Argv[0]);
-        std::exit(2);
-      }
-      O.Threads = static_cast<unsigned>(V);
     } else if (!std::strcmp(Arg, "--json")) {
       O.JsonPath = NumArg(I, Arg);
       O.WriteJson = true;

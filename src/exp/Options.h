@@ -9,9 +9,8 @@
 ///
 ///   --seeds N       run N seeds (BaseSeed .. BaseSeed+N-1) per point
 ///   --base-seed S   override the bench's default base seed
-///   --jobs M        worker threads (results identical for any M)
-///   --threads T     intra-run worker threads per simulator (results
-///                   identical for any T; default DGSIM_THREADS or 1)
+///   --jobs M        worker threads running trials (results identical
+///                   for any M)
 ///   --json PATH     write results to PATH (default BENCH_<id>.json)
 ///   --no-json       skip the JSON document
 ///   --trials        also print the generic per-trial ASCII table
@@ -40,9 +39,6 @@ struct BenchOptions {
   uint64_t BaseSeed = 1;
   unsigned SeedCount = 1;
   unsigned Jobs = 1;
-  /// Intra-run worker threads per simulator (Simulator::setThreads); 0
-  /// means "not set on the command line" — threads() resolves it.
-  unsigned Threads = 0;
   bool Quick = false;
   bool ShowTrials = false;
   bool WriteJson = true;
@@ -51,13 +47,6 @@ struct BenchOptions {
 
   /// The expanded seed list: BaseSeed .. BaseSeed+SeedCount-1.
   std::vector<uint64_t> seeds() const;
-
-  /// Resolves the intra-run thread count: --threads if given, else the
-  /// DGSIM_THREADS environment variable, else 1 (serial, the historical
-  /// execution shape).  Note --jobs > 1 wins at runtime: trial-level
-  /// parallelism opens a TrialParallelRegion and intra-run executors
-  /// degrade to serial (results are identical either way).
-  unsigned threads() const;
 
   /// The JSON path this run will write (resolving the default), or empty
   /// when JSON is disabled.

@@ -60,41 +60,36 @@ WorkloadDriver::WorkloadDriver(DataGrid &Grid, ReplicaManager &Mgr)
     : Grid(Grid), Mgr(Mgr) {}
 
 void WorkloadDriver::start(size_t Index, const FetchOptions &FetchOpts) {
-  // Snapshot the spec: later addWorkload calls may reallocate the spec's
-  // vector, and the arrival closures outlive this call by the whole run.
-  auto W = std::make_shared<const WorkloadSpec>(
-      Grid.spec().Workloads.at(Index));
+  const WorkloadSpec &Spec = Grid.spec().Workloads.at(Index);
   if (Grid.workloadArrivals(Index).empty())
     return;
-  scheduleArrival(std::move(W), Index, 0, FetchOpts);
+  Streams.push_back({Spec, Index, FetchOpts});
+  scheduleArrival(Streams.back(), 0);
 }
 
-void WorkloadDriver::scheduleArrival(std::shared_ptr<const WorkloadSpec> W,
-                                     size_t Index, size_t Pos,
-                                     const FetchOptions &FetchOpts) {
+void WorkloadDriver::scheduleArrival(const ArrivalStream &S, size_t Pos) {
   // Open loop: every arrival fires at its own (pre-expanded) time, whatever
   // the state of earlier fetches.  Arrivals chain — each one schedules the
   // next before running its fetch — so the stream holds one pending event,
   // not one per arrival.  Non-daemon, so run() drains the whole stream.
-  SimTime T = Grid.workloadArrivals(Index)[Pos].Time;
+  const ArrivalStream *Stream = &S;
   Grid.sim().scheduleAt(
-      T, [this, W = std::move(W), Index, Pos, FetchOpts]() mutable {
-        const std::vector<WorkloadArrival> &Arr = Grid.workloadArrivals(Index);
-        const WorkloadSpec &Spec = *W;
+      Grid.workloadArrivals(S.Index)[Pos].Time, [this, Stream, Pos] {
+        const std::vector<WorkloadArrival> &Arr =
+            Grid.workloadArrivals(Stream->Index);
         if (Pos + 1 < Arr.size())
-          scheduleArrival(std::move(W), Index, Pos + 1, FetchOpts);
-        runArrival(Spec, Arr[Pos], FetchOpts);
+          scheduleArrival(*Stream, Pos + 1);
+        runArrival(*Stream, Arr[Pos]);
       });
 }
 
-void WorkloadDriver::runArrival(const WorkloadSpec &W,
-                                const WorkloadArrival &A,
-                                const FetchOptions &FetchOpts) {
-  Host *Client = Grid.findHost(W.Clients[A.ClientIdx]);
+void WorkloadDriver::runArrival(const ArrivalStream &S,
+                                const WorkloadArrival &A) {
+  Host *Client = Grid.findHost(S.Spec.Clients[A.ClientIdx]);
   assert(Client && "workload client host disappeared");
-  const std::string &Lfn = W.Lfns[A.LfnIdx];
+  const std::string &Lfn = S.Spec.Lfns[A.LfnIdx];
   ++Counters.Arrivals;
-  Mgr.fetch(Lfn, *Client, FetchOpts, [this](const FetchResult &R) {
+  Mgr.fetch(Lfn, *Client, S.Fetch, [this](const FetchResult &R) {
     pushSample(Counters.QueueWaitSeconds, QueueStream, R.QueueSeconds);
     if (R.Succeeded) {
       ++Counters.Completed;

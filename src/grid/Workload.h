@@ -31,8 +31,8 @@
 #include "replica/ReplicaManager.h"
 #include "support/Random.h"
 
+#include <deque>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,14 +134,25 @@ private:
     uint64_t Stride = 1;
   };
 
-  void scheduleArrival(std::shared_ptr<const WorkloadSpec> W, size_t Index,
-                       size_t Pos, const FetchOptions &FetchOpts);
-  void runArrival(const WorkloadSpec &W, const WorkloadArrival &A,
-                  const FetchOptions &FetchOpts);
+  /// One started workload: what every arrival of the stream reads.  The
+  /// spec is a snapshot (later addWorkload calls may reallocate the
+  /// grid's spec vector).  Arrival events capture only [this, stream,
+  /// position], which fits EventCallback's inline buffer, so a driven
+  /// stream schedules without allocating.
+  struct ArrivalStream {
+    WorkloadSpec Spec;
+    size_t Index = 0;
+    FetchOptions Fetch;
+  };
+
+  void scheduleArrival(const ArrivalStream &S, size_t Pos);
+  void runArrival(const ArrivalStream &S, const WorkloadArrival &A);
   void pushSample(std::vector<double> &V, SampleStream &S, double X);
 
   DataGrid &Grid;
   ReplicaManager &Mgr;
+  /// Started streams; a deque so their addresses survive later start()s.
+  std::deque<ArrivalStream> Streams;
   WorkloadCounters Counters;
   size_t SampleCap = 0;
   SampleStream QueueStream;

@@ -692,16 +692,6 @@ void TransferManager::noteStripeDown(const Host &Src, const Host &Dst) {
 }
 
 void TransferManager::refreshCaps() {
-  // Batched mode defers the network solve to one commit, so every rate
-  // read in the sweep sees the same pre-commit network state — that is
-  // what makes the sharded derivation below bit-identical to the serial
-  // sweep.  Unbatched mode re-solves after every cap update (reads are
-  // order-dependent) and must stay serial.
-  if (BatchedRefresh && Sim.executor().parallel() &&
-      ActiveList.size() >= ParallelMinStripes) {
-    Sim.executor().update(*this);
-    return;
-  }
   // The stall watchdog collects victims during the sweep and tears them
   // down afterwards: failStripe mutates ActiveList.
   bool WatchStalls = std::isfinite(Policy.StallTimeout);
@@ -741,58 +731,4 @@ void TransferManager::refreshCaps() {
     Net.commitEndpointCaps();
   for (auto [Id, I] : Stalled)
     failStripe(Id, I, /*Timeout=*/true);
-}
-
-size_t TransferManager::collectDirty() {
-  RefreshUnits.clear();
-  for (auto &[Id, Slot] : ActiveList) {
-    ActiveTransfer &T = Slots[Slot];
-    for (size_t I = 0, E = T.StripesLive.size(); I != E; ++I)
-      if (T.StripesLive[I].Flow != InvalidFlowId)
-        RefreshUnits.push_back(
-            {Id, Slot, static_cast<uint32_t>(I), 0.0, 0.0});
-  }
-  return RefreshUnits.size();
-}
-
-void TransferManager::solveBatch(size_t Shard, size_t NumShards) {
-  // Read-only over network and host state: payload rate from the (not yet
-  // re-solved) flow network, endpoint cap from host capacities and the
-  // reader/writer counts — none of which this sweep mutates.
-  for (size_t U = Shard; U < RefreshUnits.size(); U += NumShards) {
-    RefreshUnit &RU = RefreshUnits[U];
-    ActiveTransfer &T = Slots[RU.Slot];
-    Stripe &S = T.StripesLive[RU.StripeIdx];
-    RU.Rate = Net.currentRate(S.Flow);
-    RU.Cap = endpointCap(*S.Source, *T.Spec.Destination, /*CountSelf=*/false);
-  }
-}
-
-bool TransferManager::commit() {
-  // Replays the legacy sweep in unit (ActiveList) order: disk accounting,
-  // stall detection, cap updates, then the one deferred solve and the
-  // stalled-stripe teardown.
-  bool WatchStalls = std::isfinite(Policy.StallTimeout);
-  std::vector<std::pair<TransferId, size_t>> Stalled;
-  for (RefreshUnit &RU : RefreshUnits) {
-    ActiveTransfer &T = Slots[RU.Slot];
-    Stripe &S = T.StripesLive[RU.StripeIdx];
-    S.Source->disk().removeTransferLoad(S.AccountedRate);
-    T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
-    S.Source->disk().addTransferLoad(RU.Rate);
-    T.Spec.Destination->disk().addTransferLoad(RU.Rate);
-    S.AccountedRate = RU.Rate;
-    if (RU.Rate > 0.0) {
-      S.LastProgress = Sim.now();
-    } else if (WatchStalls &&
-               Sim.now() - S.LastProgress >= Policy.StallTimeout) {
-      Stalled.emplace_back(RU.Id, RU.StripeIdx);
-      continue; // The flow is about to be torn down; no cap update.
-    }
-    Net.updateEndpointCap(S.Flow, RU.Cap);
-  }
-  Net.commitEndpointCaps();
-  for (auto [Id, I] : Stalled)
-    failStripe(Id, I, /*Timeout=*/true);
-  return true;
 }

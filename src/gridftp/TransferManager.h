@@ -49,7 +49,6 @@
 #include "gridftp/Protocol.h"
 #include "host/Host.h"
 #include "net/FlowNetwork.h"
-#include "sim/ResourceModel.h"
 #include "sim/Simulator.h"
 #include "support/InlineFunction.h"
 #include "support/Trace.h"
@@ -220,16 +219,7 @@ struct TransferResult {
 };
 
 /// Executes transfers on a FlowNetwork.
-///
-/// With batched cap refresh enabled and a parallel kernel executor, the
-/// periodic refresh runs as ResourceModel phases: stripe enumeration in
-/// ActiveList (id) order, a sharded read-only pass deriving each flow's
-/// payload rate and endpoint cap, then one serial commit replaying disk
-/// accounting, stall detection and cap updates in the exact legacy sweep
-/// order.  Endpoint caps depend only on host/NIC state and reader/writer
-/// counts — never on the disks' mirrored transfer load — so the sharded
-/// values are bit-identical to the interleaved serial sweep's.
-class TransferManager : public ResourceModel {
+class TransferManager {
 public:
   /// Inline-buffered callback: completion closures (failover state, slot
   /// addressing) fit the 48-byte buffer, so submitting and completing a
@@ -300,11 +290,6 @@ public:
   uint64_t totalTimeouts() const { return TotalTimeouts; }
 
   const ProtocolCosts &costs() const { return Costs; }
-
-  /// Smallest live-stripe population for which a parallel executor shards
-  /// the cap-refresh derivation (batched mode only).  Tests lower it to
-  /// force the parallel path on small grids.
-  void setParallelMinStripes(size_t N) { ParallelMinStripes = N; }
 
   /// The recovery policy applied to every transfer.  May be changed at any
   /// time; in-flight stripes pick the new values up on their next failure
@@ -414,13 +399,6 @@ private:
   void failTransfer(TransferId Id, const char *Reason,
                     TransferStatus St = TransferStatus::Failed);
   void refreshCaps();
-  /// ResourceModel phases of a parallel batched cap refresh (see the class
-  /// comment).  collectDirty() enumerates live stripes, solveBatch()
-  /// derives (rate, cap) per stripe on a shard, commit() replays the
-  /// legacy sweep serially and triggers the one deferred network solve.
-  size_t collectDirty() override;
-  void solveBatch(size_t Shard, size_t NumShards) override;
-  bool commit() override;
   /// Keeps a non-daemon heartbeat pending while transfers are in flight
   /// and the stall watchdog is on.  The cap-refresh periodic is a daemon
   /// and cannot keep run() alive; a stalled flow schedules no completion
@@ -479,18 +457,6 @@ private:
   uint64_t TotalTimeouts = 0;
   EventId RefreshHandle = InvalidEventId;
   EventId WatchdogEvent = InvalidEventId;
-  /// One live stripe per entry, enumerated in ActiveList order; the
-  /// sharded phase fills Rate/Cap, the serial commit consumes them in
-  /// order.  Reused across refreshes (no allocation once warm).
-  struct RefreshUnit {
-    TransferId Id;
-    uint32_t Slot;
-    uint32_t StripeIdx;
-    BitRate Rate;
-    BitRate Cap;
-  };
-  std::vector<RefreshUnit> RefreshUnits;
-  size_t ParallelMinStripes = 32;
   /// Shed completions parked until their zero-delay event fires: the event
   /// captures only `this`, so shedding allocates no per-shed closure.
   /// FIFO matches event order (zero-delay events fire in schedule order).

@@ -104,28 +104,8 @@ void CpuLoadBatch::remove(CpuLoadModel &M) {
 }
 
 void CpuLoadBatch::tick() {
-  ParallelExecutor &Exec = Sim.executor();
-  if (Exec.parallel() && size() >= ParallelMinMembers) {
-    Exec.update(*this);
-    return;
-  }
   size_t N = Members.size();
   for (size_t I = 0; I != N; ++I)
     if (CpuLoadModel *M = Members[I])
       M->tick();
-}
-
-size_t CpuLoadBatch::collectDirty() {
-  TickMembers.clear();
-  for (CpuLoadModel *M : Members)
-    if (M)
-      TickMembers.push_back(M);
-  return TickMembers.size();
-}
-
-void CpuLoadBatch::solveBatch(size_t Shard, size_t NumShards) {
-  // Every OU step is private to its model (own RNG stream, own load), so
-  // sharding changes nothing observable.
-  for (size_t I = Shard; I < TickMembers.size(); I += NumShards)
-    TickMembers[I]->tick();
 }

@@ -19,7 +19,6 @@
 #ifndef DGSIM_HOST_CPULOADMODEL_H
 #define DGSIM_HOST_CPULOADMODEL_H
 
-#include "sim/ResourceModel.h"
 #include "sim/Simulator.h"
 #include "support/Random.h"
 
@@ -93,11 +92,9 @@ private:
 };
 
 /// Advances a set of same-period CPU-load models behind one periodic
-/// kernel event, mirroring SensorBatch.  Each OU step touches only the
-/// model's private state (its own RNG, its own load), so on a parallel
-/// kernel executor the whole tick fans out over shards with no serial
-/// phase and remains bit-identical to registration-order advancement.
-class CpuLoadBatch : public ResourceModel {
+/// kernel event, mirroring SensorBatch.  Members advance in registration
+/// order.
+class CpuLoadBatch {
 public:
   /// Ticks every \p Period seconds; members must use the same period.
   CpuLoadBatch(Simulator &Sim, SimTime Period);
@@ -109,10 +106,6 @@ public:
   size_t size() const { return Members.size() - Dead; }
   SimTime period() const { return Period; }
 
-  /// Smallest live membership for which a parallel executor shards the
-  /// tick.  Tests lower it to force the parallel path.
-  void setParallelMinMembers(size_t N) { ParallelMinMembers = N; }
-
 private:
   friend class CpuLoadModel;
 
@@ -120,17 +113,11 @@ private:
   void remove(CpuLoadModel &M);
   void tick();
 
-  size_t collectDirty() override;
-  void solveBatch(size_t Shard, size_t NumShards) override;
-  bool commit() override { return true; }
-
   Simulator &Sim;
   SimTime Period;
   EventId Periodic = InvalidEventId;
   std::vector<CpuLoadModel *> Members;
   size_t Dead = 0;
-  size_t ParallelMinMembers = 16;
-  std::vector<CpuLoadModel *> TickMembers; // Reused tick scratch.
 };
 
 } // namespace dgsim

@@ -16,13 +16,12 @@
 /// means and medians of several widths, and exponential smoothing with
 /// several gains, plus the adaptive meta-forecaster.
 ///
-/// Thread affinity: a forecaster's state is private to the sensor that
-/// owns it and is advanced only through that sensor's observe() calls.
-/// That unit-privacy is what lets SensorBatch shard forecaster updates
-/// across ParallelExecutor threads (DESIGN.md §12): any one forecaster
-/// is only ever touched by the shard holding its sensor, so no
-/// forecaster may keep global/static mutable state or draw from a
-/// shared RNG.
+/// State privacy: a forecaster's state belongs to the sensor that owns
+/// it and is advanced only through that sensor's observe() calls.  No
+/// forecaster may keep global/static mutable state or draw from a shared
+/// RNG: trials run concurrently under --jobs, and a shared stream would
+/// make one sensor's forecasts depend on how often another one samples
+/// (DESIGN.md §12).
 ///
 //===----------------------------------------------------------------------===//
 

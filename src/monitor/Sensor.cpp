@@ -201,11 +201,6 @@ void SensorBatch::remove(Sensor &S) {
 }
 
 void SensorBatch::tick() {
-  ParallelExecutor &Exec = Sim.executor();
-  if (Exec.parallel() && size() >= ParallelMinMembers) {
-    Exec.update(*this);
-    return;
-  }
   // Members added during a tick (a measurement closure creating sensors is
   // unusual but legal) are sampled starting from the next tick: index-based
   // iteration over the pre-tick size keeps the pass well defined even if
@@ -214,26 +209,4 @@ void SensorBatch::tick() {
   for (size_t I = 0; I != N; ++I)
     if (Sensor *M = Members[I])
       M->sampleNow();
-}
-
-size_t SensorBatch::collectDirty() {
-  // Serial measurement pass in registration order: closures may touch
-  // shared simulation state (bandwidth probes walk the flow network).
-  TickMembers.clear();
-  TickValues.clear();
-  size_t N = Members.size();
-  for (size_t I = 0; I != N; ++I) {
-    Sensor *M = Members[I];
-    if (!M || M->Suspended)
-      continue;
-    TickMembers.push_back(M);
-    TickValues.push_back(M->Measure());
-  }
-  return TickMembers.size();
-}
-
-void SensorBatch::solveBatch(size_t Shard, size_t NumShards) {
-  SimTime Now = Sim.now();
-  for (size_t I = Shard; I < TickMembers.size(); I += NumShards)
-    TickMembers[I]->record(Now, TickValues[I]);
 }

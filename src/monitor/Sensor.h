@@ -24,7 +24,6 @@
 
 #include "monitor/Forecaster.h"
 #include "monitor/Robust.h"
-#include "sim/ResourceModel.h"
 #include "sim/Simulator.h"
 #include "support/Random.h"
 #include "support/TimeSeries.h"
@@ -51,8 +50,8 @@ struct SensorFaultState {
   int StuckDepth = 0;
   int NoiseDepth = 0;
   double NoiseScale = 0.0;
-  /// Sensor-private noise stream: ingest may run on batch shards, and a
-  /// shared stream would also make values depend on sampling interleave.
+  /// Sensor-private noise stream: a shared stream would make values
+  /// depend on sampling interleave.
   /// Seeded from the window seed hashed with the sensor name, so the
   /// draw sequence is independent of sensor creation or tick order.
   std::optional<RandomEngine> NoiseRng;
@@ -164,9 +163,7 @@ private:
   friend class SensorBatch;
 
   /// Ingests one already-measured sample: history + forecaster battery.
-  /// Touches only this sensor's private state, which is what lets a batch
-  /// run the ingest phase of many sensors on parallel shards.  The
-  /// corrupted/gated path branches out once, so the healthy fast path
+  /// The corrupted/gated path branches out once, so the healthy fast path
   /// stays two pointer-width checks.
   void record(SimTime Now, double Value) {
     if (Faults || GateCfg) {
@@ -207,14 +204,7 @@ private:
 /// in O(1); the member list compacts when half of it is dead.  The tick
 /// phase lets an owner stagger several batches across one period so a
 /// large sensor population does not sample in a single burst.
-///
-/// On a parallel kernel executor, large ticks run as ResourceModel phases:
-/// the measurement closures execute serially in registration order (they
-/// may probe shared simulation state — the flow network, routing caches),
-/// then history/forecaster ingest fans out over shards, each sensor's
-/// state being private.  Sample values and forecasts are bit-identical to
-/// the serial tick for any thread count.
-class SensorBatch : public ResourceModel {
+class SensorBatch {
 public:
   /// Ticks every \p Period seconds, first \p Phase seconds after creation.
   SensorBatch(Simulator &Sim, SimTime Period, SimTime Phase = 0.0);
@@ -225,11 +215,6 @@ public:
 
   size_t size() const { return Members.size() - Dead; }
 
-  /// Smallest live membership for which a parallel executor shards the
-  /// ingest phase (forecaster batteries are cheap; fanning out a handful
-  /// is pure overhead).  Tests lower it to force the parallel path.
-  void setParallelMinMembers(size_t N) { ParallelMinMembers = N; }
-
 private:
   friend class Sensor;
 
@@ -237,21 +222,10 @@ private:
   void remove(Sensor &S);
   void tick();
 
-  /// ResourceModel phases of a parallel tick: collectDirty() measures
-  /// serially into TickMembers/TickValues, solveBatch() ingests a shard,
-  /// commit() is trivially convergent.
-  size_t collectDirty() override;
-  void solveBatch(size_t Shard, size_t NumShards) override;
-  bool commit() override { return true; }
-
   Simulator &Sim;
   EventId Periodic = InvalidEventId;
   std::vector<Sensor *> Members;
   size_t Dead = 0;
-  size_t ParallelMinMembers = 16;
-  // Tick scratch (reused; no allocation once warm).
-  std::vector<Sensor *> TickMembers;
-  std::vector<double> TickValues;
 };
 
 } // namespace dgsim

@@ -16,9 +16,8 @@
 /// one integer compare — appends never disturb the epoch-cached fast
 /// path, they just invalidate exactly the entries they affect.
 ///
-/// Appends happen inside transfer-completion callbacks, which the kernel
-/// executes serially (never inside a ResourceModel solveBatch phase), so
-/// the log needs no synchronisation under intra-run threading.
+/// Appends happen inside transfer-completion callbacks on the simulator's
+/// one thread, so the log needs no synchronisation.
 ///
 //===----------------------------------------------------------------------===//
 

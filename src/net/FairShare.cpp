@@ -69,11 +69,10 @@ void FairShareWorkspace::demandUses(uint32_t Res) {
 /// Heap order: fill level, ties broken by Id.  The tie-break is a
 /// determinism contract, not a heuristic: with it, the pop order of any
 /// subset of demands/resources is a pure function of their *relative*
-/// indices, so solving a connected component alone is bit-identical to
-/// solving it inside a merged problem (demand ids always precede resource
-/// ids, and sub-problem assembly preserves relative order within each
-/// class).  FlowNetwork's partitioned parallel solve relies on this —
-/// see DESIGN.md §12.
+/// indices, never of how the heap happens to arrange equal levels, so
+/// solving a connected component alone is bit-identical to solving it
+/// inside a merged problem (demand ids always precede resource ids, and
+/// sub-problem assembly preserves relative order within each class).
 bool FairShareWorkspace::eventAfter(const FillEvent &A, const FillEvent &B) {
   return A.Level > B.Level || (A.Level == B.Level && A.Id > B.Id);
 }

@@ -231,7 +231,6 @@ uint32_t FlowNetwork::touchChannel(ChannelId Ch) {
     CS.Stamp = CurStamp;
     CS.Local = ~0u;
     CS.SCount = 0;
-    CS.Part = ~0u;
     CS.SUsage = 0.0;
     CS.NewUsage = 0.0;
     CS.Expanded = 0;
@@ -320,21 +319,6 @@ double FlowNetwork::solveComponent(const ProbeSpec *Probe) {
   // Close the component over channels saturated in the standing allocation;
   // unsaturated channels do not bind, so the flows beyond them stay frozen.
   closeOver();
-
-  // Large committed components go through the partitioned ResourceModel
-  // phases on the kernel executor.  Bit-identical to the serial loop below
-  // (FairShare's Id tie-break makes sub-problem solves order-independent),
-  // so the gate is purely a cost decision.
-  if (Commit && CompSlots.size() >= ParallelMinDemands &&
-      Sim.executor().parallel()) {
-    Sim.executor().update(*this);
-    for (uint32_t S : CompSlots)
-      InComponent[S] = 0;
-    scheduleNext();
-    if (CheckRebalance)
-      verifyAgainstFullSolve();
-    return 0.0;
-  }
 
   double ProbeRate = 0.0;
   while (true) {
@@ -427,179 +411,6 @@ double FlowNetwork::solveComponent(const ProbeSpec *Probe) {
   if (CheckRebalance)
     verifyAgainstFullSolve();
   return 0.0;
-}
-
-//===----------------------------------------------------------------------===//
-// Partitioned parallel solve (ResourceModel phases)
-//===----------------------------------------------------------------------===//
-//
-// Invariants carried over from solveComponent(): CompSlots is closed over
-// saturated channels, every touched channel's SCount/SUsage reflect the
-// component, and a channel has SCount > 0 iff some component flow crosses
-// it.  Channels shared by no component flow never couple partitions, so
-// partitioning by union-find over each flow's path channels yields
-// channel-disjoint sub-problems whose merged solution equals the per-
-// partition solutions — bitwise, thanks to FairShare's Id tie-break and
-// assembly orders that preserve CompSlots/discovery relative order.
-
-size_t FlowNetwork::collectDirty() {
-  // (Re-)partition; called again after an audit expanded the component.
-  for (ChannelId Ch : TouchedChannels)
-    ChanScratch[Ch].Part = ~0u;
-  UfParent.clear();
-  auto Find = [this](uint32_t X) {
-    while (UfParent[X] != X) {
-      UfParent[X] = UfParent[UfParent[X]];
-      X = UfParent[X];
-    }
-    return X;
-  };
-
-  PartOf.assign(CompSlots.size(), 0);
-  for (size_t I = 0; I != CompSlots.size(); ++I) {
-    const ActiveFlow &F = Slots[CompSlots[I]];
-    uint32_t Root = ~0u;
-    for (ChannelId Ch : F.Path->Channels) {
-      uint32_t P = ChanScratch[Ch].Part;
-      if (P == ~0u)
-        continue;
-      P = Find(P);
-      if (Root == ~0u) {
-        Root = P;
-      } else if (P != Root) {
-        // Smaller root wins: the merge result is a pure function of the
-        // indices involved, never of visit order.
-        if (P < Root)
-          std::swap(P, Root);
-        UfParent[P] = Root;
-      }
-    }
-    if (Root == ~0u) {
-      Root = static_cast<uint32_t>(UfParent.size());
-      UfParent.push_back(Root);
-    }
-    for (ChannelId Ch : F.Path->Channels)
-      ChanScratch[Ch].Part = Root;
-    PartOf[I] = Root;
-  }
-
-  // Dense partition ids in first-appearance (CompSlots) order, so the
-  // shard a flow lands in is deterministic.
-  DenseOf.assign(UfParent.size(), ~0u);
-  PartCount = 0;
-  for (size_t I = 0; I != CompSlots.size(); ++I) {
-    uint32_t R = Find(PartOf[I]);
-    if (DenseOf[R] == ~0u)
-      DenseOf[R] = static_cast<uint32_t>(PartCount++);
-    PartOf[I] = DenseOf[R];
-  }
-
-  if (Parts.size() < PartCount)
-    Parts.resize(PartCount);
-  for (size_t P = 0; P != PartCount; ++P) {
-    Parts[P].SlotPos.clear();
-    Parts[P].Channels.clear();
-    Parts[P].Grow.clear();
-    if (!Parts[P].Ws)
-      Parts[P].Ws = std::make_unique<FairShareWorkspace>();
-  }
-  PartDemand.assign(CompSlots.size(), 0);
-  for (size_t I = 0; I != CompSlots.size(); ++I) {
-    Partition &P = Parts[PartOf[I]];
-    PartDemand[I] = static_cast<uint32_t>(P.SlotPos.size());
-    P.SlotPos.push_back(static_cast<uint32_t>(I));
-  }
-  // Partition channel lists keep global discovery order, so per-partition
-  // resource indices preserve the merged assembly's relative order.
-  for (ChannelId Ch : TouchedChannels) {
-    ChannelScratch &CS = ChanScratch[Ch];
-    if (CS.SCount == 0)
-      continue; // Bookkeeping-only: belongs to no partition.
-    CS.Part = DenseOf[Find(CS.Part)];
-    Parts[CS.Part].Channels.push_back(Ch);
-  }
-  return PartCount;
-}
-
-void FlowNetwork::solveBatch(size_t Shard, size_t NumShards) {
-  for (size_t PI = Shard; PI < PartCount; PI += NumShards) {
-    Partition &P = Parts[PI];
-    FairShareWorkspace &W = *P.Ws;
-
-    // Assemble exactly like the merged path, restricted to this partition:
-    // demands in CompSlots order, resources in first-touch order.
-    W.clear();
-    for (ChannelId Ch : P.Channels)
-      ChanScratch[Ch].Local = ~0u;
-    for (uint32_t I : P.SlotPos) {
-      const ActiveFlow &F = Slots[CompSlots[I]];
-      W.beginDemand(effectiveCap(F), F.Weight);
-      for (ChannelId Ch : F.Path->Channels) {
-        ChannelScratch &CS = ChanScratch[Ch];
-        if (CS.Local == ~0u)
-          CS.Local = W.addResource(0.0);
-        W.demandUses(CS.Local);
-      }
-    }
-    for (ChannelId Ch : P.Channels) {
-      const ChannelScratch &CS = ChanScratch[Ch];
-      double FrozenUsage = ChannelUsage[Ch] - CS.SUsage;
-      W.setResourceCapacity(CS.Local,
-                            std::clamp(ChannelCap[Ch] - FrozenUsage, 0.0,
-                                       ChannelCap[Ch]));
-    }
-    W.solve();
-
-    // Partition-local audit; growth is only recorded here and applied in
-    // commit(), since expandChannel mutates shared component state.
-    for (ChannelId Ch : P.Channels) {
-      ChannelScratch &CS = ChanScratch[Ch];
-      CS.NewUsage = ChannelUsage[Ch] - CS.SUsage;
-    }
-    for (uint32_t I : P.SlotPos) {
-      double R = W.rate(PartDemand[I]);
-      for (ChannelId Ch : Slots[CompSlots[I]].Path->Channels)
-        ChanScratch[Ch].NewUsage += R;
-    }
-    for (ChannelId Ch : P.Channels) {
-      const ChannelScratch &CS = ChanScratch[Ch];
-      if (CS.Expanded || ChannelFlows[Ch].size() <= CS.SCount)
-        continue; // No frozen flows incident; nothing to pull in.
-      if (CS.NewUsage >= ChannelCap[Ch] * SatThreshold)
-        P.Grow.push_back(Ch);
-    }
-  }
-}
-
-bool FlowNetwork::commit() {
-  bool Grew = false;
-  for (size_t PI = 0; PI != PartCount; ++PI)
-    for (ChannelId Ch : Parts[PI].Grow)
-      if (!ChanScratch[Ch].Expanded) {
-        expandChannel(Ch);
-        Grew = true;
-      }
-  if (Grew) {
-    // Same fixpoint iteration as the serial loop: pull the newly unfrozen
-    // flows in, re-close, then re-partition and re-solve.
-    closeOver();
-    return false;
-  }
-
-  ++StatEvents;
-  StatDemands += CompSlots.size();
-  ++StatParallelSolves;
-  StatParallelPartitions += PartCount;
-  for (size_t I = 0; I != CompSlots.size(); ++I)
-    setRate(Slots[CompSlots[I]], Parts[PartOf[I]].Ws->rate(PartDemand[I]));
-  for (ChannelId Ch : TouchedChannels) {
-    ChannelScratch &CS = ChanScratch[Ch];
-    if (CS.SCount == 0)
-      CS.NewUsage = ChannelUsage[Ch]; // Bookkeeping-only refresh (SUsage 0).
-    ChannelUsage[Ch] = CS.NewUsage;
-    ChannelSaturated[Ch] = CS.NewUsage >= ChannelCap[Ch] * SatThreshold;
-  }
-  return true;
 }
 
 void FlowNetwork::rebalanceAll() {

@@ -37,13 +37,11 @@
 #include "net/Routing.h"
 #include "net/TcpModel.h"
 #include "net/Topology.h"
-#include "sim/ResourceModel.h"
 #include "sim/Simulator.h"
 #include "support/InlineFunction.h"
 
 #include <functional>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -82,12 +80,7 @@ struct FlowStats {
 
 /// Event-driven fluid network.  Owns no topology; the topology, router and
 /// TCP model must outlive it.
-///
-/// As a ResourceModel, large affected components are split into
-/// channel-disjoint partitions and solved on the kernel's executor, one
-/// FairShareWorkspace per partition, bit-identical to the serial merged
-/// solve (DESIGN.md §12).
-class FlowNetwork : public ResourceModel {
+class FlowNetwork {
 public:
   /// Inline-buffered callback: per-stripe completion closures fit the
   /// 48-byte buffer, so flow churn allocates no closure storage.
@@ -173,18 +166,6 @@ public:
   /// component size — the quantity incremental rebalancing keeps small.
   uint64_t rebalanceEvents() const { return StatEvents; }
   uint64_t rebalanceDemandsSolved() const { return StatDemands; }
-
-  /// Smallest affected component the parallel partitioned solve kicks in
-  /// for (only relevant when the kernel executor has threads > 1).  Below
-  /// it the serial merged path is cheaper than a fan-out.  Tests lower it
-  /// to force the parallel path on small topologies.
-  void setParallelMinDemands(uint32_t N) { ParallelMinDemands = N; }
-  uint32_t parallelMinDemands() const { return ParallelMinDemands; }
-
-  /// Perf introspection: commits that went through the partitioned
-  /// parallel path, and partitions solved across them.
-  uint64_t parallelSolves() const { return StatParallelSolves; }
-  uint64_t parallelPartitions() const { return StatParallelPartitions; }
 
   /// How often fully stalled foreground flows re-check for capacity.
   static constexpr SimTime StallRecheckPeriod = 1.0;
@@ -282,16 +263,6 @@ private:
   /// allocation, resuming from CompProcessed.
   void closeOver();
 
-  /// ResourceModel phases of the partitioned parallel solve; driven by the
-  /// kernel executor from solveComponent() when the component is large and
-  /// the executor is parallel.  collectDirty() splits CompSlots into
-  /// channel-disjoint partitions, solveBatch() assembles/solves/audits the
-  /// shard's partitions on private workspaces, commit() applies rates in
-  /// CompSlots order (or expands and reports non-convergence).
-  size_t collectDirty() override;
-  void solveBatch(size_t Shard, size_t NumShards) override;
-  bool commit() override;
-
   /// Treats every flow as affected (watchdog path and verification).
   void rebalanceAll();
 
@@ -349,7 +320,6 @@ private:
     uint32_t Stamp = 0;
     uint32_t Local = 0;   // Resource index in the workspace.
     uint32_t SCount = 0;  // Flows of the component on this channel.
-    uint32_t Part = 0;    // Partition (union-find root, then dense id).
     double SUsage = 0.0;  // Their standing (pre-solve) rate sum.
     double NewUsage = 0.0;
     uint8_t Expanded = 0; // All incident flows already pulled in.
@@ -365,23 +335,6 @@ private:
   FairShareWorkspace Ws;
   FairShareWorkspace CheckWs; // Separate space for full-solve verification.
 
-  // Partitioned parallel solve scratch (ResourceModel phases).  One
-  // Partition per channel-connected group of component flows; workspaces
-  // are partition-private so shards never share solver state.
-  struct Partition {
-    std::vector<uint32_t> SlotPos;   // Indices into CompSlots, in order.
-    std::vector<ChannelId> Channels; // Partition channels, discovery order.
-    std::vector<ChannelId> Grow;     // Audit: channels to expand.
-    std::unique_ptr<FairShareWorkspace> Ws;
-  };
-  std::vector<Partition> Parts;
-  size_t PartCount = 0;               // Partitions live this pass.
-  std::vector<uint32_t> PartOf;       // Per CompSlots index: partition id.
-  std::vector<uint32_t> PartDemand;   // Per CompSlots index: demand index.
-  std::vector<uint32_t> UfParent;     // Union-find over provisional parts.
-  std::vector<uint32_t> DenseOf;      // Provisional root -> dense id.
-  uint32_t ParallelMinDemands = 64;
-
   bool CheckRebalance =
 #ifdef DGSIM_CHECK_REBALANCE
       true;
@@ -390,8 +343,6 @@ private:
 #endif
   uint64_t StatEvents = 0;
   uint64_t StatDemands = 0;
-  uint64_t StatParallelSolves = 0;
-  uint64_t StatParallelPartitions = 0;
 };
 
 } // namespace dgsim

@@ -140,31 +140,6 @@ void Simulator::heapRemoveAt(uint32_t Pos) {
     siftUp(Pos);
 }
 
-void Simulator::setScheduler(SchedulerKind K) {
-  if (K == Sched)
-    return;
-  if (K == SchedulerKind::CalendarQueue) {
-    // Heap order is irrelevant for migration: the calendar re-derives its
-    // order from the (time, seq) keys alone.
-    for (const HeapEntry &E : Heap) {
-      uint32_t Slot = slotOf(E);
-      Slots[Slot].HeapPos = NoHeapPos;
-      Cal.push(E.Time, E.SeqSlot, Slot);
-    }
-    Heap.clear();
-  } else {
-    while (!Cal.empty()) {
-      const CalendarQueue::Entry E = Cal.peekMin();
-      uint32_t Slot = CalendarQueue::slotOf(E);
-      Cal.popMin();
-      Slots[Slot].HeapPos = uint32_t(Heap.size());
-      Heap.push_back(HeapEntry{E.Time, E.SeqSlot});
-      siftUp(Slots[Slot].HeapPos);
-    }
-  }
-  Sched = K;
-}
-
 EventId Simulator::scheduleImpl(SimTime Time, bool Daemon, EventCallback Fn) {
   assert(Time >= Now && "cannot schedule into the past");
   uint32_t Slot = allocEventSlot();
@@ -176,14 +151,9 @@ EventId Simulator::scheduleImpl(SimTime Time, bool Daemon, EventCallback Fn) {
   assert(Slot < (1u << SlotBits) && "too many concurrent pending events");
   assert(NextSeq < (1ULL << (64 - SlotBits)) && "event sequence exhausted");
   uint64_t SeqSlot = (NextSeq++ << SlotBits) | Slot;
-  if (Sched == SchedulerKind::CalendarQueue) {
-    E.HeapPos = NoHeapPos; // Positions live in the calendar's slot table.
-    Cal.push(Time, SeqSlot, Slot);
-  } else {
-    E.HeapPos = uint32_t(Heap.size());
-    Heap.push_back(HeapEntry{Time, SeqSlot});
-    siftUp(E.HeapPos);
-  }
+  E.HeapPos = uint32_t(Heap.size());
+  Heap.push_back(HeapEntry{Time, SeqSlot});
+  siftUp(E.HeapPos);
   return (EventId(E.Gen) << 32) | Slot;
 }
 
@@ -196,12 +166,8 @@ bool Simulator::cancel(EventId Id) {
   EventSlot &E = Slots[Slot];
   if (!E.Daemon)
     --NonDaemonPending;
-  if (Sched == SchedulerKind::CalendarQueue) {
-    Cal.remove(Slot);
-  } else {
-    assert(E.HeapPos != NoHeapPos && "live generation outside the heap");
-    heapRemoveAt(E.HeapPos);
-  }
+  assert(E.HeapPos != NoHeapPos && "live generation outside the heap");
+  heapRemoveAt(E.HeapPos);
   E.Fn.reset();
   releaseEventSlot(Slot);
   return true;
@@ -209,28 +175,6 @@ bool Simulator::cancel(EventId Id) {
 
 void Simulator::executeUntil(SimTime Deadline, bool StopWhenOnlyDaemons) {
   StopRequested = false;
-  if (Sched == SchedulerKind::CalendarQueue) {
-    // Same dispatch loop over the calendar: peekMin caches the found
-    // position, so the peek-then-pop pair scans each day once.
-    while (!Cal.empty() && !StopRequested) {
-      if (StopWhenOnlyDaemons && NonDaemonPending == 0)
-        break;
-      const CalendarQueue::Entry Top = Cal.peekMin();
-      if (Top.Time > Deadline)
-        break;
-      Cal.popMin();
-      EventSlot &E = Slots[CalendarQueue::slotOf(Top)];
-      assert(Top.Time >= Now && "event queue went backwards");
-      Now = Top.Time;
-      ++Executed;
-      if (!E.Daemon)
-        --NonDaemonPending;
-      EventCallback Fn = std::move(E.Fn);
-      releaseEventSlot(CalendarQueue::slotOf(Top));
-      Fn();
-    }
-    return;
-  }
   while (!Heap.empty() && !StopRequested) {
     if (StopWhenOnlyDaemons && NonDaemonPending == 0)
       break;

@@ -25,9 +25,7 @@
 #ifndef DGSIM_SIM_SIMULATOR_H
 #define DGSIM_SIM_SIMULATOR_H
 
-#include "sim/CalendarQueue.h"
 #include "sim/EventCallback.h"
-#include "sim/ParallelExecutor.h"
 #include "support/Random.h"
 #include "support/Units.h"
 
@@ -51,16 +49,6 @@ inline constexpr EventId InvalidEventId = 0;
 /// Discrete-event simulator: clock, event queue, and root PRNG.
 class Simulator {
 public:
-  /// Which pending-event structure dispatch runs on.  Both yield the exact
-  /// same (time, seq) total order — runs are byte-identical under either —
-  /// so this is purely a performance choice: the heap's O(log n) is hard
-  /// to beat at small populations; the calendar's amortised O(1) wins when
-  /// many events are pending.
-  enum class SchedulerKind : uint8_t {
-    IndexedHeap,   ///< Indexed 4-ary min-heap (the default).
-    CalendarQueue, ///< Bucketed calendar queue (sim/CalendarQueue.h).
-  };
-
   /// Creates a simulator whose PRNG tree is rooted at \p Seed.
   explicit Simulator(uint64_t Seed = 1);
 
@@ -105,14 +93,7 @@ public:
   uint64_t eventsExecuted() const { return Executed; }
 
   /// \returns the number of events currently pending.
-  size_t pendingEvents() const { return Heap.size() + Cal.size(); }
-
-  /// Selects the pending-event structure.  Callable at any quiescent point
-  /// (between events, not from inside a running callback): pending events
-  /// migrate to the new structure with their (time, seq) keys intact, so
-  /// the dispatch order — and therefore the run — is unchanged.
-  void setScheduler(SchedulerKind K);
-  SchedulerKind scheduler() const { return Sched; }
+  size_t pendingEvents() const { return Heap.size(); }
 
   /// Forks an independent random stream for a component.  Fork order is
   /// deterministic, so construct components in a fixed order.
@@ -134,16 +115,6 @@ public:
   /// slots, not grow these.
   size_t eventSlotCount() const { return Slots.size(); }
   size_t periodicSlotCount() const { return Periodics.size(); }
-
-  /// Worker budget for resource-layer batch phases (ResourceModel
-  /// updates).  The kernel itself stays sequential; with N > 1, resource
-  /// layers fan independent work units out over N threads per event.
-  /// Results are bit-identical for every N (DESIGN.md §12).
-  void setThreads(unsigned N) { Exec.setThreads(N); }
-  unsigned threads() const { return Exec.threads(); }
-
-  /// The executor resource layers run their batch phases on.
-  ParallelExecutor &executor() { return Exec; }
 
 private:
   /// One pooled event.  Dead slots sit on FreeSlots with a bumped Gen, so
@@ -168,8 +139,6 @@ private:
     uint64_t SeqSlot; // [bits 24..63: sequence][bits 0..23: slot index]
   };
   static constexpr uint32_t SlotBits = 24;
-  static_assert(SlotBits == CalendarQueue::SlotBits,
-                "calendar queue must agree on the SeqSlot packing");
   static constexpr uint32_t slotOf(const HeapEntry &E) {
     return uint32_t(E.SeqSlot) & ((1u << SlotBits) - 1);
   }
@@ -224,15 +193,10 @@ private:
   std::vector<uint32_t> FreeSlots;
   /// Indexed 4-ary min-heap ordered by (Time, Seq).  4-ary halves the tree
   /// depth vs binary and keeps a node's children adjacent in memory.
-  /// Used when Sched == IndexedHeap; Cal holds the events otherwise
-  /// (exactly one of the two is ever non-empty).
   std::vector<HeapEntry> Heap;
-  CalendarQueue Cal;
-  SchedulerKind Sched = SchedulerKind::IndexedHeap;
   std::vector<PeriodicState> Periodics;
   std::vector<uint32_t> FreePeriodics;
   RandomEngine Rng;
-  ParallelExecutor Exec;
 };
 
 } // namespace dgsim

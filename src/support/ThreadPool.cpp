@@ -6,8 +6,6 @@
 
 #include "support/ThreadPool.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
 
 using namespace dgsim;
@@ -38,29 +36,6 @@ void ThreadPool::submit(std::function<void()> Task) {
     Queue.push_back(std::move(Task));
   }
   WorkAvailable.notify_one();
-}
-
-void ThreadPool::parallelFor(size_t N, const std::function<void(size_t)> &Fn) {
-  if (N == 0)
-    return;
-  if (N == 1) {
-    Fn(0);
-    return;
-  }
-  // Helpers beyond N-1 would find the counter exhausted immediately; do
-  // not wake them at all.
-  std::atomic<size_t> Next{0};
-  size_t Helpers = std::min<size_t>(threadCount(), N - 1);
-  for (size_t W = 0; W != Helpers; ++W)
-    submit([&Next, &Fn, N] {
-      for (size_t I = Next.fetch_add(1); I < N; I = Next.fetch_add(1))
-        Fn(I);
-    });
-  for (size_t I = Next.fetch_add(1); I < N; I = Next.fetch_add(1))
-    Fn(I);
-  // wait() doubles as the happens-before barrier: every helper's writes
-  // are visible once the queue drains and Running hits zero.
-  wait();
 }
 
 void ThreadPool::wait() {

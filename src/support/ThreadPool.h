@@ -5,12 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A minimal fixed-size thread pool.  Two users:
-///
-///   * the experiment layer runs *independent* trials (each owning its own
-///     DataGrid) concurrently via submit()/wait();
-///   * the simulation kernel's ParallelExecutor runs resource-layer batch
-///     phases via parallelFor(), with the calling thread participating.
+/// A minimal fixed-size thread pool.  The experiment layer runs
+/// *independent* trials (each owning its own DataGrid) on it; a simulator
+/// itself never touches a pool.
 ///
 /// Tasks are plain closures; submit() enqueues, wait() blocks until every
 /// submitted task has finished.  The pool is reusable across wait() calls
@@ -48,16 +45,6 @@ public:
 
   /// Blocks until the queue is empty and no task is executing.
   void wait();
-
-  /// Runs Fn(0) .. Fn(N-1) across the workers *and the calling thread*,
-  /// returning when all N indices have run.  Indices are claimed from a
-  /// shared counter, so which thread runs which index is unspecified — the
-  /// closure must make its work a pure function of the index.  Must not be
-  /// called while submit()ed tasks are pending, and Fn must not touch the
-  /// pool reentrantly.
-  void parallelFor(size_t N, const std::function<void(size_t)> &Fn);
-
-  unsigned threadCount() const { return static_cast<unsigned>(Workers.size()); }
 
 private:
   void workerLoop();

@@ -1,24 +1,23 @@
-//===- tests/FastPathTest.cpp - Scheduler + selection fast-path suite -----===//
+//===- tests/FastPathTest.cpp - Selection fast-path and pinned-run suite --===//
 //
 // Part of dgsim.  SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The hot-path equivalence contract (DESIGN.md §13): the calendar-queue
-/// scheduler and the selection caches are pure performance substitutions —
-/// every observable byte of a run is identical with them on or off.
-/// Covered at three levels:
+/// The hot-path contract (DESIGN.md §13): the selection caches are pure
+/// performance substitutions — every observable byte of a run is
+/// identical with them on or off — and the serial kernel reproduces the
+/// runs behind the goldens exactly.  Covered by whole runs:
 ///
-///   * the CalendarQueue structure itself: exact (time, seq) dequeue
-///     order under ties, O(1)-locate removal, bucket resizing, and the
-///     cursor-pullback case a deadline-bounded run exposes;
-///   * the kernel dispatch loop: identical firing order across scheduler
-///     kinds for a randomized schedule/cancel/nested-schedule script,
-///     including mid-run scheduler migration;
-///   * whole runs — the paper-testbed transfers behind the fig3/fig4
-///     goldens and the batched 16-site chaos grid — byte-identical
-///     across calendar-vs-heap and cached-vs-uncached arms.
+///   * the paper-testbed transfers behind the fig3/fig4 goldens, pinned
+///     to journals captured when the kernel still carried a calendar
+///     queue and an intra-run parallel executor (every arm agreed);
+///   * the batched 16-site chaos grid, pinned the same way with transfer-
+///     log feedback off and on, and byte-identical across cached and
+///     uncached selection;
+///   * the driven workload's arrival events, which must schedule without
+///     spilling a closure to the heap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,15 +28,13 @@
 #include "monitor/TransferLog.h"
 #include "replica/ReplicaManager.h"
 #include "replica/ReplicaSelector.h"
-#include "sim/CalendarQueue.h"
 #include "sim/Simulator.h"
+#include "support/InlineFunction.h"
 #include "support/Random.h"
 #include "support/Units.h"
 
 #include "gtest/gtest.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -49,198 +46,35 @@ using namespace dgsim::units;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// CalendarQueue structure
+// Pinned journals
 //===----------------------------------------------------------------------===//
 
-uint64_t seqSlot(uint64_t Seq, uint32_t Slot) {
-  return (Seq << CalendarQueue::SlotBits) | Slot;
-}
-
-bool entryLess(const CalendarQueue::Entry &A, const CalendarQueue::Entry &B) {
-  // Times are non-negative, so plain double comparison matches the
-  // kernel's bit-pattern key; seq breaks ties.
-  if (A.Time != B.Time)
-    return A.Time < B.Time;
-  return A.SeqSlot < B.SeqSlot;
-}
-
-/// Drains \p Q and checks it yields exactly \p Expect in (time, seq) order.
-void expectDrainsSorted(CalendarQueue &Q,
-                        std::vector<CalendarQueue::Entry> Expect) {
-  std::sort(Expect.begin(), Expect.end(), entryLess);
-  for (const CalendarQueue::Entry &Want : Expect) {
-    ASSERT_FALSE(Q.empty());
-    const CalendarQueue::Entry &Got = Q.peekMin();
-    EXPECT_EQ(Got.Time, Want.Time);
-    EXPECT_EQ(Got.SeqSlot, Want.SeqSlot);
-    Q.popMin();
-  }
-  EXPECT_TRUE(Q.empty());
-}
-
-TEST(CalendarQueue, DrainsInTimeSeqOrderWithTies) {
-  CalendarQueue Q;
-  RandomEngine Rng(123);
-  std::vector<CalendarQueue::Entry> Expect;
-  for (uint32_t I = 0; I < 500; ++I) {
-    // Quantized times: heavy collisions both within and across buckets.
-    double T = std::floor(Rng.uniform() * 200.0) * 0.25;
-    uint64_t SS = seqSlot(I, I);
-    Q.push(T, SS, I);
-    Expect.push_back({T, SS});
-  }
-  expectDrainsSorted(Q, std::move(Expect));
-}
-
-TEST(CalendarQueue, AllEntriesAtOneInstantDrainInSeqOrder) {
-  CalendarQueue Q;
-  std::vector<CalendarQueue::Entry> Expect;
-  for (uint32_t I = 0; I < 100; ++I) {
-    uint64_t SS = seqSlot(I, I);
-    Q.push(7.5, SS, I);
-    Expect.push_back({7.5, SS});
-  }
-  expectDrainsSorted(Q, std::move(Expect)); // Sorted == push order here.
-}
-
-TEST(CalendarQueue, RemoveIsExactAndPreservesOrder) {
-  CalendarQueue Q;
-  RandomEngine Rng(77);
-  std::vector<CalendarQueue::Entry> Expect;
-  for (uint32_t I = 0; I < 300; ++I) {
-    double T = Rng.uniform() * 100.0;
-    Q.push(T, seqSlot(I, I), I);
-    if (I % 3 == 1)
-      Q.remove(I); // Interleaved removal, including the just-pushed entry.
-    else
-      Expect.push_back({T, seqSlot(I, I)});
-  }
-  EXPECT_EQ(Q.size(), Expect.size());
-  expectDrainsSorted(Q, std::move(Expect));
-}
-
-TEST(CalendarQueue, BucketsGrowWithPopulationAndShrinkBack) {
-  CalendarQueue Q;
-  for (uint32_t I = 0; I < 400; ++I)
-    Q.push(double(I) * 0.5, seqSlot(I, I), I);
-  // Growth doubles whenever events exceed twice the bucket count.
-  EXPECT_GE(Q.bucketCount(), 128u);
-  while (!Q.empty())
-    Q.popMin();
-  // Shrink halves on the way down and floors at the minimum.
-  EXPECT_EQ(Q.bucketCount(), 16u);
-}
-
-TEST(CalendarQueue, CursorPullbackAfterFarFuturePeek) {
-  CalendarQueue Q;
-  // A lone far-future event: peeking it jumps the scan cursor far ahead.
-  Q.push(1.0e7, seqSlot(0, 0), 0);
-  EXPECT_EQ(Q.peekMin().Time, 1.0e7);
-  // A near-term event pushed afterwards must pull the cursor back.
-  Q.push(5.0, seqSlot(1, 1), 1);
-  EXPECT_EQ(Q.peekMin().Time, 5.0);
-  Q.popMin();
-  EXPECT_EQ(Q.peekMin().Time, 1.0e7);
-  Q.popMin();
-  EXPECT_TRUE(Q.empty());
-}
-
-//===----------------------------------------------------------------------===//
-// Kernel dispatch across scheduler kinds
-//===----------------------------------------------------------------------===//
-
-/// A randomized schedule/cancel script with same-time ties, nested
-/// scheduling from callbacks, and a deadline-bounded run followed by more
-/// scheduling (the cursor-pullback scenario at kernel level).  Journals
-/// the exact firing order.  \p Initial is set before any event exists;
-/// \p Midway is switched to (migrating pending events) before dispatch.
-std::string runSchedulerScript(Simulator::SchedulerKind Initial,
-                               Simulator::SchedulerKind Midway) {
-  Simulator Sim(99);
-  Sim.setScheduler(Initial);
-  std::string J;
-  auto note = [&J, &Sim](int I) {
-    char Buf[48];
-    std::snprintf(Buf, sizeof(Buf), "%d@%.17g;", I, Sim.now());
-    J += Buf;
-  };
-  RandomEngine Rng(4242);
-  std::vector<EventId> Cancellable;
-  for (int I = 0; I < 200; ++I) {
-    double T = std::floor(Rng.uniform() * 160.0) * 0.125; // Many ties.
-    EventId Id;
-    if (I % 7 == 0)
-      Id = Sim.scheduleAt(T, [&Sim, note, I] {
-        note(I);
-        Sim.schedule(0.5, [note, I] { note(I + 1000); });
-      });
-    else
-      Id = Sim.scheduleAt(T, [note, I] { note(I); });
-    if (I % 5 == 0)
-      Cancellable.push_back(Id);
-  }
-  for (size_t I = 0; I < Cancellable.size(); I += 2)
-    Sim.cancel(Cancellable[I]);
-
-  Sim.setScheduler(Midway); // Pending events migrate; order must not.
-  Sim.runUntil(10.0);
-  // Post-deadline scheduling: near-term events after the dispatch cursor
-  // has chased a far minimum.
-  for (int I = 200; I < 260; ++I) {
-    double T = 10.0 + std::floor(Rng.uniform() * 80.0) * 0.125;
-    Sim.scheduleAt(T, [note, I] { note(I); });
-  }
-  Sim.run();
-  char Tail[32];
-  std::snprintf(Tail, sizeof(Tail), "e=%llu",
-                static_cast<unsigned long long>(Sim.eventsExecuted()));
-  J += Tail;
-  return J;
-}
-
-TEST(SchedulerKind, CalendarFiringOrderMatchesHeap) {
-  using SK = Simulator::SchedulerKind;
-  std::string Heap = runSchedulerScript(SK::IndexedHeap, SK::IndexedHeap);
-  EXPECT_EQ(Heap, runSchedulerScript(SK::CalendarQueue, SK::CalendarQueue));
-}
-
-TEST(SchedulerKind, MigrationPreservesPendingOrderBothWays) {
-  using SK = Simulator::SchedulerKind;
-  std::string Heap = runSchedulerScript(SK::IndexedHeap, SK::IndexedHeap);
-  EXPECT_EQ(Heap, runSchedulerScript(SK::IndexedHeap, SK::CalendarQueue));
-  EXPECT_EQ(Heap, runSchedulerScript(SK::CalendarQueue, SK::IndexedHeap));
-}
-
-TEST(SchedulerKind, CancelAfterMigrationUsesNewStructure) {
-  Simulator Sim(3);
-  std::string J;
-  EventId Doomed = Sim.schedule(1.0, [&J] { J += "doomed;"; });
-  Sim.schedule(2.0, [&J] { J += "kept;"; });
-  Sim.setScheduler(Simulator::SchedulerKind::CalendarQueue);
-  EXPECT_EQ(Sim.pendingEvents(), 2u);
-  EXPECT_TRUE(Sim.cancel(Doomed));
-  Sim.run();
-  EXPECT_EQ(J, "kept;");
-  // And back: handles issued under the calendar cancel on the heap.
-  EventId Doomed2 = Sim.schedule(1.0, [&J] { J += "doomed2;"; });
-  Sim.setScheduler(Simulator::SchedulerKind::IndexedHeap);
-  EXPECT_TRUE(Sim.cancel(Doomed2));
-  Sim.run();
-  EXPECT_EQ(J, "kept;");
-}
+// Captured from the commit that still carried the calendar queue and the
+// intra-run parallel executor, where every scheduler and thread-count arm
+// produced these exact bytes.
+constexpr const char *Fig3Journal =
+    "st=0 d=75.366399999999999 tot=76.012164705882356 "
+    "thr=28251841.745454364 e=4990";
+constexpr const char *Fig4Journal =
+    "st=0 d=9.423243750000001 tot=10.087408455882354 "
+    "thr=212887547.61860764 e=1944";
+constexpr const char *GridJournal =
+    "a=478 c=478 f=0 s=0 lh=94 gp=1304908254.0784802 "
+    "sj=3536.5046559837019 e=1490 end=73.364265940490043 lg=0 "
+    "h=82479c60474c4ee1";
+constexpr const char *GridLogFeedbackJournal =
+    "a=478 c=478 f=0 s=0 lh=94 gp=1304908254.0784802 "
+    "sj=3531.3174084262682 e=1490 end=73.364265940490043 lg=384 "
+    "h=82479c60474c4ee1";
 
 //===----------------------------------------------------------------------===//
 // Whole runs: paper-testbed transfers (the fig3/fig4 scenarios)
 //===----------------------------------------------------------------------===//
 
-/// One fig3/fig4-style transfer on a fresh paper testbed under the given
-/// scheduler kind.  Returns a bit-exact journal of the result.
-std::string runTestbedTransfer(Simulator::SchedulerKind Sched,
-                               TransferProtocol Protocol, unsigned Streams) {
+/// One fig3/fig4-style transfer on a fresh paper testbed.  Returns a
+/// bit-exact journal of the result.
+std::string runTestbedTransfer(TransferProtocol Protocol, unsigned Streams) {
   PaperTestbed T;
-  // The testbed has already scheduled its monitoring daemons; switching
-  // here exercises migration on a live event population.
-  T.sim().setScheduler(Sched);
   T.sim().runUntil(30.0);
   TransferSpec Spec;
   Spec.Source = T.grid().findHost("hit0");
@@ -260,32 +94,25 @@ std::string runTestbedTransfer(Simulator::SchedulerKind Sched,
   return Line;
 }
 
-TEST(FastPathDeterminism, TestbedFig3TransferCalendarMatchesHeap) {
-  using SK = Simulator::SchedulerKind;
-  EXPECT_EQ(
-      runTestbedTransfer(SK::IndexedHeap, TransferProtocol::GridFtpStream, 1),
-      runTestbedTransfer(SK::CalendarQueue, TransferProtocol::GridFtpStream,
-                         1));
+TEST(FastPathDeterminism, TestbedFig3TransferMatchesPinnedJournal) {
+  EXPECT_EQ(runTestbedTransfer(TransferProtocol::GridFtpStream, 1),
+            Fig3Journal);
 }
 
-TEST(FastPathDeterminism, TestbedFig4ParallelStreamsCalendarMatchesHeap) {
-  using SK = Simulator::SchedulerKind;
-  EXPECT_EQ(
-      runTestbedTransfer(SK::IndexedHeap, TransferProtocol::GridFtpModeE, 8),
-      runTestbedTransfer(SK::CalendarQueue, TransferProtocol::GridFtpModeE,
-                         8));
+TEST(FastPathDeterminism, TestbedFig4ParallelStreamsMatchesPinnedJournal) {
+  EXPECT_EQ(runTestbedTransfer(TransferProtocol::GridFtpModeE, 8),
+            Fig4Journal);
 }
 
 //===----------------------------------------------------------------------===//
 // Whole runs: the batched 16-site chaos grid
 //===----------------------------------------------------------------------===//
 
-/// The ParallelDeterminismTest chaos grid — batched sensors + host loads,
-/// fault plan, open-loop workload — under a chosen scheduler kind and
-/// with the selection caches on or off.  Every counter the driver keeps
-/// is folded into the journal.
-std::string runBatchedGrid(uint64_t Seed, Simulator::SchedulerKind Sched,
-                           bool SelectionCaches, bool LogFeedback = false) {
+/// The batched chaos grid — batched sensors + host loads, fault plan,
+/// open-loop workload — with the selection caches on or off.  Every
+/// counter the driver keeps is folded into the journal.
+std::string runBatchedGrid(uint64_t Seed, bool SelectionCaches,
+                           bool LogFeedback = false) {
   GridSpec Spec;
   Spec.Seed = Seed;
   Spec.Info.BandwidthPeriod = 10.0;
@@ -323,7 +150,6 @@ std::string runBatchedGrid(uint64_t Seed, Simulator::SchedulerKind Sched,
                    20.0);
 
   std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
-  G->sim().setScheduler(Sched);
   G->transfers().setBatchedRefresh(true);
   if (LogFeedback)
     G->enableTransferLog();
@@ -368,40 +194,33 @@ std::string runBatchedGrid(uint64_t Seed, Simulator::SchedulerKind Sched,
   return Line;
 }
 
-TEST(FastPathDeterminism, GridCalendarMatchesHeap) {
-  using SK = Simulator::SchedulerKind;
-  std::string Baseline = runBatchedGrid(42, SK::IndexedHeap, true);
-  EXPECT_EQ(Baseline, runBatchedGrid(42, SK::CalendarQueue, true));
+TEST(FastPathDeterminism, GridMatchesPinnedJournal) {
+  EXPECT_EQ(runBatchedGrid(42, true), GridJournal);
 }
 
 TEST(FastPathDeterminism, GridUncachedSelectionMatchesCached) {
-  using SK = Simulator::SchedulerKind;
-  std::string Baseline = runBatchedGrid(42, SK::IndexedHeap, true);
-  EXPECT_EQ(Baseline, runBatchedGrid(42, SK::IndexedHeap, false));
+  EXPECT_EQ(runBatchedGrid(42, false), runBatchedGrid(42, true));
 }
 
-TEST(FastPathDeterminism, GridCalendarUncachedMatchesHeapCached) {
-  // Both substitutions off-diagonal at once: the strongest arm.
-  using SK = Simulator::SchedulerKind;
-  std::string Baseline = runBatchedGrid(42, SK::IndexedHeap, true);
-  EXPECT_EQ(Baseline, runBatchedGrid(42, SK::CalendarQueue, false));
+TEST(FastPathDeterminism, GridLogFeedbackMatchesPinnedJournal) {
+  // Transfer-log feedback on: predictions change selections, so this
+  // journal legitimately differs from the feedback-off one.
+  EXPECT_EQ(runBatchedGrid(42, true, true), GridLogFeedbackJournal);
 }
 
 TEST(FastPathDeterminism, GridLogFeedbackUncachedMatchesCached) {
-  // Transfer-log feedback on: the FactorCache entry now carries the log
-  // version and query hints, and a cache hit must reproduce the refined
-  // prediction byte-for-byte.  The feedback-on journal legitimately
-  // differs from the feedback-off one (predictions change selections),
-  // so equality is asserted within the feedback-on configuration.
-  using SK = Simulator::SchedulerKind;
-  std::string Baseline = runBatchedGrid(42, SK::IndexedHeap, true, true);
-  EXPECT_EQ(Baseline, runBatchedGrid(42, SK::IndexedHeap, false, true));
+  // The FactorCache entry now carries the log version and query hints,
+  // and a cache hit must reproduce the refined prediction byte-for-byte.
+  EXPECT_EQ(runBatchedGrid(42, false, true), runBatchedGrid(42, true, true));
 }
 
-TEST(FastPathDeterminism, GridLogFeedbackCalendarUncachedMatchesHeapCached) {
-  using SK = Simulator::SchedulerKind;
-  std::string Baseline = runBatchedGrid(42, SK::IndexedHeap, true, true);
-  EXPECT_EQ(Baseline, runBatchedGrid(42, SK::CalendarQueue, false, true));
+TEST(FastPathAlloc, DrivenArrivalsScheduleWithoutHeapFallbacks) {
+  // Every arrival event captures [driver, stream, position]; the spec and
+  // fetch options live in the driver, so no capture outgrows the inline
+  // buffer.
+  const uint64_t Before = InlineFunctionStats::heapFallbacks();
+  runBatchedGrid(42, true);
+  EXPECT_EQ(InlineFunctionStats::heapFallbacks(), Before);
 }
 
 } // namespace

@@ -247,6 +247,12 @@ struct SeriesCase {
   uint64_t Seed;
 };
 
+// gtest's default printer dumps the raw bytes, including the address of
+// Kind, so the ctest names it yields would change with every build.
+void PrintTo(const SeriesCase &C, std::ostream *OS) {
+  *OS << C.Kind << " seed " << C.Seed;
+}
+
 class ForecasterProperty : public ::testing::TestWithParam<SeriesCase> {};
 
 std::vector<double> makeSeries(const SeriesCase &C, size_t N) {
@@ -384,6 +390,12 @@ struct ProtocolPoint {
   TransferProtocol Protocol;
   double SizeMB;
 };
+
+// The raw-byte default would print the uninitialised padding after
+// Protocol into the ctest name.
+void PrintTo(const ProtocolPoint &Pt, std::ostream *OS) {
+  *OS << transferProtocolName(Pt.Protocol) << " " << Pt.SizeMB << " MB";
+}
 
 class ProtocolProperty : public ::testing::TestWithParam<ProtocolPoint> {};
 
