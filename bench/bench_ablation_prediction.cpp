@@ -47,6 +47,7 @@
 
 #include "exp/Options.h"
 #include "grid/Oracle.h"
+#include "monitor/Forecaster.h"
 #include "monitor/TransferLog.h"
 #include "replica/CostModel.h"
 
@@ -87,21 +88,25 @@ constexpr SimTime OracleFetchBudget = 600.0;
 /// The predictor inventory.  0..12 are the NWS battery in battery order,
 /// 13 the adaptive NWS meta-forecast, 14..18 the log-trained arms 1..5,
 /// 19 the probe-vs-log minimum-MSE meta-selector (what a query serves).
-constexpr size_t NumNwsMembers = 13;
-constexpr size_t AdaptiveIdx = 13;
-constexpr size_t FirstLogIdx = 14;
-constexpr size_t MetaIdx = 19;
-constexpr size_t PredCount = 20;
-const char *const PredNames[PredCount] = {
-    "last",           "run_mean",        "sw_mean(5)",
-    "sw_mean(10)",    "sw_mean(20)",     "sw_mean(40)",
-    "sw_median(5)",   "sw_median(10)",   "sw_median(20)",
-    "sw_median(40)",  "exp_smooth(0.05)", "exp_smooth(0.25)",
-    "exp_smooth(0.75)", "nws_adaptive",  "log_mean",
-    "log_lin(mb)",    "log_quad(mb)",    "log_part(size)",
-    "log_part(streams)", "min_mse_meta"};
+constexpr size_t NumNwsMembers = NwsForecaster::memberCount();
+constexpr size_t AdaptiveIdx = NumNwsMembers;
+constexpr size_t FirstLogIdx = AdaptiveIdx + 1;
+constexpr size_t MetaIdx = FirstLogIdx + 5;
+constexpr size_t PredCount = MetaIdx + 1;
 
-std::string accMetric(size_t P) { return std::string("acc_") + PredNames[P]; }
+/// \returns predictor \p P's name, as the battery and the log arms name
+/// themselves.
+const char *predName(size_t P) {
+  if (P < NumNwsMembers)
+    return NwsForecaster::memberName(P);
+  if (P == AdaptiveIdx)
+    return "nws_adaptive";
+  if (P < MetaIdx)
+    return TransferForecaster::armName(P - FirstLogIdx + 1);
+  return "min_mse_meta";
+}
+
+std::string accMetric(size_t P) { return std::string("acc_") + predName(P); }
 
 /// Submits one background read from \p Src and resubmits on completion
 /// until \p Until — a persistent disk reader, not a Poisson workload, so
@@ -348,7 +353,7 @@ int main(int argc, char **argv) {
   T.setHeader({"predictor", "skew", "overload", "fault", "pooled"});
   for (size_t P = 0; P < PredCount; ++P) {
     T.beginRow();
-    T.add(PredNames[P]);
+    T.add(predName(P));
     for (const std::string &Arm : Arms)
       T.add(Mean(Arm, accMetric(P)), 3);
     T.add(Mean("", accMetric(P)), 3);

@@ -7,9 +7,11 @@
 /// \file
 /// An nws_extract-style monitoring console: runs the paper's testbed for
 /// ten simulated minutes under dynamic load, then reports what the NWS
-/// deployment (sensors -> memory -> nameserver) learned:
+/// deployment learned.  The information service plays the nameserver
+/// (it indexes every sensor by host or path) and each sensor's history
+/// is its memory:
 ///
-///   * every registered sensor by kind,
+///   * the sensors the service holds, by kind,
 ///   * bandwidth and latency forecasts for the paths into alpha1, with the
 ///     currently winning predictor of each adaptive battery,
 ///   * per-host resource forecasts (CPU / I-O idle, free memory),
@@ -40,12 +42,15 @@ int main() {
   T.sim().runUntil(600.0);
 
   std::printf("== NWS deployment after %.0f s ==\n\n", T.sim().now());
-  std::printf("registered sensors: %zu\n", Info.nameserver().size());
-  for (const char *Kind :
-       {"bandwidth", "latency", "cpu", "io", "memory"}) {
-    auto Records = Info.nameserver().byKind(Kind);
-    std::printf("  %-10s x%zu\n", Kind, Records.size());
-  }
+  // Every registered host has cpu, io and memory sensors; every watched
+  // path a bandwidth and a latency sensor.
+  size_t Hosts = T.grid().allHosts().size();
+  size_t Paths = Info.pathSensorCount();
+  std::printf("sensors: %zu\n", 3 * Hosts + 2 * Paths);
+  for (const char *Kind : {"bandwidth", "latency"})
+    std::printf("  %-10s x%zu\n", Kind, Paths);
+  for (const char *Kind : {"cpu", "io", "memory"})
+    std::printf("  %-10s x%zu\n", Kind, Hosts);
 
   std::printf("\n-- path forecasts into alpha1 --\n");
   Table P;
@@ -85,13 +90,11 @@ int main() {
   A.setHeader({"predictor", "rmse (Mb/s)"});
   for (size_t I = 0; I < F.memberCount(); ++I) {
     A.beginRow();
-    // Member names are not exposed by index; report battery MSE ordering
-    // through the winner plus aggregate bounds instead.
-    A.add(static_cast<long long>(I));
+    A.add(NwsForecaster::memberName(I));
     A.add(std::sqrt(F.memberMse(I)) / 1e6, 2);
   }
   A.print(stdout);
   std::printf("adaptive winner: %s (observations: %zu)\n",
-              F.bestMemberName().c_str(), F.observationCount());
+              F.bestMemberName(), F.observationCount());
   return 0;
 }

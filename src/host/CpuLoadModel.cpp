@@ -61,51 +61,3 @@ void CpuLoadModel::scheduleBurst() {
     scheduleBurst();
   });
 }
-
-//===----------------------------------------------------------------------===//
-// CpuLoadBatch
-//===----------------------------------------------------------------------===//
-
-CpuLoadBatch::CpuLoadBatch(Simulator &Sim, SimTime Period)
-    : Sim(Sim), Period(Period) {
-  assert(Period > 0.0 && "batches need a positive period");
-  Periodic = Sim.schedulePeriodic(Period, [this] { tick(); });
-}
-
-CpuLoadBatch::~CpuLoadBatch() {
-  assert(size() == 0 && "batch destroyed while models still attached");
-  Sim.cancelPeriodic(Periodic);
-}
-
-void CpuLoadBatch::add(CpuLoadModel &M) {
-  assert(!M.Batch && "model already batch-driven");
-  M.Batch = this;
-  M.BatchPos = Members.size();
-  Members.push_back(&M);
-}
-
-void CpuLoadBatch::remove(CpuLoadModel &M) {
-  assert(M.Batch == this && Members[M.BatchPos] == &M &&
-         "model not a member of this batch");
-  Members[M.BatchPos] = nullptr;
-  M.Batch = nullptr;
-  ++Dead;
-  if (Dead * 2 > Members.size()) {
-    // Compact, preserving registration order so tick order is unchanged.
-    size_t Out = 0;
-    for (CpuLoadModel *M2 : Members)
-      if (M2) {
-        M2->BatchPos = Out;
-        Members[Out++] = M2;
-      }
-    Members.resize(Out);
-    Dead = 0;
-  }
-}
-
-void CpuLoadBatch::tick() {
-  size_t N = Members.size();
-  for (size_t I = 0; I != N; ++I)
-    if (CpuLoadModel *M = Members[I])
-      M->tick();
-}

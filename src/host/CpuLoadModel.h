@@ -19,14 +19,17 @@
 #ifndef DGSIM_HOST_CPULOADMODEL_H
 #define DGSIM_HOST_CPULOADMODEL_H
 
+#include "sim/PeriodicBatch.h"
 #include "sim/Simulator.h"
 #include "support/Random.h"
 
-#include <vector>
-
 namespace dgsim {
 
-class CpuLoadBatch;
+class CpuLoadModel;
+
+/// Advances a set of same-period CPU-load models behind one periodic
+/// kernel event, in registration order.
+using CpuLoadBatch = PeriodicBatch<CpuLoadModel>;
 
 /// Parameters of the load process.
 struct CpuLoadConfig {
@@ -73,7 +76,7 @@ public:
   const CpuLoadConfig &config() const { return Config; }
 
 private:
-  friend class CpuLoadBatch;
+  friend CpuLoadBatch;
 
   void tick();
   void scheduleBurst();
@@ -89,35 +92,6 @@ private:
   /// Batch membership (batch-driven mode); maintained by CpuLoadBatch.
   CpuLoadBatch *Batch = nullptr;
   size_t BatchPos = 0;
-};
-
-/// Advances a set of same-period CPU-load models behind one periodic
-/// kernel event, mirroring SensorBatch.  Members advance in registration
-/// order.
-class CpuLoadBatch {
-public:
-  /// Ticks every \p Period seconds; members must use the same period.
-  CpuLoadBatch(Simulator &Sim, SimTime Period);
-  ~CpuLoadBatch();
-
-  CpuLoadBatch(const CpuLoadBatch &) = delete;
-  CpuLoadBatch &operator=(const CpuLoadBatch &) = delete;
-
-  size_t size() const { return Members.size() - Dead; }
-  SimTime period() const { return Period; }
-
-private:
-  friend class CpuLoadModel;
-
-  void add(CpuLoadModel &M);
-  void remove(CpuLoadModel &M);
-  void tick();
-
-  Simulator &Sim;
-  SimTime Period;
-  EventId Periodic = InvalidEventId;
-  std::vector<CpuLoadModel *> Members;
-  size_t Dead = 0;
 };
 
 } // namespace dgsim

@@ -8,69 +8,18 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstring>
 
 using namespace dgsim;
 
-LastValueForecaster::LastValueForecaster() : Name("last") {}
-
-RunningMeanForecaster::RunningMeanForecaster() : Name("run_mean") {}
-
-void RunningMeanForecaster::observe(double Value) {
-  Sum += Value;
-  Count += 1.0;
+void SlidingMedianForecaster::add(double Value) {
+  Sorted.insert(std::upper_bound(Sorted.begin(), Sorted.end(), Value), Value);
 }
 
-static std::string windowedName(const char *Prefix, size_t Window) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%s(%zu)", Prefix, Window);
-  return std::string(Buf);
-}
-
-SlidingMeanForecaster::SlidingMeanForecaster(size_t Window)
-    : Name(windowedName("sw_mean", Window)), Window(Window) {
-  assert(Window > 0 && "window must be positive");
-  Ring.resize(Window);
-}
-
-void SlidingMeanForecaster::observe(double Value) {
-  // Same arithmetic order as the original deque form (add, then subtract
-  // the expired value), so the running Sum stays bit-identical.
-  Sum += Value;
-  if (Count < Window) {
-    Ring[Count++] = Value;
-    return;
-  }
-  Sum -= Ring[Head];
-  Ring[Head] = Value;
-  Head = Head + 1 == Window ? 0 : Head + 1;
-}
-
-double SlidingMeanForecaster::predict() const {
-  return Count == 0 ? 0.0 : Sum / static_cast<double>(Count);
-}
-
-SlidingMedianForecaster::SlidingMedianForecaster(size_t Window)
-    : Name(windowedName("sw_median", Window)), Window(Window) {
-  assert(Window > 0 && "window must be positive");
-  Ring.resize(Window);
-  Sorted.reserve(Window);
-}
-
-void SlidingMedianForecaster::observe(double Value) {
-  if (Count < Window) {
-    Ring[Count++] = Value;
-    Sorted.insert(std::upper_bound(Sorted.begin(), Sorted.end(), Value),
-                  Value);
-    return;
-  }
-  // Steady state: replace the expired value with the new one by shifting
-  // only the elements between the two positions, one memmove instead of an
-  // erase plus an insert.
-  double Expired = Ring[Head];
-  Ring[Head] = Value;
-  Head = Head + 1 == Window ? 0 : Head + 1;
+void SlidingMedianForecaster::replace(double Expired, double Value) {
+  // Replace the expired value with the new one by shifting only the
+  // elements between the two positions, one memmove instead of an erase
+  // plus an insert.
   double *B = Sorted.data();
   size_t N = Sorted.size();
   size_t Out = std::lower_bound(B, B + N, Expired) - B;
@@ -88,7 +37,7 @@ void SlidingMedianForecaster::observe(double Value) {
 }
 
 double SlidingMedianForecaster::predict() const {
-  size_t N = Count;
+  size_t N = Sorted.size();
   if (N == 0)
     return 0.0;
   if (N % 2 == 1)
@@ -99,9 +48,6 @@ double SlidingMedianForecaster::predict() const {
 ExponentialSmoothingForecaster::ExponentialSmoothingForecaster(double Alpha)
     : Alpha(Alpha) {
   assert(Alpha > 0.0 && Alpha <= 1.0 && "gain outside (0, 1]");
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "exp_smooth(%.2f)", Alpha);
-  Name = Buf;
 }
 
 void ExponentialSmoothingForecaster::observe(double Value) {
@@ -113,52 +59,46 @@ void ExponentialSmoothingForecaster::observe(double Value) {
   Smoothed = Alpha * Value + (1.0 - Alpha) * Smoothed;
 }
 
-NwsForecaster::NwsForecaster()
-    : Name("nws_adaptive"), Mean5(5), Mean10(10), Mean20(20), Mean40(40),
-      Median5(5), Median10(10), Median20(20), Median40(40), Smooth05(0.05),
-      Smooth25(0.25), Smooth75(0.75),
-      Members{&Last, &RunMean, &Mean5, &Mean10, &Mean20, &Mean40, &Median5,
-              &Median10, &Median20, &Median40, &Smooth05, &Smooth25,
-              &Smooth75} {}
-
 void NwsForecaster::observe(double Value) {
   // Score each member on this observation *before* it sees the value (the
-  // postcast error), then feed the value in.  Direct member calls: this
-  // runs once per sensor sample, and the bodies are small enough to
-  // inline.
+  // postcast error), then feed the value in.
   if (Observations != 0) {
-    size_t I = 0;
+    double *Err = SquaredError;
     auto Score = [&](double Prediction) {
       double E = Prediction - Value;
-      SquaredError[I++] += E * E;
+      *Err++ += E * E;
     };
     Score(Last.predict());
     Score(RunMean.predict());
-    Score(Mean5.predict());
-    Score(Mean10.predict());
-    Score(Mean20.predict());
-    Score(Mean40.predict());
-    Score(Median5.predict());
-    Score(Median10.predict());
-    Score(Median20.predict());
-    Score(Median40.predict());
-    Score(Smooth05.predict());
-    Score(Smooth25.predict());
-    Score(Smooth75.predict());
+    for (const SlidingMeanForecaster &M : Means)
+      Score(M.predict());
+    for (const SlidingMedianForecaster &M : Medians)
+      Score(M.predict());
+    for (const ExponentialSmoothingForecaster &S : Smooth)
+      Score(S.predict());
   }
   Last.observe(Value);
   RunMean.observe(Value);
-  Mean5.observe(Value);
-  Mean10.observe(Value);
-  Mean20.observe(Value);
-  Mean40.observe(Value);
-  Median5.observe(Value);
-  Median10.observe(Value);
-  Median20.observe(Value);
-  Median40.observe(Value);
-  Smooth05.observe(Value);
-  Smooth25.observe(Value);
-  Smooth75.observe(Value);
+  // Observation K sits in slot K % MaxWindow, so the value leaving a
+  // window of W is the one W slots behind the slot this value takes.
+  size_t Slot = Observations % MaxWindow;
+  for (size_t K = 0; K != std::size(Windows); ++K) {
+    size_t W = Windows[K];
+    if (Observations < W) {
+      Means[K].add(Value);
+      Medians[K].add(Value);
+      continue;
+    }
+    double Expired = Recent[Slot >= W ? Slot - W : Slot + MaxWindow - W];
+    Means[K].replace(Expired, Value);
+    Medians[K].replace(Expired, Value);
+  }
+  for (ExponentialSmoothingForecaster &S : Smooth)
+    S.observe(Value);
+  if (Recent.size() < MaxWindow)
+    Recent.push_back(Value);
+  else
+    Recent[Slot] = Value;
   ++Observations;
 }
 
@@ -170,14 +110,6 @@ size_t NwsForecaster::bestIndex() const {
   return Best;
 }
 
-double NwsForecaster::predict() const {
-  return Members[bestIndex()]->predict();
-}
-
-const std::string &NwsForecaster::bestMemberName() const {
-  return Members[bestIndex()]->name();
-}
-
 double NwsForecaster::memberMse(size_t I) const {
   assert(I < BatterySize && "member index out of range");
   size_t Scored = Observations > 1 ? Observations - 1 : 0;
@@ -186,10 +118,25 @@ double NwsForecaster::memberMse(size_t I) const {
 
 double NwsForecaster::memberPredict(size_t I) const {
   assert(I < BatterySize && "member index out of range");
-  return Members[I]->predict();
+  // Battery order: last, run_mean, 4 means, 4 medians, 3 smoothers.
+  if (I == 0)
+    return Last.predict();
+  if (I == 1)
+    return RunMean.predict();
+  if (I < 6)
+    return Means[I - 2].predict();
+  if (I < 10)
+    return Medians[I - 6].predict();
+  return Smooth[I - 10].predict();
 }
 
-const std::string &NwsForecaster::memberName(size_t I) const {
+const char *NwsForecaster::memberName(size_t I) {
+  static const char *const Names[BatterySize] = {
+      "last",           "run_mean",         "sw_mean(5)",
+      "sw_mean(10)",    "sw_mean(20)",      "sw_mean(40)",
+      "sw_median(5)",   "sw_median(10)",    "sw_median(20)",
+      "sw_median(40)",  "exp_smooth(0.05)", "exp_smooth(0.25)",
+      "exp_smooth(0.75)"};
   assert(I < BatterySize && "member index out of range");
-  return Members[I]->name();
+  return Names[I];
 }

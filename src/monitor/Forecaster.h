@@ -16,6 +16,14 @@
 /// means and medians of several widths, and exponential smoothing with
 /// several gains, plus the adaptive meta-forecaster.
 ///
+/// The predictors are plain value types that NwsForecaster holds and calls
+/// directly: a grid run keeps one battery per sensor, so a battery carries
+/// no names, vtables or pointer tables, only predictor state.  Member
+/// names live once, in a static table in battery order.  The sliding
+/// means and medians keep no copy of their window: the battery keeps one
+/// ring of its last 40 observations and hands each of them the value
+/// leaving its window.
+///
 /// State privacy: a forecaster's state belongs to the sensor that owns
 /// it and is advanced only through that sensor's observe() calls.  No
 /// forecaster may keep global/static mutable state or draw from a shared
@@ -28,113 +36,83 @@
 #ifndef DGSIM_MONITOR_FORECASTER_H
 #define DGSIM_MONITOR_FORECASTER_H
 
-#include <string>
+#include <cstddef>
+#include <iterator>
 #include <vector>
 
 namespace dgsim {
 
-/// One predictor over a scalar measurement stream.  Feed observations with
-/// observe(); read the one-step-ahead forecast with predict().
-class Forecaster {
+/// Forecasts the most recent observation; 0 before the first.
+class LastValueForecaster {
 public:
-  virtual ~Forecaster() = default;
-
-  /// \returns a short identifier such as "sw_mean(10)".
-  virtual const std::string &name() const = 0;
-
-  /// Incorporates a new observation.
-  virtual void observe(double Value) = 0;
-
-  /// \returns the current one-step-ahead forecast; 0 before the first
-  /// observation.
-  virtual double predict() const = 0;
-};
-
-/// Forecasts the most recent observation.
-class LastValueForecaster final : public Forecaster {
-public:
-  LastValueForecaster();
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override { Last = Value; }
-  double predict() const override { return Last; }
+  void observe(double Value) { Last = Value; }
+  double predict() const { return Last; }
 
 private:
-  std::string Name;
   double Last = 0.0;
 };
 
 /// Forecasts the mean of the entire history.
-class RunningMeanForecaster final : public Forecaster {
+class RunningMeanForecaster {
 public:
-  RunningMeanForecaster();
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override { return Count ? Sum / Count : 0.0; }
+  void observe(double Value) {
+    Sum += Value;
+    Count += 1.0;
+  }
+  double predict() const { return Count ? Sum / Count : 0.0; }
 
 private:
-  std::string Name;
   double Sum = 0.0;
   double Count = 0.0;
 };
 
-/// Forecasts the mean of the last \p Window observations.
-///
-/// The window lives in a flat ring buffer (one allocation, no deque block
-/// bookkeeping): observe() only needs the expiring value, not ordered
-/// traversal.
-class SlidingMeanForecaster final : public Forecaster {
+/// Forecasts the mean of a sliding window whose values its owner keeps:
+/// add() while the window fills, then replace() with the value leaving it.
+class SlidingMeanForecaster {
 public:
-  explicit SlidingMeanForecaster(size_t Window);
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override;
+  void add(double Value) {
+    Sum += Value;
+    ++Count;
+  }
+  /// Adds before subtracting: predictions are pinned bit for bit, and the
+  /// other order rounds differently.
+  void replace(double Expired, double Value) {
+    Sum += Value;
+    Sum -= Expired;
+  }
+  double predict() const {
+    return Count == 0 ? 0.0 : Sum / static_cast<double>(Count);
+  }
 
 private:
-  std::string Name;
-  size_t Window;
-  /// Ring of the last Window values; Head is the oldest once full.
-  std::vector<double> Ring;
-  size_t Head = 0;
-  size_t Count = 0;
   double Sum = 0.0;
+  size_t Count = 0;
 };
 
-/// Forecasts the median of the last \p Window observations.
+/// Forecasts the median of a sliding window whose values its owner keeps.
 ///
-/// The window is kept in sorted order incrementally (insert/erase are
-/// O(Window) memmoves over a few hundred bytes), so predict() is O(1).
-/// The meta-forecaster calls every member's predict() once per
-/// observation to score it, which made the sort-on-read implementation
-/// the hottest path in sensor-heavy runs.
-class SlidingMedianForecaster final : public Forecaster {
+/// The window is kept in sorted order incrementally (insert and in-place
+/// replacement are O(Window) memmoves over a few hundred bytes), so
+/// predict() is O(1): the meta-forecaster calls every member's predict()
+/// once per observation to score it.
+class SlidingMedianForecaster {
 public:
-  explicit SlidingMedianForecaster(size_t Window);
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override;
+  void add(double Value);
+  void replace(double Expired, double Value);
+  double predict() const;
 
 private:
-  std::string Name;
-  size_t Window;
-  /// Ring of the last Window values in arrival order; identifies which
-  /// value expires next.
-  std::vector<double> Ring;
-  size_t Head = 0;
-  size_t Count = 0;
-  /// The same multiset as Ring, kept sorted.
   std::vector<double> Sorted;
 };
 
 /// Exponentially smoothed forecast with gain \p Alpha in (0, 1].
-class ExponentialSmoothingForecaster final : public Forecaster {
+class ExponentialSmoothingForecaster {
 public:
   explicit ExponentialSmoothingForecaster(double Alpha);
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override { return Smoothed; }
+  void observe(double Value);
+  double predict() const { return Smoothed; }
 
 private:
-  std::string Name;
   double Alpha;
   double Smoothed = 0.0;
   bool Seen = false;
@@ -143,24 +121,17 @@ private:
 /// The NWS meta-forecaster: runs the whole battery, tracks each member's
 /// mean squared error over the stream seen so far, and forwards the
 /// prediction of the current winner.
-///
-/// The battery is stored as concrete members (not boxed behind the
-/// Forecaster interface): observe() makes 26 member calls per observation
-/// and a grid run constructs one battery per sensor, so both the virtual
-/// dispatch and the 13 per-battery heap allocations were measurable at
-/// scale.  The \c Members table re-exposes the battery polymorphically for
-/// introspection.
-class NwsForecaster final : public Forecaster {
+class NwsForecaster {
 public:
-  /// Builds the default battery (13 predictors).
-  NwsForecaster();
+  /// Incorporates a new observation.
+  void observe(double Value);
 
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override;
+  /// \returns the current winner's one-step-ahead forecast; 0 before the
+  /// first observation.
+  double predict() const { return memberPredict(bestIndex()); }
 
   /// \returns the name of the member with the lowest MSE so far.
-  const std::string &bestMemberName() const;
+  const char *bestMemberName() const { return memberName(bestIndex()); }
 
   /// \returns the current MSE of member \p I (battery order).
   double memberMse(size_t I) const;
@@ -170,31 +141,38 @@ public:
   /// just the adaptive winner.
   double memberPredict(size_t I) const;
 
-  /// \returns member \p I's name (battery order).
-  const std::string &memberName(size_t I) const;
+  /// \returns member \p I's name (battery order), e.g. "sw_mean(10)".
+  static const char *memberName(size_t I);
 
   /// \returns the battery size.
-  size_t memberCount() const { return BatterySize; }
+  static constexpr size_t memberCount() { return BatterySize; }
 
   /// \returns the number of observations consumed.
   size_t observationCount() const { return Observations; }
 
 private:
   static constexpr size_t BatterySize = 13;
+  /// Sliding-window widths, shared by the means and the medians; the
+  /// widest sets how many observations Recent keeps.
+  static constexpr size_t Windows[] = {5, 10, 20, 40};
+  static constexpr size_t MaxWindow = Windows[std::size(Windows) - 1];
 
   size_t bestIndex() const;
 
-  std::string Name;
   // Battery order (fixed; MSE accumulation and tie-breaking depend on it):
   // last, run_mean, sw_mean(5,10,20,40), sw_median(5,10,20,40),
   // exp_smooth(0.05,0.25,0.75).
   LastValueForecaster Last;
   RunningMeanForecaster RunMean;
-  SlidingMeanForecaster Mean5, Mean10, Mean20, Mean40;
-  SlidingMedianForecaster Median5, Median10, Median20, Median40;
-  ExponentialSmoothingForecaster Smooth05, Smooth25, Smooth75;
-  /// The battery in order, for name()/MSE introspection.
-  Forecaster *Members[BatterySize];
+  SlidingMeanForecaster Means[std::size(Windows)];
+  SlidingMedianForecaster Medians[std::size(Windows)];
+  ExponentialSmoothingForecaster Smooth[3]{
+      ExponentialSmoothingForecaster(0.05),
+      ExponentialSmoothingForecaster(0.25),
+      ExponentialSmoothingForecaster(0.75)};
+  /// The last min(Observations, MaxWindow) observations, observation K in
+  /// slot K % MaxWindow; grown as observations arrive.
+  std::vector<double> Recent;
   double SquaredError[BatterySize] = {};
   size_t Observations = 0;
 };

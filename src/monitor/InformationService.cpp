@@ -23,7 +23,7 @@ static uint64_t pathKey(NodeId Client, NodeId Server) {
 
 InformationService::InformationService(Simulator &Sim, FlowNetwork &Net,
                                        InformationServiceConfig Config)
-    : Sim(Sim), Net(Net), Config(Config), Memory(Names) {
+    : Sim(Sim), Net(Net), Config(Config) {
   assert(Config.BandwidthPeriod > 0.0 && Config.HostPeriod > 0.0 &&
          "sensor periods must be positive");
   assert(Config.StaggerGroups >= 1 && "need at least one stagger group");
@@ -94,9 +94,6 @@ void InformationService::registerHost(const Host &H) {
   S.Cpu->sampleNow();
   S.Io->sampleNow();
   S.Mem->sampleNow();
-  Names.registerSensor(*S.Cpu, "cpu", H.name());
-  Names.registerSensor(*S.Io, "io", H.name());
-  Names.registerSensor(*S.Mem, "memory", H.name());
   StringInterner::Id Id = HostIds.intern(H.name());
   assert(Id == Hosts.size() && "intern ids must stay dense");
   (void)Id;
@@ -179,8 +176,6 @@ InformationService::watchPathEntry(NodeId Client, NodeId Server) {
   }
   PS.Bandwidth->sampleNow();
   PS.Latency->sampleNow();
-  Names.registerSensor(*PS.Bandwidth, "bandwidth", Suffix);
-  Names.registerSensor(*PS.Latency, "latency", Suffix);
   return Paths.emplace(Key, std::move(PS)).first->second;
 }
 
@@ -320,15 +315,7 @@ void InformationService::routeTelemetryFault(const TelemetryFault &F,
                                              bool Begin) {
   switch (F.S) {
   case TelemetryFault::Scope::Global:
-    for (HostSensors &S : Hosts) {
-      applyTelemetryFault(*S.Cpu, F, Begin);
-      applyTelemetryFault(*S.Io, F, Begin);
-      applyTelemetryFault(*S.Mem, F, Begin);
-    }
-    for (auto &[Key, PS] : Paths) {
-      applyTelemetryFault(*PS.Bandwidth, F, Begin);
-      applyTelemetryFault(*PS.Latency, F, Begin);
-    }
+    forEachSensor([&](Sensor &S) { applyTelemetryFault(S, F, Begin); });
     break;
   case TelemetryFault::Scope::Host: {
     StringInterner::Id Id = HostIds.find(F.TargetHost->name());
@@ -377,37 +364,21 @@ void InformationService::setSensorGate(bool V) {
     return;
   GateEnabled = V;
   const GateConfig *Cfg = V ? &Gate : nullptr;
-  for (HostSensors &S : Hosts) {
-    S.Cpu->setGateConfig(Cfg);
-    S.Io->setGateConfig(Cfg);
-    S.Mem->setGateConfig(Cfg);
-  }
-  for (auto &[Key, PS] : Paths) {
-    PS.Bandwidth->setGateConfig(Cfg);
-    PS.Latency->setGateConfig(Cfg);
-  }
+  forEachSensor([Cfg](Sensor &S) { S.setGateConfig(Cfg); });
 }
 
 uint64_t InformationService::gateRejections() const {
   uint64_t N = RetiredRejections;
-  for (const HostSensors &S : Hosts)
-    N += S.Cpu->gateRejected() + S.Io->gateRejected() +
-         S.Mem->gateRejected();
-  for (const auto &[Key, PS] : Paths)
-    N += PS.Bandwidth->gateRejected() + PS.Latency->gateRejected();
+  forEachSensor([&N](const Sensor &S) { N += S.gateRejected(); });
   return N;
 }
 
 uint64_t InformationService::droppedSamples() const {
-  auto DroppedOf = [](const Sensor &S) {
-    const SensorFaultState *F = S.faultState();
-    return F ? F->Dropped : uint64_t{0};
-  };
   uint64_t N = RetiredDropped;
-  for (const HostSensors &S : Hosts)
-    N += DroppedOf(*S.Cpu) + DroppedOf(*S.Io) + DroppedOf(*S.Mem);
-  for (const auto &[Key, PS] : Paths)
-    N += DroppedOf(*PS.Bandwidth) + DroppedOf(*PS.Latency);
+  forEachSensor([&N](const Sensor &S) {
+    if (const SensorFaultState *F = S.faultState())
+      N += F->Dropped;
+  });
   return N;
 }
 
@@ -415,25 +386,13 @@ void InformationService::setBlackout(bool V) {
   if (Blackout == V)
     return;
   Blackout = V;
-  for (HostSensors &S : Hosts) {
-    S.Cpu->setSuspended(V);
-    S.Io->setSuspended(V);
-    S.Mem->setSuspended(V);
-  }
-  for (auto &[Key, PS] : Paths) {
-    PS.Bandwidth->setSuspended(V);
-    PS.Latency->setSuspended(V);
-  }
+  forEachSensor([V](Sensor &S) { S.setSuspended(V); });
 }
 
 void InformationService::evictIdlePaths() {
   SimTime Cutoff = Sim.now() - Config.PathSensorTtl;
   for (auto It = Paths.begin(); It != Paths.end();) {
     if (It->second.LastQuery < Cutoff) {
-      // Retire the names first: the records outlive the sensors, and a
-      // later watchPath for the same pair rebinds them.
-      Names.retireSensor(It->second.Bandwidth->name());
-      Names.retireSensor(It->second.Latency->name());
       // Fold robustness counters in before they die with the sensors.
       for (const Sensor *S :
            {It->second.Bandwidth.get(), It->second.Latency.get()}) {

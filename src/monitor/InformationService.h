@@ -20,13 +20,17 @@
 /// Readings are as fresh as the sensor periods allow; staleness is real and
 /// measurable, which is what makes selection occasionally suboptimal.
 ///
+/// The service is also the sensor registry (the NWS nameserver's role):
+/// its host table and (client, server) path table index every sensor it
+/// owns, and their keys keep sensor names unique.  Each sensor's
+/// history() is the stored series (the NWS memory's role).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DGSIM_MONITOR_INFORMATIONSERVICE_H
 #define DGSIM_MONITOR_INFORMATIONSERVICE_H
 
 #include "host/Host.h"
-#include "monitor/NwsRegistry.h"
 #include "monitor/Sensor.h"
 #include "monitor/TransferLog.h"
 #include "net/FlowNetwork.h"
@@ -143,9 +147,8 @@ struct InformationServiceConfig {
   /// groups, group g ticks at phase g*Period/G, spreading a large sensor
   /// population across the period instead of sampling in one burst.
   unsigned StaggerGroups = 1;
-  /// Destroy path sensors that no query has touched for this long, and
-  /// retire their nameserver records (a later query recreates and rebinds
-  /// them).  0 keeps every path sensor forever.
+  /// Destroy path sensors that no query has touched for this long (a
+  /// later query recreates them).  0 keeps every path sensor forever.
   SimTime PathSensorTtl = 0.0;
   /// Drive every host-load OU process (CPU, memory, disk background) from
   /// one shared CpuLoadBatch instead of three periodic events per host.
@@ -228,9 +231,6 @@ public:
 
   /// \returns the latency sensor for a watched path (nullptr if absent).
   const Sensor *latencySensor(NodeId Client, NodeId Server) const;
-
-  const NwsNameserver &nameserver() const { return Names; }
-  const NwsMemory &memory() const { return Memory; }
 
   /// \returns the current simulation time (convenience for clients that
   /// have no direct Simulator reference, e.g. for trace timestamps).
@@ -344,6 +344,22 @@ private:
     FactorCache Cache;
   };
 
+  /// Calls \p F on every sensor the service owns: each host's CPU, I/O
+  /// and memory sensors in registration order, then each path's bandwidth
+  /// and latency sensors.  Const so the counter sums can use it; the
+  /// tables own sensors through unique_ptr, so \p F gets them mutable.
+  template <class Fn> void forEachSensor(Fn &&F) const {
+    for (const HostSensors &S : Hosts) {
+      F(*S.Cpu);
+      F(*S.Io);
+      F(*S.Mem);
+    }
+    for (const auto &[Key, PS] : Paths) {
+      F(*PS.Bandwidth);
+      F(*PS.Latency);
+    }
+  }
+
   /// \returns the sensors for a registered host (asserts registration).
   /// Host names resolve through the interner to a dense index; every
   /// selection-loop factor read is then a vector access.
@@ -367,8 +383,7 @@ private:
   SensorBatch *batchFor(std::vector<std::unique_ptr<SensorBatch>> &Group,
                         SimTime Period, size_t Index);
 
-  /// Destroys path sensors idle past the TTL; their nameserver records are
-  /// retired, not erased, so recreation rebinds them.
+  /// Destroys path sensors idle past the TTL.
   void evictIdlePaths();
 
   /// Routes \p F to the sensors its scope matches, pushing (\p Begin) or
@@ -382,8 +397,6 @@ private:
   Simulator &Sim;
   FlowNetwork &Net;
   InformationServiceConfig Config;
-  NwsNameserver Names;
-  NwsMemory Memory;
   /// Batches must outlive their member sensors (sensor destructors detach
   /// from their batch), so they are declared before Hosts and Paths.
   std::vector<std::unique_ptr<SensorBatch>> HostBatches;

@@ -28,23 +28,6 @@ void LeastSquaresAccumulator::add(double X, double Y) {
   Sx2y += X2 * Y;
 }
 
-void LeastSquaresAccumulator::remove(double X, double Y) {
-  assert(N > 0 && "removing from an empty accumulator");
-  assert(std::isfinite(X) && std::isfinite(Y) &&
-         "least-squares inputs must be finite");
-  --N;
-  double X2 = X * X;
-  Sx -= X;
-  Sx2 -= X2;
-  Sx3 -= X2 * X;
-  Sx4 -= X2 * X2;
-  Sy -= Y;
-  Sxy -= X * Y;
-  Sx2y -= X2 * Y;
-  if (N == 0)
-    reset(); // Snap the residue to exact zero at the natural boundary.
-}
-
 namespace {
 
 /// |Det| <= RelEps * (sum of the expansion terms' magnitudes) means the

@@ -74,15 +74,6 @@ class LeastSquaresAccumulator {
 public:
   void add(double X, double Y);
 
-  /// Removes one previously-added observation by subtracting its power
-  /// sums.  Subtraction cancels rather than erases — FP residue remains —
-  /// so windowed owners (WindowedLeastSquares) re-sum exactly from their
-  /// ring every few hundred evictions; see monitor/Robust.h.
-  void remove(double X, double Y);
-
-  /// Forgets everything (the exact-re-sum path rebuilds from here).
-  void reset() { *this = LeastSquaresAccumulator(); }
-
   size_t count() const { return N; }
 
   /// Mean of the observed y values; 0 with no samples.

@@ -145,47 +145,3 @@ bool PlausibilityGate::admit(double Value, const GateConfig &Cfg) {
   }
   return true;
 }
-
-//===----------------------------------------------------------------------===//
-// WindowedLeastSquares
-//===----------------------------------------------------------------------===//
-
-WindowedLeastSquares::WindowedLeastSquares(size_t Capacity)
-    : Cap(std::max<size_t>(Capacity, 2)) {}
-
-void WindowedLeastSquares::add(double X, double Y) {
-  if (Size == Cap) {
-    const Obs &Old = Ring[Head];
-    Acc.remove(Old.X, Old.Y);
-    Ring[Head] = {X, Y};
-    Head = (Head + 1) % Cap;
-    Acc.add(X, Y);
-    if (++Evictions >= ResumInterval) {
-      // Exact rebuild: power-sum subtraction leaves cancellation residue;
-      // re-summing the live window zeroes it before it can grow.
-      Evictions = 0;
-      Acc.reset();
-      for (size_t I = 0; I != Size; ++I)
-        Acc.add(Ring[(Head + I) % Cap].X, Ring[(Head + I) % Cap].Y);
-    }
-    return;
-  }
-  if (Ring.empty())
-    Ring.resize(Cap);
-  Ring[(Head + Size) % Cap] = {X, Y};
-  ++Size;
-  Acc.add(X, Y);
-}
-
-void WindowedLeastSquares::window(std::vector<double> &Xs,
-                                  std::vector<double> &Ys) const {
-  Xs.clear();
-  Ys.clear();
-  Xs.reserve(Size);
-  Ys.reserve(Size);
-  for (size_t I = 0; I != Size; ++I) {
-    const Obs &O = Ring[(Head + I) % Cap];
-    Xs.push_back(O.X);
-    Ys.push_back(O.Y);
-  }
-}

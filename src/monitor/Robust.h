@@ -7,11 +7,8 @@
 /// \file
 /// The robust-estimation layer hardening the monitor pipeline against
 /// Byzantine telemetry (DESIGN.md §15): median/MAD plausibility gating of
-/// sensor samples and TransferLog appends, trimmed-mean and Huber
-/// M-estimator fits for the regression battery, and a ring-windowed
-/// least-squares accumulator whose evictions re-sum exactly every N
-/// removals so power-sum cancellation drift cannot build up over long
-/// runs.
+/// sensor samples and TransferLog appends, and trimmed-mean and Huber
+/// M-estimator fits for the regression battery.
 ///
 /// Everything here follows the monitor determinism discipline: no global
 /// state, no RNG, no wall clock; full sorts (never nth_element, whose
@@ -100,52 +97,6 @@ private:
   uint64_t Accepted = 0;
   uint64_t Rejected = 0;
   unsigned RejectStreak = 0;
-};
-
-/// Ring-windowed least-squares: the newest \p capacity observations, fit
-/// with the same power-sum accumulator the unwindowed arms use.
-///
-/// Evicting from running power sums subtracts what add() once added —
-/// catastrophic cancellation accumulates over churny runs (the satellite
-/// fix this class exists for).  Every ResumInterval evictions the sums
-/// are rebuilt exactly from the ring, bounding the drift window to the
-/// last few hundred operations; the churn regression test in
-/// PredictionTest holds a million-append run against a fresh accumulator.
-class WindowedLeastSquares {
-public:
-  explicit WindowedLeastSquares(size_t Capacity = 64);
-
-  void add(double X, double Y);
-
-  size_t count() const { return Acc.count(); }
-  size_t capacity() const { return Cap; }
-  double mean() const { return Acc.mean(); }
-  PolyCoeffs fit(unsigned Degree) const { return Acc.fit(Degree); }
-  double predict(unsigned Degree, double X) const {
-    return Acc.predict(Degree, X);
-  }
-
-  /// The window contents, oldest first (copied into \p Xs / \p Ys —
-  /// scratch for the trimmed/Huber arms, reused across calls).
-  void window(std::vector<double> &Xs, std::vector<double> &Ys) const;
-
-  /// Evictions since the last exact re-sum (test introspection).
-  size_t evictionsSinceResum() const { return Evictions; }
-
-private:
-  struct Obs {
-    double X, Y;
-  };
-
-  /// Evictions tolerated before the power sums are rebuilt exactly.
-  static constexpr size_t ResumInterval = 256;
-
-  std::vector<Obs> Ring;
-  size_t Cap;
-  size_t Head = 0;
-  size_t Size = 0;
-  size_t Evictions = 0;
-  LeastSquaresAccumulator Acc;
 };
 
 } // namespace dgsim

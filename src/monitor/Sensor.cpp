@@ -11,7 +11,6 @@
 // information service.
 #include "fault/FaultPlan.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -156,57 +155,4 @@ void Sensor::recordSlow(SimTime Now, double Value) {
   History.add(Now, Value);
   Fc.observe(Value);
   ++Version;
-}
-
-//===----------------------------------------------------------------------===//
-// SensorBatch
-//===----------------------------------------------------------------------===//
-
-SensorBatch::SensorBatch(Simulator &Sim, SimTime Period, SimTime Phase)
-    : Sim(Sim) {
-  assert(Period > 0.0 && "batches need a positive period");
-  assert(Phase >= 0.0 && "batch phase must be non-negative");
-  Periodic = Sim.schedulePeriodic(Period, [this] { tick(); }, Phase);
-}
-
-SensorBatch::~SensorBatch() {
-  assert(size() == 0 && "batch destroyed while sensors still attached");
-  Sim.cancelPeriodic(Periodic);
-}
-
-void SensorBatch::add(Sensor &S) {
-  assert(!S.Batch && "sensor already batch-driven");
-  S.Batch = this;
-  S.BatchPos = Members.size();
-  Members.push_back(&S);
-}
-
-void SensorBatch::remove(Sensor &S) {
-  assert(S.Batch == this && Members[S.BatchPos] == &S &&
-         "sensor not a member of this batch");
-  Members[S.BatchPos] = nullptr;
-  S.Batch = nullptr;
-  ++Dead;
-  if (Dead * 2 > Members.size()) {
-    // Compact, preserving registration order so tick order is unchanged.
-    size_t Out = 0;
-    for (Sensor *M : Members)
-      if (M) {
-        M->BatchPos = Out;
-        Members[Out++] = M;
-      }
-    Members.resize(Out);
-    Dead = 0;
-  }
-}
-
-void SensorBatch::tick() {
-  // Members added during a tick (a measurement closure creating sensors is
-  // unusual but legal) are sampled starting from the next tick: index-based
-  // iteration over the pre-tick size keeps the pass well defined even if
-  // Members reallocates.
-  size_t N = Members.size();
-  for (size_t I = 0; I != N; ++I)
-    if (Sensor *M = Members[I])
-      M->sampleNow();
 }

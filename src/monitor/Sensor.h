@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The nws_sensor analogue: a process that periodically measures one scalar
-/// (available bandwidth, CPU idle %, I/O idle %), stores the sample in a
-/// TimeSeries (the nws_memory analogue holds these), and feeds an
-/// NwsForecaster so consumers can ask for a prediction instead of a stale
-/// last reading.
+/// (available bandwidth, CPU idle %, I/O idle %), stores the sample in its
+/// history() (the nws_memory analogue: there is no separate store), and
+/// feeds an NwsForecaster so consumers can ask for a prediction instead of
+/// a stale last reading.  A sensor holds only its own state; the
+/// InformationService that owns it indexes it by host or path.
 ///
 /// Sensors come in two scheduling modes.  A self-scheduled sensor owns one
 /// periodic kernel event (the historical behaviour, and still the default).
@@ -24,6 +25,7 @@
 
 #include "monitor/Forecaster.h"
 #include "monitor/Robust.h"
+#include "sim/PeriodicBatch.h"
 #include "sim/Simulator.h"
 #include "support/Random.h"
 #include "support/TimeSeries.h"
@@ -32,12 +34,16 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace dgsim {
 
-class SensorBatch;
+class Sensor;
 enum class FaultKind : uint8_t;
+
+/// Samples a set of same-period sensors behind one periodic kernel event;
+/// an owner can stagger several batches across one period (the Phase
+/// argument) so a large sensor population does not sample in one burst.
+using SensorBatch = PeriodicBatch<Sensor>;
 
 /// Data-plane corruption state of one sensor (DESIGN.md §15), allocated
 /// only while at least one telemetry fault window touches the sensor.
@@ -160,7 +166,10 @@ public:
   double clockSkew() const;
 
 private:
-  friend class SensorBatch;
+  friend SensorBatch;
+
+  /// One batch tick: a scheduled sample.
+  void tick() { sampleNow(); }
 
   /// Ingests one already-measured sample: history + forecaster battery.
   /// The corrupted/gated path branches out once, so the healthy fast path
@@ -195,37 +204,6 @@ private:
   std::unique_ptr<SensorFaultState> Faults;
   const GateConfig *GateCfg = nullptr;
   PlausibilityGate Gate;
-};
-
-/// Samples a set of same-period sensors behind one periodic kernel event.
-///
-/// Members are sampled in registration order at every tick, which keeps
-/// runs deterministic.  Removal (sensor destruction) nulls the member slot
-/// in O(1); the member list compacts when half of it is dead.  The tick
-/// phase lets an owner stagger several batches across one period so a
-/// large sensor population does not sample in a single burst.
-class SensorBatch {
-public:
-  /// Ticks every \p Period seconds, first \p Phase seconds after creation.
-  SensorBatch(Simulator &Sim, SimTime Period, SimTime Phase = 0.0);
-  ~SensorBatch();
-
-  SensorBatch(const SensorBatch &) = delete;
-  SensorBatch &operator=(const SensorBatch &) = delete;
-
-  size_t size() const { return Members.size() - Dead; }
-
-private:
-  friend class Sensor;
-
-  void add(Sensor &S);
-  void remove(Sensor &S);
-  void tick();
-
-  Simulator &Sim;
-  EventId Periodic = InvalidEventId;
-  std::vector<Sensor *> Members;
-  size_t Dead = 0;
 };
 
 } // namespace dgsim

@@ -103,11 +103,6 @@ public:
   void setRankingCacheEnabled(bool V) { RankCacheOn = V; }
   bool rankingCacheEnabled() const { return RankCacheOn; }
 
-  /// Bounds the ranking cache: when the entry count would exceed \p N the
-  /// whole cache is flushed (deterministic, amortised O(1)) and rebuilt on
-  /// demand, keeping memory proportional to the hot working set.
-  void setRankingCacheCapacity(size_t N) { RankCacheCap = N; }
-
   /// \returns how many times a ranking entry was (re)bound to catalog
   /// holders and path sensors — cache-shape introspection for tests.
   uint64_t rankingRebinds() const { return RankRebinds; }
@@ -152,6 +147,11 @@ private:
   void scoreAllInto(NodeId ClientNode, const std::string &Lfn,
                     std::vector<CandidateReport> &Out);
 
+  /// Ranking-cache bound: when the entry count would exceed it the whole
+  /// cache is flushed (deterministic, amortised O(1)) and rebuilt on
+  /// demand, keeping memory proportional to the hot working set.
+  static constexpr size_t RankCacheCap = 4096;
+
   ReplicaCatalog &Catalog;
   InformationService &Info;
   SelectionPolicy &Policy;
@@ -164,7 +164,6 @@ private:
   SelectionResult Result;
   std::vector<Host *> CandScratch;
   std::vector<Host *> AdmitScratch;
-  size_t RankCacheCap = 4096;
   uint64_t RankRebinds = 0;
   unsigned HintStreams = 4;
   bool RankCacheOn = true;

@@ -51,8 +51,6 @@ Host *BandwidthOnlyPolicy::choose(NodeId Client,
   for (Host *H : Candidates) {
     SystemFactors F = Info.query(Client, *H);
     double Bw = F.PredictedBandwidth * healthFactor(*H);
-    if (ConfidenceBeta > 0.0)
-      Bw *= (1.0 - ConfidenceBeta) + ConfidenceBeta * F.BwConfidence;
     if (Bw > BestBw) {
       BestBw = Bw;
       Best = H;

@@ -99,18 +99,8 @@ public:
   Host *choose(NodeId Client, const std::vector<Host *> &Candidates,
                InformationService &Info) override;
 
-  /// Opt-in telemetry-confidence discount (DESIGN.md §15): with beta in
-  /// (0, 1] the forecast scales by (1 - beta) + beta * BwConfidence, so
-  /// a candidate whose bandwidth reading is stale or implausible loses
-  /// its greedy advantage.  Healthy telemetry reports confidence 1.0,
-  /// making any beta a no-op until something goes wrong; the default 0
-  /// ignores confidence entirely.
-  void setConfidenceBeta(double Beta) { ConfidenceBeta = Beta; }
-  double confidenceBeta() const { return ConfidenceBeta; }
-
 private:
   std::string Name;
-  double ConfidenceBeta = 0.0;
 };
 
 /// Picks the candidate with the highest CPU idle fraction.

@@ -17,7 +17,9 @@
 ///     log feedback off and on, and byte-identical across cached and
 ///     uncached selection;
 ///   * the driven workload's arrival events, which must schedule without
-///     spilling a closure to the heap.
+///     spilling a closure to the heap;
+///   * a fresh (client, holder) path sensor pair, whose heap blocks are
+///     counted by this binary's replacement global operator new.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,12 +38,62 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <memory>
 #include <string>
 #include <vector>
 
 using namespace dgsim;
 using namespace dgsim::units;
+
+// The counting global allocator behind FastPathAlloc.FreshPathSensorPair:
+// every request goes to malloc, and is counted while CountBlocks is set.
+namespace {
+bool CountBlocks = false;
+uint64_t Blocks = 0;
+
+void *countedAlloc(std::size_t Size) noexcept {
+  if (CountBlocks)
+    ++Blocks;
+  return std::malloc(Size ? Size : 1);
+}
+
+void *countedNew(std::size_t Size) {
+  if (void *P = countedAlloc(Size))
+    return P;
+  throw std::bad_alloc();
+}
+} // namespace
+
+// Every non-aligned form is replaced, so no block pairs a sanitizer
+// runtime's operator new with the free() below.  The deletes stay out of
+// line so GCC does not pair an inlined free() with a new expression and
+// warn about a mismatch.
+void *operator new(std::size_t Size) { return countedNew(Size); }
+void *operator new[](std::size_t Size) { return countedNew(Size); }
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedAlloc(Size);
+}
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedAlloc(Size);
+}
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete[](void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete[](void *P, std::size_t) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete(void *P,
+                                       const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete[](void *P,
+                                         const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 namespace {
 
@@ -221,6 +273,29 @@ TEST(FastPathAlloc, DrivenArrivalsScheduleWithoutHeapFallbacks) {
   const uint64_t Before = InlineFunctionStats::heapFallbacks();
   runBatchedGrid(42, true);
   EXPECT_EQ(InlineFunctionStats::heapFallbacks(), Before);
+}
+
+/// \returns the heap blocks InformationService::watchPath allocates to
+/// start monitoring the fresh pair \p Holder -> \p Client.
+uint64_t watchPathBlocks(PaperTestbed &T, const char *Client,
+                         const char *Holder) {
+  NodeId C = T.grid().findHost(Client)->node();
+  NodeId H = T.grid().findHost(Holder)->node();
+  Blocks = 0;
+  CountBlocks = true;
+  T.grid().info().watchPath(C, H);
+  CountBlocks = false;
+  return Blocks;
+}
+
+TEST(FastPathAlloc, FreshPathSensorPair) {
+  // A path sensor pair is two sensors and their first samples.  Each
+  // sensor's battery holds one window of recent values for all its
+  // sliding predictors; the first pair also warms shared caches.
+  PaperTestbed T;
+  T.sim().runUntil(1.0);
+  EXPECT_LE(watchPathBlocks(T, "alpha1", "hit0"), 33u);
+  EXPECT_LE(watchPathBlocks(T, "alpha2", "hit1"), 19u);
 }
 
 } // namespace

@@ -6,16 +6,17 @@
 
 #include "monitor/Forecaster.h"
 #include "monitor/InformationService.h"
-#include "monitor/NwsRegistry.h"
 #include "monitor/Sensor.h"
 #include "monitor/Sysstat.h"
 #include "net/CrossTraffic.h"
+#include "support/Json.h"
 #include "support/Statistics.h"
 #include "support/Units.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 using namespace dgsim;
 using namespace dgsim::units;
@@ -40,24 +41,35 @@ TEST(Forecaster, RunningMean) {
 }
 
 TEST(Forecaster, SlidingMeanWindow) {
-  SlidingMeanForecaster F(3);
-  for (double X : {1.0, 2.0, 3.0, 4.0, 5.0})
+  // The battery keeps the window; sw_mean(5) is member 2.
+  NwsForecaster F;
+  EXPECT_STREQ(NwsForecaster::memberName(2), "sw_mean(5)");
+  for (double X : {1.0, 2.0, 3.0})
     F.observe(X);
-  EXPECT_DOUBLE_EQ(F.predict(), 4.0); // mean(3,4,5)
-  EXPECT_EQ(F.name(), "sw_mean(3)");
+  EXPECT_DOUBLE_EQ(F.memberPredict(2), 2.0); // Filling: mean(1,2,3).
+  for (double X : {4.0, 5.0, 6.0, 7.0})
+    F.observe(X);
+  EXPECT_DOUBLE_EQ(F.memberPredict(2), 5.0); // mean(3,4,5,6,7)
+  EXPECT_DOUBLE_EQ(F.memberPredict(5), 4.0); // sw_mean(40): mean(1..7)
 }
 
 TEST(Forecaster, SlidingMedianOddEven) {
-  SlidingMedianForecaster F(4);
+  // sw_median(5) is member 6; the battery hands it each expiring value.
+  NwsForecaster F;
+  EXPECT_STREQ(NwsForecaster::memberName(6), "sw_median(5)");
   F.observe(10.0);
-  EXPECT_DOUBLE_EQ(F.predict(), 10.0);
+  EXPECT_DOUBLE_EQ(F.memberPredict(6), 10.0);
   F.observe(2.0);
-  EXPECT_DOUBLE_EQ(F.predict(), 6.0); // even window
+  EXPECT_DOUBLE_EQ(F.memberPredict(6), 6.0); // even window
   F.observe(8.0);
-  EXPECT_DOUBLE_EQ(F.predict(), 8.0); // median(10,2,8)
+  EXPECT_DOUBLE_EQ(F.memberPredict(6), 8.0); // median(10,2,8)
   F.observe(100.0);
-  F.observe(4.0); // window now 2,8,100,4
-  EXPECT_DOUBLE_EQ(F.predict(), 6.0);
+  F.observe(4.0); // window now 10,2,8,100,4
+  EXPECT_DOUBLE_EQ(F.memberPredict(6), 8.0);
+  F.observe(1.0); // 10 leaves: 2,8,100,4,1
+  EXPECT_DOUBLE_EQ(F.memberPredict(6), 4.0);
+  F.observe(9.0); // 2 leaves: 8,100,4,1,9
+  EXPECT_DOUBLE_EQ(F.memberPredict(6), 8.0);
 }
 
 TEST(Forecaster, ExponentialSmoothing) {
@@ -129,8 +141,36 @@ TEST(NwsForecaster, BestMemberNameIsFromBattery) {
   EXPECT_EQ(F.observationCount(), 100u);
 }
 
+TEST(NwsForecaster, BatteryDigestIsPinned) {
+  // Every member prediction and MSE, bit for bit, after each of 240
+  // observations: a level shift fills and wraps every window, and
+  // half-unit rounding repeats values so the medians see ties.
+  RandomEngine Rng(2005);
+  NwsForecaster F;
+  std::string Text;
+  char Buf[32];
+  auto Put = [&](double V) {
+    std::snprintf(Buf, sizeof(Buf), "%.17g ", V);
+    Text += Buf;
+  };
+  for (int I = 0; I != 240; ++I) {
+    double Level = I < 120 ? 10.0 : 50.0;
+    F.observe(std::round(2.0 * (Level + Rng.normal(0.0, 3.0))) / 2.0);
+    Put(F.predict());
+    for (size_t M = 0; M != F.memberCount(); ++M) {
+      Put(F.memberPredict(M));
+      Put(F.memberMse(M));
+    }
+  }
+  char Hex[20];
+  std::snprintf(Hex, sizeof(Hex), "%016llx",
+                static_cast<unsigned long long>(fnv1a(Text)));
+  EXPECT_EQ(std::string(Hex), "0d85d1368a6662a0");
+  EXPECT_EQ(std::string(F.bestMemberName()), "exp_smooth(0.75)");
+}
+
 //===----------------------------------------------------------------------===//
-// Sensor + registry
+// Sensor
 //===----------------------------------------------------------------------===//
 
 TEST(Sensor, SamplesPeriodically) {
@@ -156,37 +196,6 @@ TEST(Sensor, HistoryCapacityBounds) {
   Sensor S(Sim, "test", 1.0, [] { return 1.0; }, 8);
   Sim.runUntil(100.0);
   EXPECT_EQ(S.history().size(), 8u);
-}
-
-TEST(NwsRegistry, RegisterLookupAndKinds) {
-  Simulator Sim(4);
-  Sensor A(Sim, "cpu/h1", 1.0, [] { return 0.5; });
-  Sensor B(Sim, "io/h1", 1.0, [] { return 0.9; });
-  Sensor C(Sim, "cpu/h2", 1.0, [] { return 0.7; });
-  NwsNameserver NS;
-  NS.registerSensor(A, "cpu", "h1");
-  NS.registerSensor(B, "io", "h1");
-  NS.registerSensor(C, "cpu", "h2");
-  EXPECT_EQ(NS.size(), 3u);
-  ASSERT_NE(NS.lookup("cpu/h1"), nullptr);
-  EXPECT_EQ(NS.lookup("cpu/h1")->Kind, "cpu");
-  EXPECT_EQ(NS.lookup("nope"), nullptr);
-  EXPECT_EQ(NS.byKind("cpu").size(), 2u);
-  EXPECT_EQ(NS.byKind("bandwidth").size(), 0u);
-}
-
-TEST(NwsMemory, ResolvesSeries) {
-  Simulator Sim(5);
-  Sensor A(Sim, "cpu/h1", 1.0, [] { return 0.5; });
-  NwsNameserver NS;
-  NS.registerSensor(A, "cpu", "h1");
-  NwsMemory Mem(NS);
-  EXPECT_EQ(Mem.series("missing"), nullptr);
-  EXPECT_DOUBLE_EQ(Mem.latestValue("cpu/h1", -1.0), -1.0); // No samples yet.
-  Sim.runUntil(3.0);
-  EXPECT_DOUBLE_EQ(Mem.latestValue("cpu/h1"), 0.5);
-  ASSERT_NE(Mem.series("cpu/h1"), nullptr);
-  EXPECT_GT(Mem.series("cpu/h1")->size(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -312,12 +321,24 @@ TEST_F(InfoFixture, SensorsHaveStaleness) {
 }
 
 TEST_F(InfoFixture, NameserverSeesAllSensors) {
+  // The service is the sensor registry: its path table holds each
+  // watched (client, server) pair's sensors, its host table each
+  // registered host's, and every sensor is primed at creation.
+  EXPECT_EQ(Info->pathSensorCount(), 0u);
+  EXPECT_EQ(Info->bandwidthSensor(Client, Server), nullptr);
   Info->query(Client, *ServerHost);
-  EXPECT_EQ(Info->nameserver().byKind("cpu").size(), 1u);
-  EXPECT_EQ(Info->nameserver().byKind("io").size(), 1u);
-  EXPECT_EQ(Info->nameserver().byKind("memory").size(), 1u);
-  EXPECT_EQ(Info->nameserver().byKind("bandwidth").size(), 1u);
-  EXPECT_EQ(Info->nameserver().byKind("latency").size(), 1u);
+  EXPECT_EQ(Info->pathSensorCount(), 1u);
+  const Sensor *Bw = Info->bandwidthSensor(Client, Server);
+  const Sensor *Lat = Info->latencySensor(Client, Server);
+  ASSERT_NE(Bw, nullptr);
+  ASSERT_NE(Lat, nullptr);
+  EXPECT_EQ(Bw->history().size(), 1u);
+  EXPECT_EQ(Lat->history().size(), 1u);
+  // Paths are directed: the reverse pair was never watched.
+  EXPECT_EQ(Info->bandwidthSensor(Server, Client), nullptr);
+  EXPECT_NEAR(Info->cpuIdle(*ServerHost), 0.8, 1e-9);
+  EXPECT_NEAR(Info->ioIdle(*ServerHost), 0.7, 1e-9);
+  EXPECT_GT(Info->memFree(*ServerHost), 0.0);
 }
 
 TEST_F(InfoFixture, MemorySensorReportsFreeFraction) {

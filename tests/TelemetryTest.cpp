@@ -7,9 +7,8 @@
 /// \file
 /// Locks the Byzantine-telemetry layer (DESIGN.md §15) down:
 ///
-///   * Robust estimation primitives: median/MAD, trimmed mean, Huber IRLS
-///     lines, and the windowed least-squares ring whose exact re-sum keeps
-///     FP cancellation residue from accumulating over long churn.
+///   * Robust estimation primitives: median/MAD, trimmed mean and Huber
+///     IRLS lines.
 ///   * The plausibility gate: cold-start admission on faith, median/MAD
 ///     rejection of implausible jumps, scale floors for near-constant
 ///     streams, and the reject-streak bookkeeping behind BwConfidence.
@@ -96,58 +95,6 @@ TEST(RobustStatsTest, HuberLineResistsOneOutlier) {
   EXPECT_LT(std::fabs(H.C1 - 2.0), std::fabs(L.C1 - 2.0));
   EXPECT_LT(std::fabs(H.C1 - 2.0), 0.5);
   EXPECT_LT(std::fabs(H.C0 - 1.0), 5.0);
-}
-
-TEST(WindowedLeastSquaresTest, RingKeepsOnlyTheRecentWindow) {
-  WindowedLeastSquares W(4);
-  for (int I = 0; I != 6; ++I)
-    W.add(I, 10.0 * I);
-  EXPECT_EQ(W.count(), 4u);
-  EXPECT_EQ(W.capacity(), 4u);
-
-  std::vector<double> Xs, Ys;
-  W.window(Xs, Ys);
-  ASSERT_EQ(Xs.size(), 4u);
-  EXPECT_DOUBLE_EQ(Xs.front(), 2.0); // Oldest survivor.
-  EXPECT_DOUBLE_EQ(Xs.back(), 5.0);
-  EXPECT_DOUBLE_EQ(W.mean(), (20.0 + 30.0 + 40.0 + 50.0) / 4.0);
-
-  // The surviving points are exactly linear; the fit must be too.
-  PolyCoeffs C = W.fit(1);
-  ASSERT_EQ(C.Degree, 1u);
-  EXPECT_NEAR(C.C1, 10.0, 1e-9);
-  EXPECT_NEAR(C.C0, 0.0, 1e-7);
-}
-
-// The FP-drift regression (DESIGN.md §15): power-sum subtraction cancels
-// rather than erases, so a naive sliding accumulator drifts over long
-// churn.  After a million throughput-magnitude appends the windowed fit
-// must match an accumulator freshly summed from the surviving window.
-TEST(WindowedLeastSquaresTest, MillionAppendChurnMatchesFreshResum) {
-  WindowedLeastSquares W(64);
-  RandomEngine Rng(20260810);
-  for (int I = 0; I != 1000000; ++I) {
-    double X = Rng.uniform(1.0, 512.0);           // File size, MB.
-    double Y = 2.0e6 * X + Rng.uniform(0.0, 1e8); // Throughput, bits/s.
-    W.add(X, Y);
-  }
-  std::vector<double> Xs, Ys;
-  W.window(Xs, Ys);
-  ASSERT_EQ(Xs.size(), 64u);
-
-  LeastSquaresAccumulator Fresh;
-  for (size_t I = 0; I != Xs.size(); ++I)
-    Fresh.add(Xs[I], Ys[I]);
-
-  PolyCoeffs A = W.fit(1), B = Fresh.fit(1);
-  ASSERT_EQ(A.Degree, 1u);
-  ASSERT_EQ(B.Degree, 1u);
-  EXPECT_NEAR(A.C1, B.C1, 1e-6 * std::fabs(B.C1));
-  EXPECT_NEAR(A.C0, B.C0, 1e-6 * std::fabs(B.C0) + 1.0);
-  EXPECT_NEAR(W.mean(), Fresh.mean(), 1e-9 * std::fabs(Fresh.mean()));
-  // The quadratic path exercises the x^3/x^4 sums too.
-  PolyCoeffs A2 = W.fit(2), B2 = Fresh.fit(2);
-  EXPECT_NEAR(A2.eval(256.0), B2.eval(256.0), 1e-6 * std::fabs(B2.eval(256.0)));
 }
 
 //===----------------------------------------------------------------------===//
