@@ -67,8 +67,11 @@ std::mutex RssMutex;
 std::vector<RssProbe> RssProbes;
 
 /// Builds the tiered grid for \p Sites sites and runs the open-loop
-/// stream of roughly \p Transfers fetches through it.
-exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed) {
+/// stream of roughly \p Transfers fetches through it.  \p ProbeSolves
+/// receives the network's probe solve count, which the perf footer
+/// records beside the event count.
+exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
+                         uint64_t &ProbeSolves) {
   GridSpec Spec;
   Spec.Seed = Seed;
   // Scale-mode monitoring: shared batch ticks instead of one heap event
@@ -184,6 +187,7 @@ exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed) {
                  : SojournSum / double(C.SojournSeconds.size()));
   Result.SpecHash = G->spec().hash();
   Result.EventsExecuted = G->sim().eventsExecuted();
+  ProbeSolves = G->network().probeSolves();
   return Result;
 }
 
@@ -208,12 +212,13 @@ constexpr bool TimedBuild = true;
 /// --baseline run is gated on.
 struct PerfFigures {
   double EventsExecuted = 0.0;
+  double ProbeSolves = 0.0;
   double EventsPerS = 0.0;
   double CallbackHeapFallbacks = 0.0;
 };
 
 /// Reads the "perf" figures out of a committed document.  Hand-rolled
-/// scan: the repo carries a JSON writer, not a parser, and a three-key
+/// scan: the repo carries a JSON writer, not a parser, and a four-key
 /// probe does not justify growing one.  \returns false, after saying why,
 /// when the file or any key is missing.
 bool readBaseline(const std::string &Path, PerfFigures &Out) {
@@ -240,6 +245,7 @@ bool readBaseline(const std::string &Path, PerfFigures &Out) {
     return true;
   };
   bool Ok = Read("events_executed", Out.EventsExecuted);
+  Ok = Read("probe_solves", Out.ProbeSolves) && Ok;
   Ok = Read("events_per_s", Out.EventsPerS) && Ok;
   Ok = Read("callback_heap_fallbacks", Out.CallbackHeapFallbacks) && Ok;
   return Ok && Out.EventsPerS > 0.0;
@@ -276,10 +282,12 @@ int main(int argc, char **argv) {
   std::mutex PerfMutex;
   double TrialWall = 0.0;
   uint64_t TrialEvents = 0;
+  uint64_t TrialProbeSolves = 0;
   const uint64_t Sbo0 = InlineFunctionStats::heapFallbacks();
   auto CurrentPerf = [&] {
     PerfFigures P;
     P.EventsExecuted = double(TrialEvents);
+    P.ProbeSolves = double(TrialProbeSolves);
     P.EventsPerS = TrialWall > 0.0 ? double(TrialEvents) / TrialWall : 0.0;
     P.CallbackHeapFallbacks =
         double(InlineFunctionStats::heapFallbacks() - Sbo0);
@@ -293,18 +301,20 @@ int main(int argc, char **argv) {
   S.Seeds = Opt.seeds();
   S.Metrics = {"arrivals",   "completed",  "failed",
                "local_hits", "goodput_gb", "mean_sojourn_s"};
-  S.Run = [Transfers, &PerfMutex, &TrialWall,
-           &TrialEvents](const exp::TrialPoint &P) {
+  S.Run = [Transfers, &PerfMutex, &TrialWall, &TrialEvents,
+           &TrialProbeSolves](const exp::TrialPoint &P) {
     auto A0 = std::chrono::steady_clock::now();
+    uint64_t ProbeSolves = 0;
     exp::TrialResult R = runTier(
         std::strtoull(P.param("sites").c_str(), nullptr, 10), Transfers,
-        P.Seed);
+        P.Seed, ProbeSolves);
     double Wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - A0)
             .count();
     std::lock_guard<std::mutex> Lock(PerfMutex);
     TrialWall += Wall;
     TrialEvents += R.EventsExecuted;
+    TrialProbeSolves += ProbeSolves;
     return R;
   };
   auto Footer = [&](json::JsonWriter &W) {
@@ -312,6 +322,7 @@ int main(int argc, char **argv) {
     W.key("perf");
     W.beginObject();
     W.member("events_executed", uint64_t(P.EventsExecuted));
+    W.member("probe_solves", uint64_t(P.ProbeSolves));
     W.member("events_per_s", P.EventsPerS);
     W.member("callback_heap_fallbacks", uint64_t(P.CallbackHeapFallbacks));
     W.endObject();
@@ -347,7 +358,8 @@ int main(int argc, char **argv) {
   if (!BaselinePath.empty()) {
     // The perf-regression gate.  Work counters repeat exactly for a fixed
     // configuration, so they are gated tightly: a run may not execute more
-    // kernel events or spill more callbacks to the heap than the capture.
+    // kernel events or probe solves, or spill more callbacks to the heap,
+    // than the capture.
     // Events/s is host time and noisy; its floor sits below the spread of
     // back-to-back quick runs (EXPERIMENTS.md), so only a real hot-path
     // regression trips it.
@@ -356,16 +368,21 @@ int main(int argc, char **argv) {
     bench::shapeCheck(Readable, "the committed baseline is readable and "
                                 "names every gated figure");
     if (Readable) {
-      std::printf("baseline: %.0f events, %.0f callback heap fallbacks, "
-                  "%.0f events/s vs %.0f, %.0f, %.0f committed (%.2fx)\n",
-                  Perf.EventsExecuted, Perf.CallbackHeapFallbacks,
-                  Perf.EventsPerS, Base.EventsExecuted,
+      std::printf("baseline: %.0f events, %.0f probe solves, %.0f callback "
+                  "heap fallbacks, %.0f events/s vs %.0f, %.0f, %.0f, %.0f "
+                  "committed (%.2fx)\n",
+                  Perf.EventsExecuted, Perf.ProbeSolves,
+                  Perf.CallbackHeapFallbacks, Perf.EventsPerS,
+                  Base.EventsExecuted, Base.ProbeSolves,
                   Base.CallbackHeapFallbacks, Base.EventsPerS,
                   Perf.EventsPerS / Base.EventsPerS);
       bench::shapeCheckLe(Perf.EventsExecuted, Base.EventsExecuted,
                           "events_executed",
                           "the run executes no more kernel events than the "
                           "committed baseline");
+      bench::shapeCheckLe(Perf.ProbeSolves, Base.ProbeSolves, "probe_solves",
+                          "the run's monitors probe the network no more "
+                          "often than in the committed baseline");
       bench::shapeCheckLe(Perf.CallbackHeapFallbacks,
                           Base.CallbackHeapFallbacks,
                           "callback_heap_fallbacks",

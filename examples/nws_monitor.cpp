@@ -12,9 +12,9 @@
 /// is its memory:
 ///
 ///   * the sensors the service holds, by kind,
-///   * bandwidth and latency forecasts for the paths into alpha1, with the
-///     currently winning predictor of each adaptive battery,
-///   * per-host resource forecasts (CPU / I-O idle, free memory),
+///   * bandwidth forecasts for the paths into alpha1, with the currently
+///     winning predictor of each adaptive battery,
+///   * per-host resource forecasts (CPU / I-O idle),
 ///   * forecast-vs-actual error of the bandwidth series.
 ///
 //===----------------------------------------------------------------------===//
@@ -42,28 +42,24 @@ int main() {
   T.sim().runUntil(600.0);
 
   std::printf("== NWS deployment after %.0f s ==\n\n", T.sim().now());
-  // Every registered host has cpu, io and memory sensors; every watched
-  // path a bandwidth and a latency sensor.
+  // Every registered host has a cpu and an io sensor; every watched path
+  // a bandwidth sensor.
   size_t Hosts = T.grid().allHosts().size();
   size_t Paths = Info.pathSensorCount();
-  std::printf("sensors: %zu\n", 3 * Hosts + 2 * Paths);
-  for (const char *Kind : {"bandwidth", "latency"})
-    std::printf("  %-10s x%zu\n", Kind, Paths);
-  for (const char *Kind : {"cpu", "io", "memory"})
+  std::printf("sensors: %zu\n", 2 * Hosts + Paths);
+  std::printf("  %-10s x%zu\n", "bandwidth", Paths);
+  for (const char *Kind : {"cpu", "io"})
     std::printf("  %-10s x%zu\n", Kind, Hosts);
 
   std::printf("\n-- path forecasts into alpha1 --\n");
   Table P;
-  P.setHeader({"source", "bandwidth", "latency (ms)", "winning predictor",
-               "samples"});
+  P.setHeader({"source", "bandwidth", "winning predictor", "samples"});
   for (const char *Server : {"alpha4", "hit0", "lz02"}) {
     NodeId S = T.grid().findHost(Server)->node();
     const Sensor *Bw = Info.bandwidthSensor(T.alpha(1).node(), S);
-    const Sensor *Lat = Info.latencySensor(T.alpha(1).node(), S);
     P.beginRow();
     P.add(std::string(Server));
     P.add(fmt::rate(Bw->forecast()));
-    P.add(Lat->forecast() * 1e3, 2);
     P.add(Bw->forecaster().bestMemberName());
     P.add(static_cast<long long>(Bw->history().size()));
   }
@@ -71,14 +67,13 @@ int main() {
 
   std::printf("\n-- host resource forecasts --\n");
   Table H;
-  H.setHeader({"host", "cpu idle", "io idle", "mem free"});
+  H.setHeader({"host", "cpu idle", "io idle"});
   for (const char *Name : {"alpha1", "alpha4", "hit0", "lz02"}) {
     Host *HostPtr = T.grid().findHost(Name);
     H.beginRow();
     H.add(std::string(Name));
     H.add(fmt::percent(Info.cpuIdle(*HostPtr)));
     H.add(fmt::percent(Info.ioIdle(*HostPtr)));
-    H.add(fmt::percent(Info.memFree(*HostPtr)));
   }
   H.print(stdout);
 

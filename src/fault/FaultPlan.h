@@ -51,8 +51,8 @@ enum class FaultKind : uint8_t {
   /// Telemetry (data-plane) faults: the world keeps working but the
   /// measurements describing it go wrong.  Scope is encoded in the
   /// targets: both empty = every sensor; Target alone = that host's
-  /// cpu/io/mem sensors; Target + Target2 = the (server, client) path's
-  /// bandwidth/latency sensors.
+  /// cpu/io sensors; Target + Target2 = the (server, client) path's
+  /// bandwidth sensor.
   ///
   /// Sensor readings are skewed: value' = value * Magnitude + Offset.
   SensorBias,
@@ -142,7 +142,7 @@ struct FaultPlan {
   FaultPlan &sensorBlackout(SimTime Start, SimTime Duration);
   /// Telemetry-fault helpers.  \p Server / \p Client empty = global
   /// scope; \p Server alone = that host's load sensors; both = the
-  /// (server, client) path's bandwidth/latency sensors.
+  /// (server, client) path's bandwidth sensor.
   FaultPlan &sensorBias(std::string Server, std::string Client,
                         SimTime Start, SimTime Duration, double Factor,
                         double Offset = 0.0);

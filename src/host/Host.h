@@ -69,8 +69,8 @@ public:
   /// Current I/O idle fraction — the paper's P^{I/O}_j.
   double ioIdle() const { return Dsk.idleFraction(); }
 
-  /// Fraction of physical memory currently free (an NWS memory sensor's
-  /// reading).
+  /// Fraction of physical memory currently free (what sysstat's `free`
+  /// reports; no sensor samples it).
   double memFreeFraction() const { return Mem.idleFraction(); }
 
   /// Free physical memory in bytes.

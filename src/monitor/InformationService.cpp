@@ -65,22 +65,16 @@ void InformationService::registerHost(const Host &H) {
                                      [&H] { return H.cpuIdle(); });
     S.Io = std::make_unique<Sensor>(Sim, "io/" + H.name(), *B,
                                     [&H] { return H.ioIdle(); });
-    S.Mem = std::make_unique<Sensor>(Sim, "mem/" + H.name(), *B,
-                                     [&H] { return H.memFreeFraction(); });
   } else {
     S.Cpu = std::make_unique<Sensor>(Sim, "cpu/" + H.name(),
                                      Config.HostPeriod,
                                      [&H] { return H.cpuIdle(); });
     S.Io = std::make_unique<Sensor>(Sim, "io/" + H.name(), Config.HostPeriod,
                                     [&H] { return H.ioIdle(); });
-    S.Mem = std::make_unique<Sensor>(Sim, "mem/" + H.name(),
-                                     Config.HostPeriod,
-                                     [&H] { return H.memFreeFraction(); });
   }
   if (GateEnabled) {
     S.Cpu->setGateConfig(&Gate);
     S.Io->setGateConfig(&Gate);
-    S.Mem->setGateConfig(&Gate);
   }
   // A host registered mid-window inherits the global telemetry faults
   // (host-scoped ones cannot target a host that did not exist at arm).
@@ -88,12 +82,10 @@ void InformationService::registerHost(const Host &H) {
     if (F.S == TelemetryFault::Scope::Global) {
       applyTelemetryFault(*S.Cpu, F, /*Begin=*/true);
       applyTelemetryFault(*S.Io, F, /*Begin=*/true);
-      applyTelemetryFault(*S.Mem, F, /*Begin=*/true);
     }
   // Prime the series so queries before the first tick see a value.
   S.Cpu->sampleNow();
   S.Io->sampleNow();
-  S.Mem->sampleNow();
   StringInterner::Id Id = HostIds.intern(H.name());
   assert(Id == Hosts.size() && "intern ids must stay dense");
   (void)Id;
@@ -121,61 +113,30 @@ InformationService::watchPathEntry(NodeId Client, NodeId Server) {
     // forecaster arithmetic stays well defined.
     return std::min(R, 1e12);
   };
-  // The latency sensor reports the base RTT inflated by congestion:
-  // queueing delay rises as the path's residual bandwidth vanishes.  The
-  // residual is measured with a many-stream probe so TCP window limits
-  // (which do not indicate congestion) do not masquerade as load.
-  auto Ping = [this, Client, Server] {
-    const NetPath *Path = Net.routing().pathRef(Server, Client);
-    if (!Path || Path->Channels.empty())
-      return 0.0;
-    // Read the aggregates before probing: the probe routes too, and a
-    // bounded route cache may not keep Path alive across that.
-    double Rtt = Path->Rtt;
-    double Goodput =
-        Path->BottleneckCapacity * Net.tcp().goodputFactor();
-    double Residual = Net.probeBandwidth(Server, Client, /*Streams=*/16);
-    double Utilisation =
-        Goodput > 0.0 ? 1.0 - std::min(Residual / Goodput, 1.0) : 0.0;
-    return Rtt * (1.0 + 0.8 * Utilisation);
-  };
-  std::string Suffix =
-      std::to_string(Server) + "->" + std::to_string(Client);
+  std::string Name =
+      "bw/" + std::to_string(Server) + "->" + std::to_string(Client);
   PathSensors PS;
   PS.LastQuery = Sim.now();
-  if (SensorBatch *B = pathBatch()) {
+  if (SensorBatch *B = pathBatch())
     PS.Bandwidth =
-        std::make_unique<Sensor>(Sim, "bw/" + Suffix, *B, std::move(Probe));
-    PS.Latency =
-        std::make_unique<Sensor>(Sim, "lat/" + Suffix, *B, std::move(Ping));
-  } else {
+        std::make_unique<Sensor>(Sim, std::move(Name), *B, std::move(Probe));
+  else
     PS.Bandwidth = std::make_unique<Sensor>(
-        Sim, "bw/" + Suffix, Config.BandwidthPeriod, std::move(Probe));
-    PS.Latency = std::make_unique<Sensor>(
-        Sim, "lat/" + Suffix, Config.BandwidthPeriod, std::move(Ping));
-  }
+        Sim, std::move(Name), Config.BandwidthPeriod, std::move(Probe));
   // A probe launched during a blackout measures nothing: the sensor is
   // born suspended and its series stays empty until the blackout lifts.
   PS.Bandwidth->setSuspended(Blackout);
-  PS.Latency->setSuspended(Blackout);
-  if (GateEnabled) {
+  if (GateEnabled)
     PS.Bandwidth->setGateConfig(&Gate);
-    PS.Latency->setGateConfig(&Gate);
-  }
-  // Path sensors created (or re-created after TTL eviction) inside a
-  // telemetry fault window inherit it, same as blackout suspension: the
-  // fault targets the *path*, not one incarnation of its sensors.
-  for (const TelemetryFault &F : ActiveFaults) {
-    bool Match = F.S == TelemetryFault::Scope::Global ||
-                 (F.S == TelemetryFault::Scope::Path && F.Server == Server &&
-                  F.Client == Client);
-    if (Match) {
+  // A path sensor created (or re-created after TTL eviction) inside a
+  // telemetry fault window inherits it, same as blackout suspension: the
+  // fault targets the *path*, not one incarnation of its sensor.
+  for (const TelemetryFault &F : ActiveFaults)
+    if (F.S == TelemetryFault::Scope::Global ||
+        (F.S == TelemetryFault::Scope::Path && F.Server == Server &&
+         F.Client == Client))
       applyTelemetryFault(*PS.Bandwidth, F, /*Begin=*/true);
-      applyTelemetryFault(*PS.Latency, F, /*Begin=*/true);
-    }
-  }
   PS.Bandwidth->sampleNow();
-  PS.Latency->sampleNow();
   return Paths.emplace(Key, std::move(PS)).first->second;
 }
 
@@ -197,14 +158,11 @@ SystemFactors InformationService::queryEntry(PathSensors &PS,
 
   FactorCache &C = PS.Cache;
   bool Hit = FactorCacheEnabled && C.Valid && C.Cand == &Candidate &&
-             C.BwVer == Bw->version() &&
-             C.LatVer == PS.Latency->version() &&
-             C.CpuVer == C.Cpu->version() && C.IoVer == C.Io->version() &&
-             C.MemVer == C.Mem->version() &&
+             C.BwVer == Bw->version() && C.CpuVer == C.Cpu->version() &&
+             C.IoVer == C.Io->version() &&
              // With a transfer log attached the prediction also depends
              // on the path's log stream and the query hint; without one,
-             // the check (and the entry) is exactly the historical five
-             // sensor versions.
+             // the check (and the entry) is the three sensor versions.
              (!Log ||
               (C.LogVer == Log->version(Candidate.node(), ClientNode) &&
                C.LogCfgVer == Log->configVersion() &&
@@ -250,18 +208,13 @@ SystemFactors InformationService::queryEntry(PathSensors &PS,
     const HostSensors &HS = hostSensors(Candidate);
     F.CpuIdle = HS.Cpu->lastValue();
     F.IoIdle = HS.Io->lastValue();
-    F.MemFreeFraction = HS.Mem->lastValue();
-    F.PredictedLatency = PS.Latency->forecast();
 
     C.Cand = &Candidate;
     C.Cpu = HS.Cpu.get();
     C.Io = HS.Io.get();
-    C.Mem = HS.Mem.get();
     C.BwVer = Bw->version();
-    C.LatVer = PS.Latency->version();
     C.CpuVer = C.Cpu->version();
     C.IoVer = C.Io->version();
-    C.MemVer = C.Mem->version();
     if (Log) {
       C.LogVer = Log->version(Candidate.node(), ClientNode);
       C.LogCfgVer = Log->configVersion();
@@ -324,7 +277,6 @@ void InformationService::routeTelemetryFault(const TelemetryFault &F,
     HostSensors &S = Hosts[Id];
     applyTelemetryFault(*S.Cpu, F, Begin);
     applyTelemetryFault(*S.Io, F, Begin);
-    applyTelemetryFault(*S.Mem, F, Begin);
     break;
   }
   case TelemetryFault::Scope::Path: {
@@ -332,7 +284,6 @@ void InformationService::routeTelemetryFault(const TelemetryFault &F,
     if (It == Paths.end())
       break; // Not watched yet; watchPathEntry applies on creation.
     applyTelemetryFault(*It->second.Bandwidth, F, Begin);
-    applyTelemetryFault(*It->second.Latency, F, Begin);
     break;
   }
   }
@@ -393,13 +344,11 @@ void InformationService::evictIdlePaths() {
   SimTime Cutoff = Sim.now() - Config.PathSensorTtl;
   for (auto It = Paths.begin(); It != Paths.end();) {
     if (It->second.LastQuery < Cutoff) {
-      // Fold robustness counters in before they die with the sensors.
-      for (const Sensor *S :
-           {It->second.Bandwidth.get(), It->second.Latency.get()}) {
-        RetiredRejections += S->gateRejected();
-        if (const SensorFaultState *F = S->faultState())
-          RetiredDropped += F->Dropped;
-      }
+      // Fold robustness counters in before they die with the sensor.
+      const Sensor &S = *It->second.Bandwidth;
+      RetiredRejections += S.gateRejected();
+      if (const SensorFaultState *F = S.faultState())
+        RetiredDropped += F->Dropped;
       It = Paths.erase(It);
       ++PathsStructVersion;
     } else {
@@ -423,18 +372,9 @@ double InformationService::ioIdle(const Host &H) const {
   return hostSensors(H).Io->lastValue();
 }
 
-double InformationService::memFree(const Host &H) const {
-  return hostSensors(H).Mem->lastValue();
-}
-
 const Sensor *InformationService::bandwidthSensor(NodeId Client,
                                                   NodeId Server) const {
   auto It = Paths.find(pathKey(Client, Server));
   return It == Paths.end() ? nullptr : It->second.Bandwidth.get();
 }
 
-const Sensor *InformationService::latencySensor(NodeId Client,
-                                                NodeId Server) const {
-  auto It = Paths.find(pathKey(Client, Server));
-  return It == Paths.end() ? nullptr : It->second.Latency.get();
-}

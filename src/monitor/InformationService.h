@@ -72,10 +72,6 @@ struct SystemFactors {
   BitRate PredictedBandwidth = 0.0;
   /// Bottleneck capacity of the candidate-to-client path.
   BitRate TheoreticalBandwidth = 0.0;
-  /// NWS-forecast end-to-end latency (RTT inflated by congestion), s.
-  SimTime PredictedLatency = 0.0;
-  /// Candidate's free-memory fraction (NWS memory sensor).
-  double MemFreeFraction = 0.0;
   /// Age of the bandwidth measurement backing BwFraction, seconds.  Under
   /// normal operation this stays below the bandwidth period; it grows
   /// without bound through a sensor blackout (the service keeps answering
@@ -102,9 +98,9 @@ struct TelemetryFault {
   enum class Scope : uint8_t {
     /// Every sensor the service owns.
     Global,
-    /// One host's CPU/I-O/memory sensors.
+    /// One host's CPU and I/O sensors.
     Host,
-    /// One (server, client) path's bandwidth/latency sensors.
+    /// One (server, client) path's bandwidth sensor.
     Path,
   };
 
@@ -186,9 +182,6 @@ public:
   /// \returns the latest I/O idle reading for a registered host.
   double ioIdle(const Host &H) const;
 
-  /// \returns the latest free-memory fraction for a registered host.
-  double memFree(const Host &H) const;
-
   /// Starts or ends a monitoring blackout (NWS deployment outage): every
   /// sensor stops sampling, queries keep answering from last-known values
   /// with their ages tagged in SystemFactors, so selection degrades
@@ -229,14 +222,11 @@ public:
   /// \returns the bandwidth sensor for a watched path (nullptr if absent).
   const Sensor *bandwidthSensor(NodeId Client, NodeId Server) const;
 
-  /// \returns the latency sensor for a watched path (nullptr if absent).
-  const Sensor *latencySensor(NodeId Client, NodeId Server) const;
-
   /// \returns the current simulation time (convenience for clients that
   /// have no direct Simulator reference, e.g. for trace timestamps).
   SimTime now() const { return Sim.now(); }
 
-  /// \returns the number of live path-sensor pairs.  Introspection for the
+  /// \returns the number of watched paths.  Introspection for the
   /// TTL-eviction tests and the scale benches: with PathSensorTtl set this
   /// must track the touched working set, not every pair ever queried.
   size_t pathSensorCount() const { return Paths.size(); }
@@ -294,16 +284,15 @@ private:
   struct HostSensors {
     std::unique_ptr<Sensor> Cpu;
     std::unique_ptr<Sensor> Io;
-    std::unique_ptr<Sensor> Mem;
   };
 
   /// Version-stamped result of the factor pipeline for one (client, server)
   /// path and one candidate host.  Everything in Factors except the two
-  /// staleness ages is a pure function of five sensor version counters (the
-  /// path's bandwidth and latency sensors, the candidate's CPU/I-O/memory
-  /// sensors) plus static topology, so the stamps make "unchanged inputs"
-  /// checkable in five integer compares; the ages are recomputed on every
-  /// query because they advance with the clock.
+  /// staleness ages is a pure function of three sensor version counters
+  /// (the path's bandwidth sensor, the candidate's CPU and I/O sensors)
+  /// plus static topology, so the stamps make "unchanged inputs" checkable
+  /// in three integer compares; the ages are recomputed on every query
+  /// because they advance with the clock.
   struct FactorCache {
     const Host *Cand = nullptr;
     /// The candidate's host sensors, resolved once per recompute so cache
@@ -312,8 +301,7 @@ private:
     /// this whole struct with the entry that owns it).
     const Sensor *Cpu = nullptr;
     const Sensor *Io = nullptr;
-    const Sensor *Mem = nullptr;
-    uint64_t BwVer = 0, LatVer = 0, CpuVer = 0, IoVer = 0, MemVer = 0;
+    uint64_t BwVer = 0, CpuVer = 0, IoVer = 0;
     /// Transfer-log inputs, stamped only while a log is attached: the
     /// path's append counter plus the query hint the prediction was
     /// conditioned on.  A log append bumps exactly this path's version,
@@ -338,26 +326,22 @@ private:
 
   struct PathSensors {
     std::unique_ptr<Sensor> Bandwidth;
-    std::unique_ptr<Sensor> Latency;
     /// Last time a query touched this path; drives TTL eviction.
     SimTime LastQuery = 0.0;
     FactorCache Cache;
   };
 
-  /// Calls \p F on every sensor the service owns: each host's CPU, I/O
-  /// and memory sensors in registration order, then each path's bandwidth
-  /// and latency sensors.  Const so the counter sums can use it; the
-  /// tables own sensors through unique_ptr, so \p F gets them mutable.
+  /// Calls \p F on every sensor the service owns: each host's CPU and
+  /// I/O sensors in registration order, then each path's bandwidth sensor.
+  /// Const so the counter sums can use it; the tables own sensors through
+  /// unique_ptr, so \p F gets them mutable.
   template <class Fn> void forEachSensor(Fn &&F) const {
     for (const HostSensors &S : Hosts) {
       F(*S.Cpu);
       F(*S.Io);
-      F(*S.Mem);
     }
-    for (const auto &[Key, PS] : Paths) {
+    for (const auto &[Key, PS] : Paths)
       F(*PS.Bandwidth);
-      F(*PS.Latency);
-    }
   }
 
   /// \returns the sensors for a registered host (asserts registration).
@@ -370,7 +354,7 @@ private:
   PathSensors &watchPathEntry(NodeId Client, NodeId Server);
 
   /// The factor pipeline against an already-resolved path entry: touches
-  /// the TTL stamp, revalidates the factor cache against the five input
+  /// the TTL stamp, revalidates the factor cache against the three input
   /// sensor versions, recomputes on mismatch, and refreshes the staleness
   /// ages.  query() is watchPathEntry() + this.
   SystemFactors queryEntry(PathSensors &PS, NodeId ClientNode,
@@ -406,9 +390,12 @@ private:
   /// Host name -> dense id; ids index Hosts.
   StringInterner HostIds;
   std::vector<HostSensors> Hosts;
-  /// Keyed by (client << 32 | server); never iterated, so hash order is
-  /// fine and lookups are O(1).  (setBlackout walks it; suspension order
-  /// does not matter, so hash order stays fine.)
+  /// Keyed by (client << 32 | server) for O(1) lookups.  forEachSensor
+  /// and evictIdlePaths walk it in hash order, which no result can see:
+  /// every per-sensor edge (suspension, gate attach, fault depth) is
+  /// independent of the others, the counter sums are integer adds, and
+  /// eviction erases every idle entry regardless of the order it meets
+  /// them.
   std::unordered_map<uint64_t, PathSensors> Paths;
   /// Per-client P^BW denominator under ClientAccess normalisation: the max
   /// capacity over the client's access links.  Topology is immutable after

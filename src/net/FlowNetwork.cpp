@@ -394,8 +394,10 @@ double FlowNetwork::solveComponent(const ProbeSpec *Probe) {
   for (uint32_t S : CompSlots)
     InComponent[S] = 0;
 
-  if (!Commit)
+  if (!Commit) {
+    ++StatProbes;
     return ProbeRate;
+  }
 
   ++StatEvents;
   StatDemands += CompSlots.size();

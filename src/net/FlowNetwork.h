@@ -167,6 +167,11 @@ public:
   uint64_t rebalanceEvents() const { return StatEvents; }
   uint64_t rebalanceDemandsSolved() const { return StatDemands; }
 
+  /// Perf introspection: probeBandwidth() calls that ran a component
+  /// solve (committing nothing).  Severed, same-host and unrouted probes
+  /// answer without one and are not counted.
+  uint64_t probeSolves() const { return StatProbes; }
+
   /// How often fully stalled foreground flows re-check for capacity.
   static constexpr SimTime StallRecheckPeriod = 1.0;
 
@@ -343,6 +348,7 @@ private:
 #endif
   uint64_t StatEvents = 0;
   uint64_t StatDemands = 0;
+  uint64_t StatProbes = 0;
 };
 
 } // namespace dgsim

@@ -12,8 +12,7 @@ using namespace dgsim;
 
 CostModel::CostModel(CostWeights Weights) : Weights(Weights) {
   assert(Weights.Bandwidth >= 0.0 && Weights.Cpu >= 0.0 &&
-         Weights.Io >= 0.0 && Weights.Latency >= 0.0 &&
-         Weights.Memory >= 0.0 && "weights must be non-negative");
+         Weights.Io >= 0.0 && "weights must be non-negative");
   assert(Weights.sum() > 0.0 && "at least one weight must be positive");
   assert(Weights.ConfidenceBeta >= 0.0 && Weights.ConfidenceBeta <= 1.0 &&
          "confidence discount must lie in [0, 1]");
@@ -24,13 +23,5 @@ double CostModel::score(const SystemFactors &F) const {
   if (Weights.ConfidenceBeta > 0.0)
     BwTerm *= (1.0 - Weights.ConfidenceBeta) +
               Weights.ConfidenceBeta * F.BwConfidence;
-  double Score =
-      BwTerm + F.CpuIdle * Weights.Cpu + F.IoIdle * Weights.Io;
-  if (Weights.Latency > 0.0) {
-    double PLat = RefLatency / (RefLatency + F.PredictedLatency);
-    Score += PLat * Weights.Latency;
-  }
-  if (Weights.Memory > 0.0)
-    Score += F.MemFreeFraction * Weights.Memory;
-  return Score;
+  return BwTerm + F.CpuIdle * Weights.Cpu + F.IoIdle * Weights.Io;
 }

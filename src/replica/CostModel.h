@@ -27,20 +27,11 @@
 
 namespace dgsim {
 
-/// Administrator-chosen weights of the system factors.
-///
-/// Bandwidth/Cpu/Io are the paper's Eq. (1) factors.  Latency and Memory
-/// are the *extended* factors its future work calls for ("refer to more
-/// system factors in the replica selection cost model"); they default to
-/// zero, which reduces the model to the paper's exactly.
+/// Administrator-chosen weights of the paper's three Eq. (1) factors.
 struct CostWeights {
   double Bandwidth = 0.8;
   double Cpu = 0.1;
   double Io = 0.1;
-  /// Weight of the latency factor P^lat = RefLatency / (RefLatency + lat).
-  double Latency = 0.0;
-  /// Weight of the candidate's free-memory fraction.
-  double Memory = 0.0;
   /// How strongly telemetry confidence discounts the bandwidth term
   /// (DESIGN.md §15).  With beta in (0, 1], the term scales by
   /// (1 - beta) + beta * BwConfidence, so stale or implausible bandwidth
@@ -51,7 +42,7 @@ struct CostWeights {
   double ConfidenceBeta = 0.0;
 
   /// \returns the weight sum (used for normalised comparisons).
-  double sum() const { return Bandwidth + Cpu + Io + Latency + Memory; }
+  double sum() const { return Bandwidth + Cpu + Io; }
 };
 
 /// The scoring function.
@@ -63,10 +54,6 @@ public:
 
   /// \returns Score_{i->j} for the given measured factors; higher is better.
   double score(const SystemFactors &F) const;
-
-  /// Reference latency at which the latency factor scores 0.5.  Chosen
-  /// around a metropolitan WAN RTT so campus paths score near 1.
-  static constexpr SimTime RefLatency = 0.020;
 
 private:
   CostWeights Weights;

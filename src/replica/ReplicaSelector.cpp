@@ -172,7 +172,7 @@ void ReplicaSelector::scoreAllInto(NodeId ClientNode, const std::string &Lfn,
     E.PathsVer = PathsVer;
   }
   // Refresh content through the epoch-validated factor cache: on
-  // unchanged sensor versions this is five integer compares and an age
+  // unchanged sensor versions this is three integer compares and an age
   // refresh per candidate, with the TTL touch preserved.
   for (size_t I = 0; I != E.Reports.size(); ++I) {
     CandidateReport &C = E.Reports[I];

@@ -18,8 +18,8 @@
 ///     uncached selection;
 ///   * the driven workload's arrival events, which must schedule without
 ///     spilling a closure to the heap;
-///   * a fresh (client, holder) path sensor pair, whose heap blocks are
-///     counted by this binary's replacement global operator new.
+///   * the path sensor of a fresh (client, holder) pair, whose heap blocks
+///     are counted by this binary's replacement global operator new.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,13 +103,15 @@ namespace {
 
 // Captured from the commit that still carried the calendar queue and the
 // intra-run parallel executor, where every scheduler and thread-count arm
-// produced these exact bytes.
+// produced these exact bytes.  The testbed journals' event counts (e=) were
+// re-pinned after the latency and memory sensors, which self-schedule on
+// the paper testbed, were deleted; every other field is as captured.
 constexpr const char *Fig3Journal =
     "st=0 d=75.366399999999999 tot=76.012164705882356 "
-    "thr=28251841.745454364 e=4990";
+    "thr=28251841.745454364 e=4726";
 constexpr const char *Fig4Journal =
     "st=0 d=9.423243750000001 tot=10.087408455882354 "
-    "thr=212887547.61860764 e=1944";
+    "thr=212887547.61860764 e=1836";
 constexpr const char *GridJournal =
     "a=478 c=478 f=0 s=0 lh=94 gp=1304908254.0784802 "
     "sj=3536.5046559837019 e=1490 end=73.364265940490043 lg=0 "
@@ -289,13 +291,13 @@ uint64_t watchPathBlocks(PaperTestbed &T, const char *Client,
 }
 
 TEST(FastPathAlloc, FreshPathSensorPair) {
-  // A path sensor pair is two sensors and their first samples.  Each
-  // sensor's battery holds one window of recent values for all its
-  // sliding predictors; the first pair also warms shared caches.
+  // A fresh (client, holder) pair is one bandwidth sensor and its first
+  // sample.  The sensor's battery holds one window of recent values for
+  // all its sliding predictors; the first pair also warms shared caches.
   PaperTestbed T;
   T.sim().runUntil(1.0);
-  EXPECT_LE(watchPathBlocks(T, "alpha1", "hit0"), 33u);
-  EXPECT_LE(watchPathBlocks(T, "alpha2", "hit1"), 19u);
+  EXPECT_LE(watchPathBlocks(T, "alpha1", "hit0"), 26u);
+  EXPECT_LE(watchPathBlocks(T, "alpha2", "hit1"), 12u);
 }
 
 } // namespace

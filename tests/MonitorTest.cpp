@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "grid/Testbed.h"
 #include "monitor/Forecaster.h"
 #include "monitor/InformationService.h"
 #include "monitor/Sensor.h"
@@ -322,47 +323,45 @@ TEST_F(InfoFixture, SensorsHaveStaleness) {
 
 TEST_F(InfoFixture, NameserverSeesAllSensors) {
   // The service is the sensor registry: its path table holds each
-  // watched (client, server) pair's sensors, its host table each
-  // registered host's, and every sensor is primed at creation.
+  // watched (client, server) pair's bandwidth sensor, its host table each
+  // registered host's CPU and I/O sensors, and every sensor is primed at
+  // creation.
   EXPECT_EQ(Info->pathSensorCount(), 0u);
   EXPECT_EQ(Info->bandwidthSensor(Client, Server), nullptr);
   Info->query(Client, *ServerHost);
   EXPECT_EQ(Info->pathSensorCount(), 1u);
   const Sensor *Bw = Info->bandwidthSensor(Client, Server);
-  const Sensor *Lat = Info->latencySensor(Client, Server);
   ASSERT_NE(Bw, nullptr);
-  ASSERT_NE(Lat, nullptr);
   EXPECT_EQ(Bw->history().size(), 1u);
-  EXPECT_EQ(Lat->history().size(), 1u);
   // Paths are directed: the reverse pair was never watched.
   EXPECT_EQ(Info->bandwidthSensor(Server, Client), nullptr);
   EXPECT_NEAR(Info->cpuIdle(*ServerHost), 0.8, 1e-9);
   EXPECT_NEAR(Info->ioIdle(*ServerHost), 0.7, 1e-9);
-  EXPECT_GT(Info->memFree(*ServerHost), 0.0);
 }
 
-TEST_F(InfoFixture, MemorySensorReportsFreeFraction) {
-  Sim.runUntil(20.0);
-  SystemFactors F = Info->query(Client, *ServerHost);
-  // Default memory process hovers at 0.3 used -> 0.7 free (volatility is
-  // the host default here, so allow slack).
-  EXPECT_GT(F.MemFreeFraction, 0.3);
-  EXPECT_LE(F.MemFreeFraction, 1.0);
-  EXPECT_NEAR(Info->memFree(*ServerHost), F.MemFreeFraction, 1e-12);
-}
-
-TEST_F(InfoFixture, LatencySensorTracksRttAndCongestion) {
-  SystemFactors Quiet = Info->query(Client, *ServerHost);
-  // Quiet path: forecast equals the base RTT (2 * 5 ms).
-  EXPECT_NEAR(Quiet.PredictedLatency, 0.010, 1e-6);
-
-  // Saturate the path; after sensor refreshes the latency inflates.
-  FlowOptions Opt;
-  Opt.Streams = 16;
-  Net->startFlow(Server, Client, gigabytes(100), Opt, nullptr);
-  Sim.runUntil(60.0);
-  SystemFactors Busy = Info->query(Client, *ServerHost);
-  EXPECT_GT(Busy.PredictedLatency, Quiet.PredictedLatency * 1.3);
+TEST(PathProbe, OneSolvePerBandwidthSample) {
+  // A watched path costs the network one probe solve per sample: the
+  // bandwidth sensor is the only thing that probes it.
+  PaperTestbed T;
+  T.sim().runUntil(1.0);
+  InformationService &Info = T.grid().info();
+  const FlowNetwork &Net = T.grid().network();
+  const NodeId Client = T.alpha(1).node();
+  const uint64_t Solves0 = Net.probeSolves();
+  std::vector<const Sensor *> Bw;
+  for (const char *Server : {"alpha4", "hit0", "lz02"}) {
+    NodeId S = T.grid().findHost(Server)->node();
+    Info.watchPath(Client, S);
+    Bw.push_back(Info.bandwidthSensor(Client, S));
+  }
+  T.sim().runUntil(101.0);
+  uint64_t Samples = 0;
+  for (const Sensor *S : Bw)
+    Samples += S->version();
+  // Each sensor is primed and first ticks at t = 1 s, then ticks every
+  // 10 s through t = 101 s: 12 samples.
+  EXPECT_EQ(Samples, 3u * 12u);
+  EXPECT_EQ(Net.probeSolves() - Solves0, Samples);
 }
 
 TEST(SysstatFree, MemorySnapshotConsistency) {

@@ -63,45 +63,15 @@ TEST(CostModel, CustomWeightsFlipThePreference) {
 }
 
 TEST(CostModel, ExtendedFactorsDefaultOff) {
-  CostModel M; // Latency/Memory weights are zero.
+  // Eq. (1) is the whole model: under 80/10/10, equal factors score
+  // exactly their common value (0.4 + 0.05 + 0.05 in binary64).
+  CostModel M;
+  EXPECT_EQ(M.weights().sum(), 1.0);
   SystemFactors F;
   F.BwFraction = 0.5;
   F.CpuIdle = 0.5;
   F.IoIdle = 0.5;
-  F.PredictedLatency = 10.0; // Irrelevant unless weighted.
-  F.MemFreeFraction = 0.0;
-  EXPECT_DOUBLE_EQ(M.score(F), 0.5);
-}
-
-TEST(CostModel, LatencyFactorPrefersShortPaths) {
-  CostWeights W;
-  W.Bandwidth = 0.5;
-  W.Cpu = 0.0;
-  W.Io = 0.0;
-  W.Latency = 0.5;
-  CostModel M(W);
-  SystemFactors Near, Far;
-  Near.BwFraction = Far.BwFraction = 0.5;
-  Near.PredictedLatency = 0.002; // Campus LAN.
-  Far.PredictedLatency = 0.200;  // Intercontinental.
-  EXPECT_GT(M.score(Near), M.score(Far));
-  // The latency factor lives in (0, 1]: scores stay normalised.
-  EXPECT_LE(M.score(Near), W.sum());
-}
-
-TEST(CostModel, MemoryFactorPrefersFreeHosts) {
-  CostWeights W;
-  W.Bandwidth = 0.0;
-  W.Cpu = 0.0;
-  W.Io = 0.5;
-  W.Memory = 0.5;
-  CostModel M(W);
-  SystemFactors A, B;
-  A.IoIdle = B.IoIdle = 0.8;
-  A.MemFreeFraction = 0.9;
-  B.MemFreeFraction = 0.1;
-  EXPECT_GT(M.score(A), M.score(B));
-  EXPECT_DOUBLE_EQ(M.score(A), 0.4 + 0.45);
+  EXPECT_EQ(M.score(F), 0.5);
 }
 
 //===----------------------------------------------------------------------===//
@@ -376,7 +346,7 @@ TEST_F(ReplicaFixture, FactorCacheRevalidatesPerSensorEpoch) {
   EXPECT_EQ(Info->factorRecomputes() - R0, 3u)
       << "same sim time, same sensor versions: pure hits";
   // One full bandwidth period re-samples every input sensor (host sensors
-  // tick twice as fast), advancing all five version stamps.
+  // tick twice as fast), advancing all three version stamps.
   Sim.runUntil(Sim.now() + 10.0);
   (void)Sel.scoreAll(ClientNode, "file-a");
   EXPECT_EQ(Info->factorQueries() - Q0, 9u);
@@ -406,12 +376,11 @@ TEST_F(ReplicaFixture, CachedScoresBitIdenticalToUncached) {
     EXPECT_EQ(Warm[I].Factors.IoIdle, Cold[I].Factors.IoIdle);
     EXPECT_EQ(Warm[I].Factors.PredictedBandwidth,
               Cold[I].Factors.PredictedBandwidth);
-    EXPECT_EQ(Warm[I].Factors.PredictedLatency,
-              Cold[I].Factors.PredictedLatency);
-    EXPECT_EQ(Warm[I].Factors.MemFreeFraction,
-              Cold[I].Factors.MemFreeFraction);
+    EXPECT_EQ(Warm[I].Factors.TheoreticalBandwidth,
+              Cold[I].Factors.TheoreticalBandwidth);
     EXPECT_EQ(Warm[I].Factors.BwAgeSeconds, Cold[I].Factors.BwAgeSeconds);
     EXPECT_EQ(Warm[I].Factors.HostAgeSeconds, Cold[I].Factors.HostAgeSeconds);
+    EXPECT_EQ(Warm[I].Factors.BwConfidence, Cold[I].Factors.BwConfidence);
   }
 }
 

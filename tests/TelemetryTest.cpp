@@ -248,7 +248,7 @@ TEST(SensorFaultTest, NoiseIsSeededAndDeterministic) {
 TEST(SensorFaultTest, ClockSkewLiesAboutSampleAgeReadSideOnly) {
   Simulator Sim(45);
   double Value = 5.0;
-  Sensor S(Sim, "mem/h", 1.0, [&] { return Value; });
+  Sensor S(Sim, "cpu/h", 1.0, [&] { return Value; });
   Sim.runUntil(3.5);
   SimTime Truth = S.lastSampleTime();
   EXPECT_DOUBLE_EQ(S.clockSkew(), 0.0);
