@@ -61,7 +61,7 @@ int main() {
     P.add(std::string(Server));
     P.add(fmt::rate(Bw->forecast()));
     P.add(Bw->forecaster().bestMemberName());
-    P.add(static_cast<long long>(Bw->history().size()));
+    P.add(static_cast<long long>(Bw->forecaster().observationCount()));
   }
   P.print(stdout);
 

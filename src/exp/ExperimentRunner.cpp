@@ -10,9 +10,7 @@
 
 #include <cassert>
 #include <chrono>
-#include <future>
 #include <mutex>
-#include <thread>
 
 using namespace dgsim;
 using namespace dgsim::exp;
@@ -31,32 +29,6 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
       .count();
-}
-
-/// Runs one trial under a wall-clock budget.  The task owns copies of the
-/// trial function and point, so an abandoned thread never touches runner
-/// state that has since gone out of scope; its result is simply dropped.
-TrialResult runWithWatchdog(const Scenario &S, const TrialPoint &P,
-                            double TimeoutSeconds, bool &TimedOut) {
-  std::packaged_task<TrialResult()> Task(
-      [Run = S.Run, P] { return Run(P); });
-  std::future<TrialResult> Fut = Task.get_future();
-  std::thread Worker(std::move(Task));
-  if (Fut.wait_for(std::chrono::duration<double>(TimeoutSeconds)) ==
-      std::future_status::ready) {
-    Worker.join();
-    TimedOut = false;
-    return Fut.get();
-  }
-  Worker.detach();
-  TimedOut = true;
-  // Sinks render every declared metric per trial, so the synthesized
-  // record must carry them all; zero is the honest value for a trial that
-  // produced nothing.
-  TrialResult R;
-  for (const std::string &M : S.Metrics)
-    R.set(M, 0.0);
-  return R;
 }
 
 } // namespace
@@ -85,15 +57,7 @@ std::vector<TrialRecord> ExperimentRunner::run(const Scenario &S,
 
   auto RunOne = [&](size_t I) {
     auto TrialStart = std::chrono::steady_clock::now();
-    TrialResult Result;
-    if (Options.TrialTimeoutSeconds > 0.0) {
-      bool TimedOut = false;
-      Result = runWithWatchdog(S, Points[I], Options.TrialTimeoutSeconds,
-                               TimedOut);
-      Result.set("timed_out", TimedOut ? 1.0 : 0.0);
-    } else {
-      Result = S.Run(Points[I]);
-    }
+    TrialResult Result = S.Run(Points[I]);
     double Wall = secondsSince(TrialStart);
     std::lock_guard<std::mutex> Lock(EmitMutex);
     Records[I].Point = Points[I];

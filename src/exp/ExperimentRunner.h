@@ -44,13 +44,6 @@ struct RunnerOptions {
   unsigned Jobs = 1;
   /// Sinks to stream results into (not owned; may be empty).
   std::vector<MetricSink *> Sinks;
-  /// Wall-clock watchdog per trial, seconds; 0 (the default) disables it.
-  /// A trial that blows the budget is abandoned on its worker thread and
-  /// reported with every declared metric zeroed plus `timed_out` = 1, so
-  /// one runaway simulation cannot hang a whole sweep and the JSON
-  /// document says exactly which point died.  When enabled, every trial
-  /// carries a `timed_out` metric (0 or 1) so documents stay uniform.
-  double TrialTimeoutSeconds = 0.0;
 };
 
 /// Executes scenarios.

@@ -94,11 +94,8 @@ Site &DataGrid::addSite(const SiteConfig &Config) {
     HC.Name = Spec.Name;
     HC.CpuSpeed = Spec.CpuSpeed;
     HC.NicRate = Spec.NicRate;
-    HC.MemoryBytes = Spec.MemoryBytes;
     HC.Cpu.MeanLoad = Spec.CpuMeanLoad;
     HC.Cpu.Volatility = Spec.LoadVolatility;
-    HC.Memory.MeanLoad = Spec.MemMeanLoad;
-    HC.Memory.Volatility = Spec.LoadVolatility;
     HC.DiskCfg.ReadRate = Spec.DiskReadRate;
     HC.DiskCfg.WriteRate = Spec.DiskWriteRate;
     HC.DiskCfg.Background.MeanLoad = Spec.IoMeanLoad;
@@ -270,11 +267,11 @@ void DataGrid::setFaultPlan(const FaultPlan &Plan) {
   Spec.Faults = Plan;
 }
 
-TransferLog &DataGrid::enableTransferLog(size_t HistoryCapacity) {
+TransferLog &DataGrid::enableTransferLog() {
   assert(finalized() && "enableTransferLog() before finalize()");
   if (Log)
     return *Log;
-  Log = std::make_unique<TransferLog>(HistoryCapacity);
+  Log = std::make_unique<TransferLog>();
   InfoService->setTransferLog(Log.get());
   // Every single-source completion that moved data becomes a path
   // observation.  Striped transfers are skipped (no single path to
@@ -290,10 +287,8 @@ TransferLog &DataGrid::enableTransferLog(size_t HistoryCapacity) {
         if (R.DataSeconds <= 0.0 || R.FileBytes <= 0.0)
           return;
         TransferObservation O;
-        O.When = Sim.now();
         O.FileBytes = R.FileBytes;
         O.Streams = R.Streams;
-        O.Seconds = R.DataSeconds;
         O.Throughput = R.FileBytes * 8.0 / R.DataSeconds;
         const Sensor *Bw = InfoService->bandwidthSensor(
             S.Destination->node(), S.Source->node());

@@ -172,14 +172,14 @@ public:
   FaultInjector *faults() { return Injector.get(); }
 
   /// Turns on completed-transfer feedback: a TransferLog fed by every
-  /// completion (size, streams, duration, achieved throughput) is
+  /// completion (size, streams, achieved throughput) is
   /// attached to the information service, whose bandwidth predictions
   /// then flow through each path's probe-vs-log minimum-MSE
   /// meta-selector.  Runtime configuration like setRetryPolicy — not part
   /// of spec(); a grid without this call is bit-identical to one built
   /// before the log existed.  Must be called after finalize(); idempotent.
   /// \returns the log (also reachable via transferLog()).
-  TransferLog &enableTransferLog(size_t HistoryCapacity = 256);
+  TransferLog &enableTransferLog();
 
   /// \returns the attached log, or nullptr when feedback is off.
   TransferLog *transferLog() { return Log.get(); }

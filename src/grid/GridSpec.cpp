@@ -245,10 +245,8 @@ std::string GridSpec::canonicalJson() const {
       W.member("nic_rate", H.NicRate);
       W.member("disk_read_rate", H.DiskReadRate);
       W.member("disk_write_rate", H.DiskWriteRate);
-      W.member("memory_bytes", H.MemoryBytes);
       W.member("cpu_mean_load", H.CpuMeanLoad);
       W.member("io_mean_load", H.IoMeanLoad);
-      W.member("mem_mean_load", H.MemMeanLoad);
       W.member("load_volatility", H.LoadVolatility);
       W.endObject();
     }

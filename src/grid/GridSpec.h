@@ -45,11 +45,9 @@ struct SiteHostSpec {
   BitRate NicRate = 1e9;
   BitRate DiskReadRate = 400e6;
   BitRate DiskWriteRate = 320e6;
-  double MemoryBytes = 1024.0 * 1024.0 * 1024.0;
   /// Operating points of the stochastic load processes.
   double CpuMeanLoad = 0.2;
   double IoMeanLoad = 0.1;
-  double MemMeanLoad = 0.4;
   /// Diffusion of the load processes (0 = frozen at the mean).
   double LoadVolatility = 0.05;
 };

@@ -29,7 +29,7 @@ GridSpec PaperTestbed::spec(const PaperTestbedOptions &Options) {
   auto MakeSite = [&](const char *SiteName, const char *HostPrefix,
                       int FirstIndex, double CpuSpeed, BitRate Nic,
                       BitRate DiskRead, BitRate DiskWrite, BitRate Lan,
-                      double MemoryMB, double CpuLoad, double IoLoad) {
+                      double CpuLoad, double IoLoad) {
     SiteConfig S;
     S.Name = SiteName;
     S.LanCapacity = Lan;
@@ -43,7 +43,6 @@ GridSpec PaperTestbed::spec(const PaperTestbedOptions &Options) {
       H.NicRate = Nic;
       H.DiskReadRate = DiskRead;
       H.DiskWriteRate = DiskWrite;
-      H.MemoryBytes = megabytes(MemoryMB);
       H.CpuMeanLoad = CpuLoad;
       H.IoMeanLoad = IoLoad;
       H.LoadVolatility = Vol;
@@ -52,18 +51,15 @@ GridSpec PaperTestbed::spec(const PaperTestbedOptions &Options) {
     Spec.Sites.push_back(std::move(S));
   };
 
-  // Per-host RAM follows the paper: 1 GB DDR (THU), 256 MB (Li-Zen),
-  // 512 MB (HIT).
   // THU: fast hosts, a lightly loaded university cluster.
   MakeSite("thu", "alpha", 1, ThuCpuSpeed, gbps(1), mbps(400), mbps(320),
-           gbps(1), /*MemoryMB=*/1024, /*CpuLoad=*/0.20, /*IoLoad=*/0.12);
+           gbps(1), /*CpuLoad=*/0.20, /*IoLoad=*/0.12);
   // Li-Zen: slow hosts (the high-school lab), mostly idle machines.
   MakeSite("lizen", "lz0", 1, LiZenCpuSpeed, mbps(100), mbps(240),
-           mbps(200), mbps(100), /*MemoryMB=*/256, /*CpuLoad=*/0.10,
-           /*IoLoad=*/0.08);
+           mbps(200), mbps(100), /*CpuLoad=*/0.10, /*IoLoad=*/0.08);
   // HIT: fast hosts with a busier local workload.
   MakeSite("hit", "hit", 0, HitCpuSpeed, gbps(1), mbps(480), mbps(400),
-           gbps(1), /*MemoryMB=*/512, /*CpuLoad=*/0.35, /*IoLoad=*/0.25);
+           gbps(1), /*CpuLoad=*/0.35, /*IoLoad=*/0.25);
 
   // TANet-like backbone.  Clean gigabit access for the universities; the
   // high school hangs off a long, lossy 30 Mb/s municipal link — which is

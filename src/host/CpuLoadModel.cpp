@@ -27,20 +27,12 @@ CpuLoadModel::CpuLoadModel(Simulator &Sim, CpuLoadConfig Config,
   } else {
     TickHandle = Sim.schedulePeriodic(Config.UpdatePeriod, [this] { tick(); });
   }
-  if (Config.BurstMeanInterarrival > 0.0)
-    scheduleBurst();
 }
 
 CpuLoadModel::~CpuLoadModel() {
   if (Batch)
     Batch->remove(*this);
   Sim.cancelPeriodic(TickHandle);
-  if (BurstArrival != InvalidEventId)
-    Sim.cancel(BurstArrival);
-}
-
-double CpuLoadModel::load() const {
-  return std::clamp(BaseLoad + ActiveBursts * Config.BurstLoad, 0.0, 1.0);
 }
 
 void CpuLoadModel::tick() {
@@ -49,15 +41,4 @@ void CpuLoadModel::tick() {
   BaseLoad += Config.Reversion * (Config.MeanLoad - BaseLoad) * Dt +
               Config.Volatility * SqrtDt * Rng.normal(0.0, 1.0);
   BaseLoad = std::clamp(BaseLoad, 0.0, 1.0);
-}
-
-void CpuLoadModel::scheduleBurst() {
-  SimTime Gap = Rng.exponential(Config.BurstMeanInterarrival);
-  BurstArrival = Sim.scheduleDaemon(Gap, [this] {
-    BurstArrival = InvalidEventId;
-    ActiveBursts += 1.0;
-    SimTime Duration = Rng.exponential(Config.BurstMeanDuration);
-    Sim.scheduleDaemon(Duration, [this] { ActiveBursts -= 1.0; });
-    scheduleBurst();
-  });
 }

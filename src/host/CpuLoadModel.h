@@ -10,9 +10,7 @@
 /// The paper treats CPU load as "a dynamic system factor" measured through
 /// MDS: grid hosts run local cluster jobs, so utilisation wanders around a
 /// site-specific operating point.  We model it as a clipped
-/// Ornstein-Uhlenbeck process updated on a fixed tick, optionally overlaid
-/// with Poisson job bursts that pin the CPU near 100% for an exponential
-/// duration — the "somebody started a BLAST run" event.
+/// Ornstein-Uhlenbeck process updated on a fixed tick.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,12 +39,6 @@ struct CpuLoadConfig {
   double Volatility = 0.05;
   /// Tick period, seconds.
   SimTime UpdatePeriod = 1.0;
-  /// Mean time between burst jobs, seconds (0 disables bursts).
-  SimTime BurstMeanInterarrival = 0.0;
-  /// Mean burst duration, seconds.
-  SimTime BurstMeanDuration = 30.0;
-  /// Extra utilisation a burst adds (result is clipped to [0, 1]).
-  double BurstLoad = 0.6;
 };
 
 /// A live CPU-load process attached to a simulator.
@@ -54,10 +46,9 @@ struct CpuLoadConfig {
 /// Self-scheduled by default (one periodic kernel event per model, the
 /// historical behaviour).  When constructed with a CpuLoadBatch the batch
 /// drives the OU ticks instead, multiplexing any number of same-period
-/// models behind one kernel event; burst arrivals stay self-scheduled
-/// (they are Poisson events at irregular times).  Either way each model
-/// advances its own forked RNG stream exactly once per tick, so the load
-/// trajectory is identical in both modes and at any thread count.
+/// models behind one kernel event.  Either way each model advances its own
+/// forked RNG stream exactly once per tick, so the load trajectory is
+/// identical in both modes.
 class CpuLoadModel {
 public:
   CpuLoadModel(Simulator &Sim, CpuLoadConfig Config,
@@ -68,7 +59,7 @@ public:
   CpuLoadModel &operator=(const CpuLoadModel &) = delete;
 
   /// \returns current utilisation in [0, 1].
-  double load() const;
+  double load() const { return BaseLoad; }
 
   /// \returns current idle fraction, the paper's P^CPU factor.
   double idleFraction() const { return 1.0 - load(); }
@@ -79,16 +70,13 @@ private:
   friend CpuLoadBatch;
 
   void tick();
-  void scheduleBurst();
 
   Simulator &Sim;
   CpuLoadConfig Config;
   RandomEngine Rng;
-  double BaseLoad;      // OU component.
-  double SqrtDt = 0.0;  // sqrt(UpdatePeriod), hoisted out of tick().
-  double ActiveBursts = 0.0;
+  double BaseLoad;     // OU level, clamped to [0, 1] by tick().
+  double SqrtDt = 0.0; // sqrt(UpdatePeriod), hoisted out of tick().
   EventId TickHandle = InvalidEventId;
-  EventId BurstArrival = InvalidEventId;
   /// Batch membership (batch-driven mode); maintained by CpuLoadBatch.
   CpuLoadBatch *Batch = nullptr;
   size_t BatchPos = 0;

@@ -11,14 +11,22 @@
 
 using namespace dgsim;
 
+/// Draws and drops the root-stream fork a host's memory-load process took,
+/// between the CPU and disk models, before that process was deleted.
+/// Without it the disk model and every component built after the host
+/// draw from a shifted seed, and every golden, journal and digest moves.
+static Simulator &skipRetiredMemoryFork(Simulator &Sim) {
+  Sim.forkRng();
+  return Sim;
+}
+
 Host::Host(Simulator &Sim, HostConfig Config, NodeId Node,
            CpuLoadBatch *LoadBatch)
     : Config(Config), Node(Node), Cpu(Sim, Config.Cpu, LoadBatch),
-      Mem(Sim, Config.Memory, LoadBatch), Dsk(Sim, Config.DiskCfg, LoadBatch) {
+      Dsk(skipRetiredMemoryFork(Sim), Config.DiskCfg, LoadBatch) {
   assert(!Config.Name.empty() && "hosts need a name");
   assert(Config.CpuSpeed > 0.0 && "non-positive CPU speed");
   assert(Config.NicRate > 0.0 && "non-positive NIC rate");
-  assert(Config.MemoryBytes > 0.0 && "non-positive memory size");
   assert(Config.CpuTransferPenalty >= 0.0 && Config.CpuTransferPenalty <= 1.0 &&
          "CPU transfer penalty outside [0, 1]");
 }

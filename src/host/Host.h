@@ -35,24 +35,19 @@ struct HostConfig {
   double CpuSpeed = 1.0;
   /// NIC line rate, bits/second.
   BitRate NicRate = 1e9;
-  /// Physical memory, bytes (NWS also senses available non-paged memory).
-  double MemoryBytes = 1024.0 * 1024.0 * 1024.0;
   /// Fraction of transfer throughput lost per unit CPU load; about 20%
   /// at full load matches the "slight effect" observation.
   double CpuTransferPenalty = 0.2;
   CpuLoadConfig Cpu;
-  /// Memory-usage process (same clipped-OU machinery as CPU load).
-  CpuLoadConfig Memory;
   DiskConfig DiskCfg;
 };
 
 /// A live host bound to a topology node.
 class Host {
 public:
-  /// \param LoadBatch optional shared tick driver: when non-null the CPU,
-  /// memory and disk-background OU processes join it instead of owning
-  /// periodic events of their own (trajectories are identical; see
-  /// CpuLoadBatch).
+  /// \param LoadBatch optional shared batch: when non-null the CPU and
+  /// disk-background OU processes join it instead of owning periodic
+  /// events of their own (trajectories are identical; see CpuLoadBatch).
   Host(Simulator &Sim, HostConfig Config, NodeId Node,
        CpuLoadBatch *LoadBatch = nullptr);
 
@@ -68,15 +63,6 @@ public:
 
   /// Current I/O idle fraction — the paper's P^{I/O}_j.
   double ioIdle() const { return Dsk.idleFraction(); }
-
-  /// Fraction of physical memory currently free (what sysstat's `free`
-  /// reports; no sensor samples it).
-  double memFreeFraction() const { return Mem.idleFraction(); }
-
-  /// Free physical memory in bytes.
-  double memFreeBytes() const {
-    return Config.MemoryBytes * memFreeFraction();
-  }
 
   //===--------------------------------------------------------------------===//
   // Availability (fault injection flips these; see src/fault/)
@@ -123,7 +109,6 @@ private:
   HostConfig Config;
   NodeId Node;
   CpuLoadModel Cpu;
-  CpuLoadModel Mem;
   Disk Dsk;
   bool Up = true;
   bool StorageUp = true;

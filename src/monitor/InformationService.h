@@ -22,8 +22,9 @@
 ///
 /// The service is also the sensor registry (the NWS nameserver's role):
 /// its host table and (client, server) path table index every sensor it
-/// owns, and their keys keep sensor names unique.  Each sensor's
-/// history() is the stored series (the NWS memory's role).
+/// owns, and their keys keep sensor names unique.  No series is stored
+/// beyond each sensor's last sample and its forecaster's 40-value window
+/// (the NWS memory's role).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,8 +147,8 @@ struct InformationServiceConfig {
   /// Destroy path sensors that no query has touched for this long (a
   /// later query recreates them).  0 keeps every path sensor forever.
   SimTime PathSensorTtl = 0.0;
-  /// Drive every host-load OU process (CPU, memory, disk background) from
-  /// one shared CpuLoadBatch instead of three periodic events per host.
+  /// Drive every host-load OU process (CPU, disk background) from one
+  /// shared CpuLoadBatch instead of two periodic events per host.
   /// Load trajectories are identical either way (each model owns its RNG
   /// stream); only the kernel event population changes, so large-grid
   /// benches opt in.  Consumed by DataGrid, carried here with the other

@@ -193,20 +193,10 @@ void TransferForecaster::fillRobustScratch() const {
   }
 }
 
-void TransferForecaster::setRobustArms(bool V) {
-  if (RobustArms == V)
-    return;
-  RobustArms = V;
-  ++StateVersion;
-}
-
 void TransferForecaster::setQuarantine(bool V) {
-  if (Quarantine == V)
-    return;
   Quarantine = V;
   if (V && Health.empty())
     Health.resize(ArmCount);
-  ++StateVersion;
 }
 
 bool TransferForecaster::armBenched(size_t I) const {
@@ -243,7 +233,6 @@ void TransferForecaster::updateQuarantine(size_t I, double R) {
       H.BenchLen = size_t{8} << std::min(H.Trips - 1, 5u);
       H.BandMedian = S.Median;
       H.BandScale = Scale;
-      ++StateVersion;
     }
     return;
   }
@@ -255,13 +244,11 @@ void TransferForecaster::updateQuarantine(size_t I, double R) {
   if (H.Ewma <= H.BandMedian + 2.0 * H.BandScale) {
     H.Benched = false;
     H.Trips /= 2; // Earned trust halves the re-trip backoff.
-    ++StateVersion;
   } else {
     ++H.Trips;
     ++Benches;
     H.BenchedAt = Observations;
     H.BenchLen = size_t{8} << std::min(H.Trips - 1, 5u);
-    ++StateVersion;
   }
 }
 

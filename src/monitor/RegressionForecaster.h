@@ -37,15 +37,11 @@ namespace dgsim {
 
 /// One completed transfer as the log records it.
 struct TransferObservation {
-  /// Completion time (sim clock).
-  SimTime When = 0.0;
   /// Payload bytes requested (the range length for partial fetches).
   Bytes FileBytes = 0.0;
   /// Parallel TCP streams the transfer ran with.
   unsigned Streams = 1;
-  /// Data-phase duration, seconds (> 0 for a logged observation).
-  SimTime Seconds = 0.0;
-  /// Achieved payload throughput, bits/second (FileBytes * 8 / Seconds).
+  /// Achieved payload throughput over the data phase, bits/second.
   BitRate Throughput = 0.0;
 };
 
@@ -195,12 +191,11 @@ public:
   size_t observationCount() const { return Observations; }
 
   /// Enables the robust arms (6: trimmed mean, 7: Huber line) and their
-  /// observation window.  Off by default; flipping bumps stateVersion().
-  void setRobustArms(bool V);
+  /// observation window.  Off by default.
+  void setRobustArms(bool V) { RobustArms = V; }
   bool robustArms() const { return RobustArms; }
 
-  /// Enables the per-arm quarantine.  Off by default; flipping bumps
-  /// stateVersion().
+  /// Enables the per-arm quarantine.  Off by default.
   void setQuarantine(bool V);
   bool quarantineEnabled() const { return Quarantine; }
 
@@ -209,13 +204,6 @@ public:
 
   /// \returns cumulative bench events (trips + re-trips) across arms.
   uint64_t benchCount() const { return Benches; }
-
-  /// \returns a counter covering everything predict()/bestArm() read
-  /// that the observation count alone does not: robust/quarantine config
-  /// flips and quarantine state transitions.  The factor cache stamps it
-  /// (alongside the per-path log version) so cached == uncached stays
-  /// bit-identical with the robust pipeline on.
-  uint64_t stateVersion() const { return StateVersion; }
 
 private:
   /// Power-of-two MB size classes: bucket 0 holds (0, 1] MB, bucket k
@@ -251,7 +239,6 @@ private:
   mutable std::vector<double> ScratchX, ScratchY;
   std::vector<ArmQuarantine> Health; // ArmCount entries when quarantining.
   uint64_t Benches = 0;
-  uint64_t StateVersion = 0;
 };
 
 } // namespace dgsim

@@ -13,23 +13,20 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 using namespace dgsim;
 
 Sensor::Sensor(Simulator &Sim, std::string Name, SimTime Period,
-               std::function<double()> Measure, size_t HistoryCapacity)
-    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)),
-      History(HistoryCapacity) {
+               std::function<double()> Measure)
+    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)) {
   assert(Period > 0.0 && "sensors need a positive period");
   assert(this->Measure && "sensors need a measurement closure");
   Periodic = Sim.schedulePeriodic(Period, [this] { sampleNow(); });
 }
 
 Sensor::Sensor(Simulator &Sim, std::string Name, SensorBatch &Batch,
-               std::function<double()> Measure, size_t HistoryCapacity)
-    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)),
-      History(HistoryCapacity) {
+               std::function<double()> Measure)
+    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)) {
   assert(this->Measure && "sensors need a measurement closure");
   Batch.add(*this);
 }
@@ -44,19 +41,6 @@ void Sensor::sampleNow() {
   if (Suspended)
     return;
   record(Sim.now(), Measure());
-}
-
-double Sensor::lastValue() const {
-  return History.empty() ? 0.0 : History.latest().Value;
-}
-
-SimTime Sensor::lastSampleTime() const {
-  if (History.empty())
-    return -std::numeric_limits<double>::infinity();
-  // An active clock skew lies at *read* time: stored timestamps stay
-  // truthful (and monotone), the reported one drifts while the fault is
-  // in force and snaps back the moment it lifts.
-  return History.latest().Time + clockSkew();
 }
 
 double Sensor::clockSkew() const {
@@ -138,9 +122,9 @@ void Sensor::recordSlow(SimTime Now, double Value) {
       return;
     }
     if (F.StuckDepth) {
-      if (History.empty())
+      if (Fc.observationCount() == 0)
         return; // Nothing to freeze at yet: stuck-from-birth stays mute.
-      Value = History.latest().Value;
+      Value = Last.Value;
     } else {
       if (F.BiasDepth)
         Value = Value * F.BiasFactor + F.BiasOffset;
@@ -152,7 +136,7 @@ void Sensor::recordSlow(SimTime Now, double Value) {
   }
   if (GateCfg && !Gate.admit(Value, *GateCfg))
     return; // Rejected: counted by the gate, surfaced by the service.
-  History.add(Now, Value);
+  Last = {Now, Value};
   Fc.observe(Value);
   ++Version;
 }

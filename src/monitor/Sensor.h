@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The nws_sensor analogue: a process that periodically measures one scalar
-/// (available bandwidth, CPU idle %, I/O idle %), stores the sample in its
-/// history() (the nws_memory analogue: there is no separate store), and
-/// feeds an NwsForecaster so consumers can ask for a prediction instead of
-/// a stale last reading.  A sensor holds only its own state; the
-/// InformationService that owns it indexes it by host or path.
+/// (available bandwidth, CPU idle %, I/O idle %), keeps its last sample,
+/// and feeds an NwsForecaster so consumers can ask for a prediction instead
+/// of a stale last reading.  The forecaster's 40-value window is the only
+/// stored series (the nws_memory analogue).  A sensor holds only its own
+/// state; the InformationService that owns it indexes it by host or path.
 ///
 /// Sensors come in two scheduling modes.  A self-scheduled sensor owns one
 /// periodic kernel event (the historical behaviour, and still the default).
@@ -31,6 +31,7 @@
 #include "support/TimeSeries.h"
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -80,15 +81,14 @@ public:
   /// \param Name unique sensor name, e.g. "bw/alpha1->hit0".
   /// \param Period sampling period, seconds.
   /// \param Measure closure producing the current value of the resource.
-  /// \param HistoryCapacity samples retained (0 = unbounded).
   Sensor(Simulator &Sim, std::string Name, SimTime Period,
-         std::function<double()> Measure, size_t HistoryCapacity = 512);
+         std::function<double()> Measure);
 
   /// Batch-driven: the sensor is sampled whenever \p Batch ticks (plus the
   /// registration-time sample the batch takes on add).  It owns no kernel
   /// event and detaches from the batch on destruction.
   Sensor(Simulator &Sim, std::string Name, SensorBatch &Batch,
-         std::function<double()> Measure, size_t HistoryCapacity = 512);
+         std::function<double()> Measure);
 
   ~Sensor();
 
@@ -98,10 +98,12 @@ public:
   const std::string &name() const { return Name; }
 
   /// \returns the most recent sample value; 0 before the first sample.
-  double lastValue() const;
+  double lastValue() const { return Last.Value; }
 
   /// \returns the time of the most recent sample, or -inf when none.
-  SimTime lastSampleTime() const;
+  /// An active clock skew lies at read time only: the stored time stays
+  /// truthful, and the reported one snaps back when the fault lifts.
+  SimTime lastSampleTime() const { return Last.Time + clockSkew(); }
 
   /// \returns the NWS forecast of the next value.
   double forecast() const { return Fc.predict(); }
@@ -113,11 +115,9 @@ public:
   /// InformationService's factor cache (DESIGN.md §13).
   uint64_t version() const { return Version; }
 
-  /// \returns the adaptive forecaster (for error introspection).
+  /// \returns the adaptive forecaster (for error introspection; its
+  /// observationCount() is the number of samples ingested).
   const NwsForecaster &forecaster() const { return Fc; }
-
-  /// \returns the stored measurement history.
-  const TimeSeries &history() const { return History; }
 
   /// Takes one sample immediately, outside the periodic schedule.
   /// No-op while suspended.
@@ -171,7 +171,7 @@ private:
   /// One batch tick: a scheduled sample.
   void tick() { sampleNow(); }
 
-  /// Ingests one already-measured sample: history + forecaster battery.
+  /// Ingests one already-measured sample: last sample + forecaster.
   /// The corrupted/gated path branches out once, so the healthy fast path
   /// stays two pointer-width checks.
   void record(SimTime Now, double Value) {
@@ -179,7 +179,7 @@ private:
       recordSlow(Now, Value);
       return;
     }
-    History.add(Now, Value);
+    Last = {Now, Value};
     Fc.observe(Value);
     ++Version;
   }
@@ -193,7 +193,8 @@ private:
   Simulator &Sim;
   std::string Name;
   std::function<double()> Measure;
-  TimeSeries History;
+  /// The most recent ingested sample; Time is -inf before the first.
+  Sample Last{-std::numeric_limits<double>::infinity(), 0.0};
   NwsForecaster Fc;
   EventId Periodic = InvalidEventId;
   /// Batch membership (batch-driven mode); maintained by SensorBatch.

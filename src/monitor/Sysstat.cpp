@@ -41,25 +41,6 @@ std::string sysstat::formatIostat(const Host &H) {
   return std::string(Buf);
 }
 
-FreeReport sysstat::collectFree(const Host &H) {
-  FreeReport R;
-  R.TotalBytes = H.config().MemoryBytes;
-  R.FreeBytes = H.memFreeBytes();
-  R.UsedBytes = R.TotalBytes - R.FreeBytes;
-  return R;
-}
-
-std::string sysstat::formatFree(const Host &H) {
-  FreeReport R = collectFree(H);
-  const double MB = 1024.0 * 1024.0;
-  char Buf[160];
-  std::snprintf(Buf, sizeof(Buf),
-                "%-10s total %6.0f MB  used %6.0f MB  free %6.0f MB",
-                H.name().c_str(), R.TotalBytes / MB, R.UsedBytes / MB,
-                R.FreeBytes / MB);
-  return std::string(Buf);
-}
-
 std::string sysstat::formatSar(const Host &H) {
   SarCpuReport R = collectSar(H);
   char Buf[160];

@@ -45,13 +45,6 @@ struct IostatReport {
   double IdleFraction = 0.0;
 };
 
-/// One `free`-shaped memory snapshot.
-struct FreeReport {
-  double TotalBytes = 0.0;
-  double UsedBytes = 0.0;
-  double FreeBytes = 0.0;
-};
-
 namespace sysstat {
 
 /// Fraction of CPU busy time attributed to user code.
@@ -65,12 +58,6 @@ SarCpuReport collectSar(const Host &H);
 
 /// Collects a device snapshot from a host's disk.
 IostatReport collectIostat(const Host &H);
-
-/// Collects a memory snapshot from a host.
-FreeReport collectFree(const Host &H);
-
-/// Renders a one-line, free-like summary (for tool output).
-std::string formatFree(const Host &H);
 
 /// Renders a one-line, iostat-like summary (for tool output).
 std::string formatIostat(const Host &H);

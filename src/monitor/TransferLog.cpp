@@ -14,11 +14,6 @@ static uint64_t logKey(NodeId Server, NodeId Client) {
   return (static_cast<uint64_t>(Server) << 32) | Client;
 }
 
-TransferLog::TransferLog(size_t HistoryCapacity)
-    : HistoryCapacity(HistoryCapacity) {
-  assert(HistoryCapacity > 0 && "the observation ring needs capacity");
-}
-
 TransferLog::PathLog &TransferLog::pathFor(uint64_t Key) {
   auto [It, Inserted] = Paths.try_emplace(Key);
   if (Inserted) {
@@ -32,19 +27,13 @@ void TransferLog::applyCorrupt(CorruptState &C, TransferObservation &O) {
   if (C.Depth == 0)
     return;
   // Heavy-tailed multiplicative poison: median 1, occasional order-of-
-  // magnitude lies in both directions.  Duration is rewritten so the
-  // corrupted record stays internally consistent (a log consumer cannot
-  // cross-check its way out).
-  double Factor = C.Rng->logNormal(0.0, C.Scale);
-  O.Throughput *= Factor;
-  if (O.Throughput > 0.0)
-    O.Seconds = O.FileBytes * 8.0 / O.Throughput;
+  // magnitude lies in both directions.
+  O.Throughput *= C.Rng->logNormal(0.0, C.Scale);
   ++Corrupted;
 }
 
 void TransferLog::append(NodeId Server, NodeId Client,
                          const TransferObservation &O, double ProbeForecast) {
-  assert(O.Seconds > 0.0 && "logged transfers must have a data phase");
   uint64_t Key = logKey(Server, Client);
   TransferObservation Obs = O;
   applyCorrupt(GlobalCorrupt, Obs);
@@ -56,17 +45,10 @@ void TransferLog::append(NodeId Server, NodeId Client,
   PathLog &P = pathFor(Key);
   if (GateAppends && !P.PathGate.admit(Obs.Throughput, Gate)) {
     // Implausible append: counted, never trained on.  Nothing a reader
-    // can observe through predict()/history() changed, so the path
-    // version (and with it the factor cache) stays put.
+    // can observe through predict() changed, so the path version (and
+    // with it the factor cache) stays put.
     ++Rejected;
     return;
-  }
-  if (P.Ring.size() < HistoryCapacity) {
-    P.Ring.push_back(Obs);
-    ++P.Count;
-  } else {
-    P.Ring[P.Head] = Obs;
-    P.Head = P.Head + 1 == HistoryCapacity ? 0 : P.Head + 1;
   }
   P.Fc.observe(Obs, ProbeForecast);
   ++P.Version;
@@ -142,17 +124,4 @@ const TransferForecaster *TransferLog::forecaster(NodeId Server,
                                                   NodeId Client) const {
   auto It = Paths.find(logKey(Server, Client));
   return It == Paths.end() ? nullptr : &It->second.Fc;
-}
-
-std::vector<TransferObservation>
-TransferLog::history(NodeId Server, NodeId Client) const {
-  std::vector<TransferObservation> Out;
-  auto It = Paths.find(logKey(Server, Client));
-  if (It == Paths.end())
-    return Out;
-  const PathLog &P = It->second;
-  Out.reserve(P.Count);
-  for (size_t I = 0; I != P.Count; ++I)
-    Out.push_back(P.Ring[(P.Head + I) % P.Ring.size()]);
-  return Out;
 }

@@ -7,14 +7,15 @@
 /// \file
 /// The second data source of the monitoring layer: where sensors *probe*
 /// links on a schedule, the TransferLog *observes* every completed GridFTP
-/// transfer (size, streams, duration, achieved throughput) per
-/// (server, client) path — the end-to-end signal Allcock et al. argue
-/// actually predicts replica fetch time.  Each path keeps a ring-buffered
-/// observation history and a TransferForecaster (the probe-vs-log
-/// minimum-MSE meta-selector), and a sensor-style version counter bumped
-/// on every append so InformationService's factor cache revalidates in
-/// one integer compare — appends never disturb the epoch-cached fast
-/// path, they just invalidate exactly the entries they affect.
+/// transfer (size, streams, achieved throughput) per (server, client)
+/// path — the end-to-end signal Allcock et al. argue actually predicts
+/// replica fetch time.  Each path keeps a TransferForecaster (the
+/// probe-vs-log minimum-MSE meta-selector, trained on running
+/// least-squares sums and, with the robust arms on, a 64-observation
+/// window) and a sensor-style version counter bumped on every append so
+/// InformationService's factor cache revalidates in one integer compare —
+/// appends never disturb the epoch-cached fast path, they just invalidate
+/// exactly the entries they affect.  No observation is stored.
 ///
 /// Appends happen inside transfer-completion callbacks on the simulator's
 /// one thread, so the log needs no synchronisation.
@@ -32,17 +33,12 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 namespace dgsim {
 
 /// Per-path transfer observations and log-trained predictors.
 class TransferLog {
 public:
-  /// \p HistoryCapacity bounds the per-path observation ring (the running
-  /// fits see every observation; the ring is the introspectable window).
-  explicit TransferLog(size_t HistoryCapacity = 256);
-
   /// Records a completed transfer \p Server -> \p Client.  \p ProbeForecast
   /// is the path's NWS bandwidth forecast at completion time (NaN when no
   /// probe sensor exists yet); it scores the meta-selector's probe arm.
@@ -67,11 +63,6 @@ public:
   /// (per-arm introspection for the prediction-accuracy harness).
   const TransferForecaster *forecaster(NodeId Server, NodeId Client) const;
 
-  /// \returns the path's ring-buffered observations, oldest first; empty
-  /// when never appended to.  Copies (the ring is not contiguous).
-  std::vector<TransferObservation> history(NodeId Server,
-                                           NodeId Client) const;
-
   /// \returns observations appended across all paths.
   uint64_t totalAppends() const { return Appends; }
 
@@ -84,8 +75,8 @@ public:
 
   /// Enables the robust pipeline over every path (existing and future):
   /// \p GateAppends runs each append's throughput through a median/MAD
-  /// plausibility gate (rejected appends are counted and neither train
-  /// the arms nor enter the ring), \p RobustArms / \p Quarantine forward
+  /// plausibility gate (rejected appends are counted and never train the
+  /// arms), \p RobustArms / \p Quarantine forward
   /// to TransferForecaster.  Any change bumps configVersion().
   void setRobust(bool GateAppends, bool RobustArms, bool Quarantine);
 
@@ -110,7 +101,7 @@ public:
 
   /// Begins/ends a poisoned-append window: while active, each append's
   /// throughput is multiplied by a seeded heavy-tailed factor
-  /// (lognormal(0, Scale)), with the duration rewritten to match.
+  /// (lognormal(0, Scale)).
   /// Global and per-path scopes nest independently, depth-counted; nested
   /// windows of the same scope share the innermost seed/scale.
   void beginCorrupt(uint64_t Seed, double Scale);
@@ -124,11 +115,6 @@ public:
 
 private:
   struct PathLog {
-    /// Ring of the last HistoryCapacity observations; Head is the oldest
-    /// once full.
-    std::vector<TransferObservation> Ring;
-    size_t Head = 0;
-    size_t Count = 0;
     TransferForecaster Fc;
     PlausibilityGate PathGate;
     uint64_t Version = 0;
@@ -149,7 +135,6 @@ private:
   /// Keyed by (server << 32 | client); looked up, never iterated for
   /// results, so hash order cannot leak into them.
   std::unordered_map<uint64_t, PathLog> Paths;
-  size_t HistoryCapacity;
   uint64_t Appends = 0;
 
   GateConfig Gate;

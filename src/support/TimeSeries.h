@@ -7,9 +7,8 @@
 /// \file
 /// A bounded, time-ordered series of (timestamp, value) samples.
 ///
-/// Used by the NWS-style monitoring layer as its persistent measurement
-/// store (the paper's nws_memory) and by the Fig 5 cost program for its
-/// adjustable time-scale averaging.
+/// Used by the Fig 5 cost program for its adjustable time-scale averaging;
+/// its Sample type is also a sensor's last reading.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +32,7 @@ struct Sample {
 /// samples are evicted first (NWS keeps a fixed history per sensor).
 ///
 /// Bounded series are flat ring buffers: once warm, add() is a single
-/// in-place overwrite.  Every sensor sample lands here, so the eviction
-/// path must not touch the allocator.
+/// in-place overwrite that does not touch the allocator.
 class TimeSeries {
 public:
   /// \p Capacity zero means unbounded.

@@ -186,55 +186,3 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
   EXPECT_EQ(Count.load(), 101);
 }
 
-TEST(ExperimentRunner, WatchdogSynthesizesTimedOutTrials) {
-  // One axis value wedges (sleeps well past the budget), the other
-  // returns instantly: the runner must synthesize a zeroed record for the
-  // wedged trial, tag both with timed_out, and keep emission order.
-  exp::Scenario S;
-  S.Id = "watchdog";
-  S.Axes = {{"mode", {"fast", "wedge"}}};
-  S.Seeds = {1};
-  S.Metrics = {"v"};
-  S.Run = [](const exp::TrialPoint &P) {
-    exp::TrialResult R;
-    if (P.param("mode") == "wedge")
-      // Long enough that the watchdog always wins the race, short enough
-      // that the detached thread exits during the test run.
-      std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    R.set("v", 42.0);
-    return R;
-  };
-  exp::RunnerOptions O;
-  O.TrialTimeoutSeconds = 0.05;
-  std::vector<exp::TrialRecord> Records = exp::ExperimentRunner().run(S, O);
-
-  ASSERT_EQ(Records.size(), 2u);
-  EXPECT_EQ(Records[0].Result.get("timed_out"), 0.0);
-  EXPECT_EQ(Records[0].Result.get("v"), 42.0);
-  EXPECT_EQ(Records[1].Result.get("timed_out"), 1.0);
-  EXPECT_EQ(Records[1].Result.get("v"), 0.0)
-      << "a timed-out trial reports zeroed declared metrics";
-
-  // Let the abandoned worker finish before the test (and its stack
-  // frames) go away.
-  std::this_thread::sleep_for(std::chrono::milliseconds(450));
-}
-
-TEST(ExperimentRunner, WatchdogOffByDefaultAddsNoMetric) {
-  exp::Scenario S;
-  S.Id = "no-watchdog";
-  S.Axes = {{"mode", {"fast"}}};
-  S.Seeds = {1};
-  S.Metrics = {"v"};
-  S.Run = [](const exp::TrialPoint &) {
-    exp::TrialResult R;
-    R.set("v", 1.0);
-    return R;
-  };
-  std::vector<exp::TrialRecord> Records = exp::ExperimentRunner().run(S, {});
-  ASSERT_EQ(Records.size(), 1u);
-  EXPECT_EQ(Records[0].Result.get("v"), 1.0);
-  for (const auto &[Name, Value] : Records[0].Result.Metrics)
-    EXPECT_NE(Name, "timed_out")
-        << "the timed_out column only appears when the watchdog is enabled";
-}

@@ -179,7 +179,7 @@ TEST(Sensor, SamplesPeriodically) {
   double Value = 5.0;
   Sensor S(Sim, "test", 2.0, [&] { return Value; });
   Sim.runUntil(7.0); // Ticks at 0, 2, 4, 6.
-  EXPECT_EQ(S.history().size(), 4u);
+  EXPECT_EQ(S.forecaster().observationCount(), 4u);
   EXPECT_DOUBLE_EQ(S.lastValue(), 5.0);
   EXPECT_DOUBLE_EQ(S.lastSampleTime(), 6.0);
 }
@@ -190,13 +190,6 @@ TEST(Sensor, ForecastFollowsMeasurements) {
   Sensor S(Sim, "test", 1.0, [&] { return Value; });
   Sim.runUntil(50.0);
   EXPECT_NEAR(S.forecast(), 10.0, 1e-9);
-}
-
-TEST(Sensor, HistoryCapacityBounds) {
-  Simulator Sim(3);
-  Sensor S(Sim, "test", 1.0, [] { return 1.0; }, 8);
-  Sim.runUntil(100.0);
-  EXPECT_EQ(S.history().size(), 8u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -332,7 +325,7 @@ TEST_F(InfoFixture, NameserverSeesAllSensors) {
   EXPECT_EQ(Info->pathSensorCount(), 1u);
   const Sensor *Bw = Info->bandwidthSensor(Client, Server);
   ASSERT_NE(Bw, nullptr);
-  EXPECT_EQ(Bw->history().size(), 1u);
+  EXPECT_EQ(Bw->forecaster().observationCount(), 1u);
   // Paths are directed: the reverse pair was never watched.
   EXPECT_EQ(Info->bandwidthSensor(Server, Client), nullptr);
   EXPECT_NEAR(Info->cpuIdle(*ServerHost), 0.8, 1e-9);
@@ -362,22 +355,6 @@ TEST(PathProbe, OneSolvePerBandwidthSample) {
   // 10 s through t = 101 s: 12 samples.
   EXPECT_EQ(Samples, 3u * 12u);
   EXPECT_EQ(Net.probeSolves() - Solves0, Samples);
-}
-
-TEST(SysstatFree, MemorySnapshotConsistency) {
-  Simulator Sim(31);
-  HostConfig HC;
-  HC.Name = "h";
-  HC.MemoryBytes = 512.0 * 1024 * 1024;
-  HC.Memory.MeanLoad = 0.25;
-  HC.Memory.Volatility = 0.0;
-  HC.Cpu.Volatility = 0.0;
-  HC.DiskCfg.Background.Volatility = 0.0;
-  Host H(Sim, HC, 0);
-  FreeReport R = sysstat::collectFree(H);
-  EXPECT_NEAR(R.UsedBytes + R.FreeBytes, R.TotalBytes, 1.0);
-  EXPECT_NEAR(R.FreeBytes, 0.75 * 512.0 * 1024 * 1024, 1e3);
-  EXPECT_NE(sysstat::formatFree(H).find("free"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -170,7 +170,6 @@ TransferObservation obs(double Mb, unsigned Streams, double Throughput) {
   O.FileBytes = Mb * 1024.0 * 1024.0;
   O.Streams = Streams;
   O.Throughput = Throughput;
-  O.Seconds = O.FileBytes * 8.0 / Throughput;
   return O;
 }
 
@@ -304,22 +303,6 @@ TEST(TransferLog, UnknownPathForwardsProbeForecast) {
   TransferLog Log;
   EXPECT_DOUBLE_EQ(Log.predict(5, 6, megabytes(16), 4, 1.25e8), 1.25e8);
   EXPECT_EQ(Log.forecaster(5, 6), nullptr);
-  EXPECT_TRUE(Log.history(5, 6).empty());
-}
-
-TEST(TransferLog, RingKeepsLastObservationsOldestFirst) {
-  TransferLog Log(4);
-  for (int I = 1; I <= 6; ++I) {
-    TransferObservation O = obs(4.0, 4, 1e8);
-    O.When = double(I);
-    Log.append(1, 2, O, NaN);
-  }
-  std::vector<TransferObservation> H = Log.history(1, 2);
-  ASSERT_EQ(H.size(), 4u);
-  for (int I = 0; I < 4; ++I)
-    EXPECT_DOUBLE_EQ(H[I].When, double(I + 3)); // 3, 4, 5, 6.
-  // The running fits saw all six (the ring is only the window).
-  EXPECT_EQ(Log.forecaster(1, 2)->observationCount(), 6u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,7 +19,6 @@ HostConfig plainHost(const std::string &Name) {
   HostConfig H;
   H.Name = Name;
   H.Cpu.Volatility = 0.0;
-  H.Memory.Volatility = 0.0;
   H.DiskCfg.Background.Volatility = 0.0;
   return H;
 }
