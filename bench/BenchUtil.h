@@ -63,15 +63,19 @@ inline void banner(const char *Title, const char *PaperArtifact) {
   std::printf("reproduces: %s\n\n", PaperArtifact);
 }
 
-/// Prints the host-side throughput/memory footer the scale benches share:
-/// kernel events and events/s, plus peak RSS (also written to BENCH_*.json
-/// by the exp layer).  Wall-clock derived, so keep it out of golden-pinned
-/// stdout.
+/// Prints the footer the scale benches share.  The `host:` line — kernel
+/// events and events/s, plus peak RSS (also written to BENCH_*.json by the
+/// exp layer) — is wall-clock derived, so it goes to stderr and stays out
+/// of golden-pinned stdout.
 inline void printRunFooter(uint64_t Events, double WallSeconds) {
-  std::printf("\nhost: %llu events in %.2f s (%.0f events/s), peak RSS %.1f MB\n",
-              static_cast<unsigned long long>(Events), WallSeconds,
-              WallSeconds > 0.0 ? double(Events) / WallSeconds : 0.0,
-              double(peakRssBytes()) / (1024.0 * 1024.0));
+  std::printf("\n");
+  std::fflush(stdout);
+  std::fprintf(stderr,
+               "host: %llu events in %.2f s (%.0f events/s), peak RSS %.1f "
+               "MB\n",
+               static_cast<unsigned long long>(Events), WallSeconds,
+               WallSeconds > 0.0 ? double(Events) / WallSeconds : 0.0,
+               double(peakRssBytes()) / (1024.0 * 1024.0));
   // The steady-state allocation story in two numbers: pool slots grown
   // (should be warm-up only) and callback captures that spilled past the
   // inline buffer (should be cold paths only).

@@ -295,8 +295,8 @@ exp::TrialResult runPrediction(const std::string &Arm, uint64_t Seed,
   Result.set("oracle_replays", double(Oracle.replaysBuilt()));
   // Fault and robust-pipeline bookkeeping in the JSON footer: shape
   // checks pin these against the scenario (the fault arm injects exactly
-  // one window; the robust pipeline is off, so nothing may be rejected,
-  // corrupted or benched).
+  // one window; the robust pipeline is off, so nothing may be rejected
+  // or corrupted).
   const FaultCounters ZeroCounters;
   const FaultCounters &FC =
       G->faults() ? G->faults()->counters() : ZeroCounters;
@@ -308,7 +308,6 @@ exp::TrialResult runPrediction(const std::string &Arm, uint64_t Seed,
              double(Info.gateRejections() + Log.rejectedAppends()));
   Result.set("dropped_samples", double(Info.droppedSamples()));
   Result.set("corrupted_appends", double(Log.corruptedAppends()));
-  Result.set("quarantine_benches", double(Log.totalBenches()));
   Result.SpecHash = Spec.hash();
   return Result;
 }
@@ -331,7 +330,7 @@ int main(int argc, char **argv) {
   S.Seeds = Opt.seeds();
   S.Metrics = {"acc_min_mse_meta", "acc_nws_adaptive", "acc_log_mean",
                "decisions",        "reachable_frac",   "log_appends",
-               "fault_total",      "gate_rejections",  "quarantine_benches"};
+               "fault_total",      "gate_rejections"};
   bool Quick = Opt.Quick;
   S.Run = [Quick](const exp::TrialPoint &P) {
     return runPrediction(P.param("scenario"), P.Seed, Quick);
@@ -392,7 +391,7 @@ int main(int argc, char **argv) {
 
   // Counter/trace consistency: the fault arm injects exactly one link
   // window per trial (down + repair), the other arms none, and with the
-  // robust pipeline off nothing may be rejected, corrupted or benched.
+  // robust pipeline off nothing may be rejected, dropped or corrupted.
   bench::shapeCheckEq(Mean("fault", "fault_link_downs"), 1.0,
                       "fault_link_downs",
                       "the fault arm replays its one link window");
@@ -406,10 +405,9 @@ int main(int argc, char **argv) {
   bench::shapeCheckEq(Mean("", "fault_telemetry") +
                           Mean("", "gate_rejections") +
                           Mean("", "dropped_samples") +
-                          Mean("", "corrupted_appends") +
-                          Mean("", "quarantine_benches"),
+                          Mean("", "corrupted_appends"),
                       0.0, "robust_counters",
                       "with the robust pipeline off, no sample is "
-                      "rejected, dropped, corrupted or benched");
+                      "rejected, dropped or corrupted");
   return bench::exitCode();
 }

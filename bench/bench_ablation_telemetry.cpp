@@ -10,8 +10,8 @@
 /// The paper assumes the information service tells the truth.  This bench
 /// corrupts the measurements — never the world — and asks how much replica
 /// selection quality survives, with and without the robust pipeline
-/// (median/MAD plausibility gates, robust regression arms, forecaster
-/// quarantine, confidence-weighted scoring; DESIGN.md §15).
+/// (median/MAD plausibility gates on sensor samples and on transfer-log
+/// appends; DESIGN.md §15).
 ///
 /// The scenario is the endpoint-skew arm of bench_ablation_prediction: a
 /// client at THU ranks hit0/hit1 (fast twins, hit0's disk contended) and
@@ -218,14 +218,12 @@ exp::TrialResult runTelemetry(const std::string &RegimeName,
   InformationService &Info = G->info();
 
   if (Robust) {
-    // The full robust pipeline: sensor gates, append gates, robust
-    // regression arms, quarantine, confidence-weighted scoring.  The log
-    // gate arms earlier than the default (per-path appends are sparse in
-    // this foreground).
+    // The robust pipeline: sensor gates and append gates.  The log gate
+    // arms earlier than the default (per-path appends are sparse in this
+    // foreground).
     Log.gateConfig().MinSamples = 4;
     Info.setSensorGate(true);
-    Log.setRobust(/*GateAppends=*/true, /*RobustArms=*/true,
-                  /*Quarantine=*/true);
+    Log.setAppendGate(true);
   }
 
   Host *Client = G->findHost("alpha1");
@@ -236,10 +234,7 @@ exp::TrialResult runTelemetry(const std::string &RegimeName,
 
   SelectionOracle Oracle(CleanSpec, Prepare);
 
-  CostWeights Weights; // The paper's 80/10/10.
-  if (Robust)
-    Weights.ConfidenceBeta = 0.5;
-  CostModel Model(Weights);
+  CostModel Model; // The paper's 80/10/10.
 
   size_t Correct = 0;
   size_t Graded = 0;
@@ -301,7 +296,6 @@ exp::TrialResult runTelemetry(const std::string &RegimeName,
   Result.set("dropped_samples", double(Info.droppedSamples()));
   Result.set("rejected_appends", double(Log.rejectedAppends()));
   Result.set("corrupted_appends", double(Log.corruptedAppends()));
-  Result.set("quarantine_benches", double(Log.totalBenches()));
   Result.SpecHash = Spec.hash();
   return Result;
 }
@@ -335,7 +329,6 @@ int main(int argc, char **argv) {
                "gate_rejections",
                "rejected_appends",
                "corrupted_appends",
-               "quarantine_benches",
                "fault_telemetry"};
   bool Quick = Opt.Quick;
   S.Run = [Quick](const exp::TrialPoint &P) {
@@ -359,7 +352,7 @@ int main(int argc, char **argv) {
 
   Table T;
   T.setHeader({"regime", "acc naive", "acc robust", "stretch naive",
-               "stretch robust", "rejects", "benches"});
+               "stretch robust", "rejects"});
   for (const std::string &R : RegimeNames) {
     T.beginRow();
     T.add(R);
@@ -370,7 +363,6 @@ int main(int argc, char **argv) {
     T.add(Mean(R, "robust", "gate_rejections") +
               Mean(R, "robust", "rejected_appends"),
           1);
-    T.add(Mean(R, "robust", "quarantine_benches"), 1);
   }
   T.print(stdout);
   std::printf("\n");
@@ -426,9 +418,8 @@ int main(int argc, char **argv) {
                       "gate_rejections",
                       "the sensor gate rejected hard-biased readings");
   bench::shapeCheckEq(Mean("", "naive", "gate_rejections") +
-                          Mean("", "naive", "rejected_appends") +
-                          Mean("", "naive", "quarantine_benches"),
+                          Mean("", "naive", "rejected_appends"),
                       0.0, "naive_counters",
-                      "with the pipeline off, nothing is gated or benched");
+                      "with the pipeline off, nothing is gated");
   return bench::exitCode();
 }

@@ -165,7 +165,6 @@ SystemFactors InformationService::queryEntry(PathSensors &PS,
              // the check (and the entry) is the three sensor versions.
              (!Log ||
               (C.LogVer == Log->version(Candidate.node(), ClientNode) &&
-               C.LogCfgVer == Log->configVersion() &&
                C.HintBytes == HintBytes && C.HintStreams == HintStreams));
   if (!Hit) {
     ++FactorRecomputes;
@@ -217,7 +216,6 @@ SystemFactors InformationService::queryEntry(PathSensors &PS,
     C.IoVer = C.Io->version();
     if (Log) {
       C.LogVer = Log->version(Candidate.node(), ClientNode);
-      C.LogCfgVer = Log->configVersion();
       C.HintBytes = HintBytes;
       C.HintStreams = HintStreams;
     }
@@ -242,15 +240,6 @@ SystemFactors InformationService::queryEntry(PathSensors &PS,
   // is the lie's artefact, not a meaningful reading.
   F.BwAgeSeconds = std::max(F.BwAgeSeconds, 0.0);
   F.HostAgeSeconds = std::max(F.HostAgeSeconds, 0.0);
-  // Confidence tag: freshness (full trust up to twice the probe period,
-  // harmonic decay past it, zero when never sampled) times plausibility
-  // (damped by consecutive gate rejections on this path's sensor).  Both
-  // terms are exactly 1 under healthy telemetry.
-  double Fresh = 1.0;
-  SimTime Grace = 2.0 * Config.BandwidthPeriod;
-  if (!(F.BwAgeSeconds <= Grace))
-    Fresh = std::isfinite(F.BwAgeSeconds) ? Grace / F.BwAgeSeconds : 0.0;
-  F.BwConfidence = Fresh / (1.0 + Bw->gateRejectStreak());
   return F;
 }
 

@@ -80,13 +80,6 @@ struct SystemFactors {
   SimTime BwAgeSeconds = 0.0;
   /// Age of the host CPU/I-O readings, seconds.
   SimTime HostAgeSeconds = 0.0;
-  /// Confidence tag on PredictedBandwidth, in [0, 1]: freshness (decays
-  /// once BwAgeSeconds exceeds twice the probe period; 0 when never
-  /// sampled) times plausibility (damped by the path gate's current
-  /// rejection streak).  Exactly 1.0 under healthy telemetry, so a
-  /// policy down-weighting by confidence scores identically to one that
-  /// ignores it until something actually goes wrong (DESIGN.md §15).
-  double BwConfidence = 1.0;
 };
 
 /// One active data-plane telemetry fault as the information service
@@ -199,16 +192,12 @@ public:
   void beginTelemetryFault(const TelemetryFault &F);
   void endTelemetryFault(const TelemetryFault &F);
 
-  /// \returns telemetry fault windows currently in force on sensors.
-  size_t activeTelemetryFaults() const { return ActiveFaults.size(); }
-
   /// Enables median/MAD plausibility gating on every sensor, existing
   /// and future (the sensor half of the robust pipeline; the TransferLog
   /// half gates appends).  Off by default: the gate judges nothing, and
   /// ingest is bit-identical to the ungated service.  Tune via
   /// gateConfig() before enabling.
   void setSensorGate(bool V);
-  bool sensorGate() const { return GateEnabled; }
   GateConfig &gateConfig() { return Gate; }
 
   /// \returns sensor samples rejected by plausibility gates, summed over
@@ -308,13 +297,6 @@ private:
     /// conditioned on.  A log append bumps exactly this path's version,
     /// so feedback invalidates the one entry it affects and nothing else.
     uint64_t LogVer = 0;
-    /// The log's configuration version: robust-arm / quarantine / gate
-    /// flips change predictions without touching any per-path append
-    /// counter, so the cache stamps this too — cached == uncached stays
-    /// bit-identical with the robust pipeline on (quarantine *state*
-    /// transitions happen only inside appends, which the per-path LogVer
-    /// already covers).
-    uint64_t LogCfgVer = 0;
     Bytes HintBytes = 0.0;
     unsigned HintStreams = 0;
     /// Bumped once per recompute: the path's forecast epoch.  Consumers

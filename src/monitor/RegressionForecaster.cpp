@@ -6,9 +6,6 @@
 
 #include "monitor/RegressionForecaster.h"
 
-#include "monitor/Robust.h"
-
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -122,9 +119,8 @@ size_t TransferForecaster::streamBucket(unsigned Streams) {
 
 const char *TransferForecaster::armName(size_t I) {
   static const char *const Names[ArmCount] = {
-      "probe",          "log_mean",         "log_lin(mb)",
-      "log_quad(mb)",   "log_part(size)",   "log_part(streams)",
-      "log_trim",       "log_huber(mb)"};
+      "probe",        "log_mean",       "log_lin(mb)",
+      "log_quad(mb)", "log_part(size)", "log_part(streams)"};
   assert(I < ArmCount && "arm index out of range");
   return Names[I];
 }
@@ -157,99 +153,10 @@ double TransferForecaster::armPredict(size_t I, Bytes FileBytes,
     P = B.count() ? B.predict(1, Mb) : Global.mean();
     break;
   }
-  case 6: {
-    // 25%-trimmed mean of recent window throughputs; empty window (arm
-    // enabled but untrained) falls back to the global mean.
-    fillRobustScratch();
-    P = ScratchY.empty() ? Global.mean()
-                         : trimmedMean(ScratchY.data(), ScratchY.size(),
-                                       0.25);
-    break;
-  }
-  case 7: {
-    fillRobustScratch();
-    P = ScratchY.empty()
-            ? Global.mean()
-            : huberLinearFit(ScratchX.data(), ScratchY.data(),
-                             ScratchX.size())
-                  .eval(Mb);
-    break;
-  }
   }
   // A fit extrapolated past its sample range can go negative; a negative
   // throughput prediction is meaningless, so clamp.
   return P > 0.0 ? P : 0.0;
-}
-
-void TransferForecaster::fillRobustScratch() const {
-  ScratchX.clear();
-  ScratchY.clear();
-  ScratchX.reserve(RWinCount);
-  ScratchY.reserve(RWinCount);
-  for (size_t I = 0; I != RWinCount; ++I) {
-    const auto &P = RWin[(RWinHead + I) % RobustWindow];
-    ScratchX.push_back(P.first);
-    ScratchY.push_back(P.second);
-  }
-}
-
-void TransferForecaster::setQuarantine(bool V) {
-  Quarantine = V;
-  if (V && Health.empty())
-    Health.resize(ArmCount);
-}
-
-bool TransferForecaster::armBenched(size_t I) const {
-  assert(I < ArmCount && "arm index out of range");
-  return Quarantine && I < Health.size() && Health[I].Benched;
-}
-
-void TransferForecaster::updateQuarantine(size_t I, double R) {
-  ArmQuarantine &H = Health[I];
-  // Band from the arm's residual history *before* this residual joins it.
-  bool HaveBand = H.RCount >= 8;
-  RobustStats S;
-  if (HaveBand && !H.Benched)
-    S = robustStats(H.Residuals, H.RCount);
-  H.Ewma = H.EwmaInit ? 0.75 * H.Ewma + 0.25 * R : R;
-  H.EwmaInit = true;
-  if (H.RCount < ArmQuarantine::Window) {
-    H.Residuals[(H.RHead + H.RCount) % ArmQuarantine::Window] = R;
-    ++H.RCount;
-  } else {
-    H.Residuals[H.RHead] = R;
-    H.RHead = (H.RHead + 1) % ArmQuarantine::Window;
-  }
-  if (!H.Benched) {
-    if (!HaveBand)
-      return;
-    double Scale = std::max({1.4826 * S.Mad, 0.05 * std::fabs(S.Median),
-                             1e-9});
-    if (H.Ewma > S.Median + 4.0 * Scale) {
-      H.Benched = true;
-      ++H.Trips;
-      ++Benches;
-      H.BenchedAt = Observations;
-      H.BenchLen = size_t{8} << std::min(H.Trips - 1, 5u);
-      H.BandMedian = S.Median;
-      H.BandScale = Scale;
-    }
-    return;
-  }
-  // Benched: residuals keep flowing (the arm still scores postcasts), and
-  // once the bench expires the EWMA is judged against the band frozen at
-  // bench time — hysteresis: re-entry needs 2 sigma, eviction took 4.
-  if (Observations - H.BenchedAt < H.BenchLen)
-    return;
-  if (H.Ewma <= H.BandMedian + 2.0 * H.BandScale) {
-    H.Benched = false;
-    H.Trips /= 2; // Earned trust halves the re-trip backoff.
-  } else {
-    ++H.Trips;
-    ++Benches;
-    H.BenchedAt = Observations;
-    H.BenchLen = size_t{8} << std::min(H.Trips - 1, 5u);
-  }
 }
 
 void TransferForecaster::observe(const TransferObservation &O,
@@ -263,31 +170,16 @@ void TransferForecaster::observe(const TransferObservation &O,
     for (size_t I = 0; I != ArmCount; ++I) {
       if (I == 0 && !std::isfinite(ProbeForecast))
         continue; // No probe sensor: nothing to score, nothing to poison.
-      if (I >= FirstRobustArm && !RobustArms)
-        continue; // Disabled robust arms never score or compete.
       double E = armPredict(I, O.FileBytes, O.Streams, ProbeForecast) -
                  O.Throughput;
       SquaredError[I] += E * E;
       ++Scored[I];
-      if (Quarantine)
-        updateQuarantine(I, std::fabs(E));
     }
   }
   double Mb = mbOf(O.FileBytes);
   Global.add(Mb, O.Throughput);
   BySize[sizeBucket(Mb)].add(Mb, O.Throughput);
   ByStreams[streamBucket(O.Streams)].add(Mb, O.Throughput);
-  if (RobustArms) {
-    if (RWin.empty())
-      RWin.resize(RobustWindow);
-    if (RWinCount < RobustWindow) {
-      RWin[(RWinHead + RWinCount) % RobustWindow] = {Mb, O.Throughput};
-      ++RWinCount;
-    } else {
-      RWin[RWinHead] = {Mb, O.Throughput};
-      RWinHead = (RWinHead + 1) % RobustWindow;
-    }
-  }
   ++Observations;
 }
 
@@ -297,29 +189,20 @@ size_t TransferForecaster::bestArm() const {
   // stream — never of float-equality accidents resolving differently
   // across runs.  Unscored arms (the probe before its sensor exists) do
   // not compete.
-  // Benched arms sit out; if the quarantine has benched every scored arm,
-  // it abstains (second pass over all of them) rather than leaving the
-  // selector with nothing — a deterministic fallback, not a coin flip.
-  for (int Pass = 0; Pass != 2; ++Pass) {
-    size_t Best = 0;
-    bool Have = false;
-    double BestMse = 0.0;
-    for (size_t I = 0; I != ArmCount; ++I) {
-      if (!Scored[I])
-        continue;
-      if (Pass == 0 && armBenched(I))
-        continue;
-      double Mse = SquaredError[I] / static_cast<double>(Scored[I]);
-      if (!Have || Mse < BestMse) {
-        Have = true;
-        Best = I;
-        BestMse = Mse;
-      }
+  size_t Best = 0;
+  bool Have = false;
+  double BestMse = 0.0;
+  for (size_t I = 0; I != ArmCount; ++I) {
+    if (!Scored[I])
+      continue;
+    double Mse = SquaredError[I] / static_cast<double>(Scored[I]);
+    if (!Have || Mse < BestMse) {
+      Have = true;
+      Best = I;
+      BestMse = Mse;
     }
-    if (Have || Pass == 1)
-      return Best;
   }
-  return 0;
+  return Best;
 }
 
 double TransferForecaster::predict(Bytes FileBytes, unsigned Streams,

@@ -30,8 +30,6 @@
 #include "support/Units.h"
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace dgsim {
 
@@ -104,15 +102,6 @@ private:
 ///                        empty/degenerate bucket -> global mean
 ///   5  log_part(streams) per-stream-count linear fit vs size, same
 ///                        fallback
-///   6  log_trim          25%-trimmed mean over the recent window
-///   7  log_huber(mb)     Huber M-estimator line vs size over the window
-///
-/// Arms 6 and 7 are the robust battery (DESIGN.md §15): they train on a
-/// ring window of recent observations and resist poisoned appends that
-/// the squared-loss arms chase.  They exist only when setRobustArms(true)
-/// has been called — disabled they are never scored, never trained, and
-/// never compete in bestArm(), so a forecaster with the robust pipeline
-/// off is bit-identical to the six-arm original.
 ///
 /// Like NwsForecaster, each arm is scored on its postcast error *before*
 /// the observation is ingested (the first observation trains only), and
@@ -121,41 +110,9 @@ private:
 /// has been scored at least once.  A non-finite probe forecast (no sensor
 /// yet) skips arm 0's scoring for that observation instead of poisoning
 /// its MSE.
-/// Per-arm quarantine state (DESIGN.md §15).  The min-MSE selector's
-/// lifetime averages forget slowly: an arm with a long good history keeps
-/// winning for hundreds of observations after its data source turns
-/// Byzantine.  The quarantine watches each arm's *recent* residuals — an
-/// EWMA of absolute postcast error against a median/MAD band of the arm's
-/// own residual history — and benches an arm whose EWMA blows past the
-/// band, excluding it from bestArm() until an exponential re-probe
-/// schedule readmits it.  Hysteresis (a lower re-entry threshold against
-/// the band frozen at bench time) mirrors the HealthTracker breaker.
-struct ArmQuarantine {
-  static constexpr size_t Window = 32;
-
-  double Ewma = 0.0;
-  bool EwmaInit = false;
-  double Residuals[Window] = {};
-  size_t RCount = 0;
-  size_t RHead = 0;
-  bool Benched = false;
-  /// Band frozen at bench time — judging recovery against a band the
-  /// bad residuals have since dragged upward would self-acquit.
-  double BandMedian = 0.0;
-  double BandScale = 0.0;
-  /// Observation index of the (re-)bench and the bench length, which
-  /// doubles on every immediate re-trip (exponential re-probe).
-  size_t BenchedAt = 0;
-  size_t BenchLen = 0;
-  unsigned Trips = 0;
-};
-
 class TransferForecaster {
 public:
-  static constexpr size_t ArmCount = 8;
-  /// First robust arm (log_trim); arms >= this exist only when
-  /// setRobustArms(true).
-  static constexpr size_t FirstRobustArm = 6;
+  static constexpr size_t ArmCount = 6;
 
   /// Scores every arm against \p O, then trains the log arms on it.
   /// \p ProbeForecast is the path's NWS bandwidth forecast at completion
@@ -190,21 +147,6 @@ public:
   /// \returns observations ingested.
   size_t observationCount() const { return Observations; }
 
-  /// Enables the robust arms (6: trimmed mean, 7: Huber line) and their
-  /// observation window.  Off by default.
-  void setRobustArms(bool V) { RobustArms = V; }
-  bool robustArms() const { return RobustArms; }
-
-  /// Enables the per-arm quarantine.  Off by default.
-  void setQuarantine(bool V);
-  bool quarantineEnabled() const { return Quarantine; }
-
-  /// \returns whether arm \p I is currently benched.
-  bool armBenched(size_t I) const;
-
-  /// \returns cumulative bench events (trips + re-trips) across arms.
-  uint64_t benchCount() const { return Benches; }
-
 private:
   /// Power-of-two MB size classes: bucket 0 holds (0, 1] MB, bucket k
   /// holds (2^(k-1), 2^k] MB.  Everything past 2^15 MB (32 GB) shares the
@@ -216,29 +158,12 @@ private:
   static size_t sizeBucket(double Mb);
   static size_t streamBucket(unsigned Streams);
 
-  void updateQuarantine(size_t I, double AbsResidual);
-  /// Copies the robust window (oldest first) into ScratchX/ScratchY.
-  void fillRobustScratch() const;
-
   LeastSquaresAccumulator Global;
   LeastSquaresAccumulator BySize[SizeBuckets];
   LeastSquaresAccumulator ByStreams[StreamBuckets];
   double SquaredError[ArmCount] = {};
   size_t Scored[ArmCount] = {};
   size_t Observations = 0;
-
-  /// Robust battery state: the (MB, throughput) ring the trimmed/Huber
-  /// arms train on, allocated only when enabled.  Scratch is reused
-  /// across armPredict calls (predict() is const and hot).
-  static constexpr size_t RobustWindow = 64;
-  bool RobustArms = false;
-  bool Quarantine = false;
-  std::vector<std::pair<double, double>> RWin;
-  size_t RWinHead = 0;
-  size_t RWinCount = 0;
-  mutable std::vector<double> ScratchX, ScratchY;
-  std::vector<ArmQuarantine> Health; // ArmCount entries when quarantining.
-  uint64_t Benches = 0;
 };
 
 } // namespace dgsim

@@ -67,10 +67,6 @@ struct SensorFaultState {
   double SkewSeconds = 0.0;
   /// Samples silenced by an active dropout (introspection/counters).
   uint64_t Dropped = 0;
-
-  bool any() const {
-    return BiasDepth | StuckDepth | NoiseDepth | DropDepth | SkewDepth;
-  }
 };
 
 /// A periodic sensor over a measurement closure.
@@ -155,11 +151,7 @@ public:
   /// aggregated by the information service, never silently dropped.
   void setGateConfig(const GateConfig *Cfg) { GateCfg = Cfg; }
 
-  uint64_t gateAccepted() const { return Gate.accepted(); }
   uint64_t gateRejected() const { return Gate.rejected(); }
-  /// Consecutive rejections since the last accepted sample — feeds the
-  /// information service's plausibility confidence.
-  unsigned gateRejectStreak() const { return Gate.rejectStreak(); }
 
   /// Reported-clock drift currently in force (0 when unskewed): consumers
   /// reading lastSampleTime() see the true time plus this.

@@ -14,15 +14,6 @@ static uint64_t logKey(NodeId Server, NodeId Client) {
   return (static_cast<uint64_t>(Server) << 32) | Client;
 }
 
-TransferLog::PathLog &TransferLog::pathFor(uint64_t Key) {
-  auto [It, Inserted] = Paths.try_emplace(Key);
-  if (Inserted) {
-    It->second.Fc.setRobustArms(RobustArms);
-    It->second.Fc.setQuarantine(Quarantine);
-  }
-  return It->second;
-}
-
 void TransferLog::applyCorrupt(CorruptState &C, TransferObservation &O) {
   if (C.Depth == 0)
     return;
@@ -42,7 +33,7 @@ void TransferLog::append(NodeId Server, NodeId Client,
     if (It != PathCorrupt.end())
       applyCorrupt(It->second, Obs);
   }
-  PathLog &P = pathFor(Key);
+  PathLog &P = Paths[Key];
   if (GateAppends && !P.PathGate.admit(Obs.Throughput, Gate)) {
     // Implausible append: counted, never trained on.  Nothing a reader
     // can observe through predict() changed, so the path version (and
@@ -53,23 +44,6 @@ void TransferLog::append(NodeId Server, NodeId Client,
   P.Fc.observe(Obs, ProbeForecast);
   ++P.Version;
   ++Appends;
-}
-
-void TransferLog::setRobust(bool GateAppendsV, bool RobustArmsV,
-                            bool QuarantineV) {
-  if (GateAppends == GateAppendsV && RobustArms == RobustArmsV &&
-      Quarantine == QuarantineV)
-    return;
-  GateAppends = GateAppendsV;
-  RobustArms = RobustArmsV;
-  Quarantine = QuarantineV;
-  // Existing paths adopt the new configuration too (pure mutation — the
-  // unordered iteration order cannot reach any output).
-  for (auto &[Key, P] : Paths) {
-    P.Fc.setRobustArms(RobustArms);
-    P.Fc.setQuarantine(Quarantine);
-  }
-  ++ConfigVersion;
 }
 
 void TransferLog::beginCorrupt(uint64_t Seed, double Scale) {
@@ -98,13 +72,6 @@ void TransferLog::endCorruptPath(NodeId Server, NodeId Client) {
   assert(It != PathCorrupt.end() && It->second.Depth > 0 &&
          "unbalanced corrupt window");
   --It->second.Depth;
-}
-
-uint64_t TransferLog::totalBenches() const {
-  uint64_t Sum = 0;
-  for (const auto &[Key, P] : Paths)
-    Sum += P.Fc.benchCount();
-  return Sum;
 }
 
 double TransferLog::predict(NodeId Server, NodeId Client, Bytes FileBytes,

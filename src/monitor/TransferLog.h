@@ -11,8 +11,8 @@
 /// path — the end-to-end signal Allcock et al. argue actually predicts
 /// replica fetch time.  Each path keeps a TransferForecaster (the
 /// probe-vs-log minimum-MSE meta-selector, trained on running
-/// least-squares sums and, with the robust arms on, a 64-observation
-/// window) and a sensor-style version counter bumped on every append so
+/// least-squares sums), an optional plausibility gate on appends, and a
+/// sensor-style version counter bumped on every ingested append so
 /// InformationService's factor cache revalidates in one integer compare —
 /// appends never disturb the epoch-cached fast path, they just invalidate
 /// exactly the entries they affect.  No observation is stored.
@@ -70,30 +70,21 @@ public:
   size_t pathCount() const { return Paths.size(); }
 
   //===--------------------------------------------------------------------===//
-  // Robust pipeline (runtime configuration, DESIGN.md §15)
+  // Append gate (the log half of the robust pipeline, DESIGN.md §15)
   //===--------------------------------------------------------------------===//
 
-  /// Enables the robust pipeline over every path (existing and future):
-  /// \p GateAppends runs each append's throughput through a median/MAD
-  /// plausibility gate (rejected appends are counted and never train the
-  /// arms), \p RobustArms / \p Quarantine forward
-  /// to TransferForecaster.  Any change bumps configVersion().
-  void setRobust(bool GateAppends, bool RobustArms, bool Quarantine);
+  /// Enables or disables the median/MAD plausibility gate on every path's
+  /// appends (existing and future).  A rejected append is counted and
+  /// never trains the forecaster.  Off by default.  A flip changes no
+  /// prediction by itself: the forecasters are untouched until the next
+  /// ingested append, which bumps its path's version.
+  void setAppendGate(bool V) { GateAppends = V; }
 
   /// Gate tuning shared by every path; mutate before enabling.
   GateConfig &gateConfig() { return Gate; }
 
   /// \returns appends rejected by the plausibility gate, across paths.
   uint64_t rejectedAppends() const { return Rejected; }
-
-  /// \returns a counter bumped on every setRobust() change.  Per-path
-  /// versions cover what appends change; this covers what configuration
-  /// changes, and the factor cache stamps both.
-  uint64_t configVersion() const { return ConfigVersion; }
-
-  /// \returns quarantine bench events across all path forecasters (0
-  /// unless the quarantine pipeline is enabled).
-  uint64_t totalBenches() const;
 
   //===--------------------------------------------------------------------===//
   // LogCorrupt fault hooks (driven by the FaultInjector)
@@ -129,7 +120,6 @@ private:
     std::optional<RandomEngine> Rng;
   };
 
-  PathLog &pathFor(uint64_t Key);
   void applyCorrupt(CorruptState &C, TransferObservation &O);
 
   /// Keyed by (server << 32 | client); looked up, never iterated for
@@ -139,10 +129,7 @@ private:
 
   GateConfig Gate;
   bool GateAppends = false;
-  bool RobustArms = false;
-  bool Quarantine = false;
   uint64_t Rejected = 0;
-  uint64_t ConfigVersion = 0;
 
   CorruptState GlobalCorrupt;
   std::unordered_map<uint64_t, CorruptState> PathCorrupt;

@@ -32,14 +32,6 @@ struct CostWeights {
   double Bandwidth = 0.8;
   double Cpu = 0.1;
   double Io = 0.1;
-  /// How strongly telemetry confidence discounts the bandwidth term
-  /// (DESIGN.md §15).  With beta in (0, 1], the term scales by
-  /// (1 - beta) + beta * BwConfidence, so stale or implausible bandwidth
-  /// readings stop dominating Eq. (1) exactly when they stop being
-  /// trustworthy.  The default 0 ignores confidence — the paper's model —
-  /// and since healthy telemetry reports confidence 1.0, any beta is also
-  /// a no-op until something actually goes wrong.
-  double ConfidenceBeta = 0.0;
 
   /// \returns the weight sum (used for normalised comparisons).
   double sum() const { return Bandwidth + Cpu + Io; }

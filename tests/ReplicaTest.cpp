@@ -380,7 +380,6 @@ TEST_F(ReplicaFixture, CachedScoresBitIdenticalToUncached) {
               Cold[I].Factors.TheoreticalBandwidth);
     EXPECT_EQ(Warm[I].Factors.BwAgeSeconds, Cold[I].Factors.BwAgeSeconds);
     EXPECT_EQ(Warm[I].Factors.HostAgeSeconds, Cold[I].Factors.HostAgeSeconds);
-    EXPECT_EQ(Warm[I].Factors.BwConfidence, Cold[I].Factors.BwConfidence);
   }
 }
 

@@ -7,20 +7,18 @@
 /// \file
 /// Locks the Byzantine-telemetry layer (DESIGN.md §15) down:
 ///
-///   * Robust estimation primitives: median/MAD, trimmed mean and Huber
-///     IRLS lines.
+///   * Robust estimation primitives: median/MAD.
 ///   * The plausibility gate: cold-start admission on faith, median/MAD
-///     rejection of implausible jumps, scale floors for near-constant
-///     streams, and the reject-streak bookkeeping behind BwConfidence.
+///     rejection of implausible jumps, and scale floors for near-constant
+///     streams.
 ///   * Sensor-level corruption: bias, stuck, noise (seeded, deterministic),
 ///     dropout and clock skew, each depth-counted and reversible.
 ///   * The transfer-log poison path: seeded heavy-tailed corruption of
-///     appends (global and per-path), append gating, and the per-arm
-///     quarantine's bench / exponential re-probe / hysteresis cycle.
+///     appends (global and per-path) and append gating.
 ///   * GridSpec validation of telemetry windows, injector routing and
-///     counters through whole-grid runs, gate rejections surfacing as
-///     degraded BwConfidence, and the factor cache staying bit-identical
-///     to uncached queries with the entire robust pipeline enabled.
+///     counters through whole-grid runs, the sensor gate keeping a biased
+///     probe out of the served forecast, and the factor cache staying
+///     bit-identical to uncached queries with both gates enabled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,37 +64,6 @@ TEST(RobustStatsTest, MedianAndMadKnownValues) {
   EXPECT_DOUBLE_EQ(S.Mad, 0.0);
 }
 
-TEST(RobustStatsTest, TrimmedMeanDiscardsOutlierTails) {
-  // 7 honest readings and one 100x lie: a 25% trim drops the lie (and the
-  // two extremes of the honest mass) entirely.
-  const double V[] = {10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 1000.0, 10.0};
-  EXPECT_DOUBLE_EQ(trimmedMean(V, 8, 0.25), 10.0);
-  // Alpha 0 is the plain mean.
-  EXPECT_DOUBLE_EQ(trimmedMean(V, 8, 0.0), (7.0 * 10.0 + 1000.0) / 8.0);
-  EXPECT_DOUBLE_EQ(trimmedMean(nullptr, 0, 0.25), 0.0);
-}
-
-TEST(RobustStatsTest, HuberLineResistsOneOutlier) {
-  // y = 2x + 1 with one wildly corrupted point: the IRLS line stays near
-  // the truth while ordinary least squares chases the outlier.
-  std::vector<double> X, Y;
-  for (int I = 0; I != 10; ++I) {
-    X.push_back(I);
-    Y.push_back(2.0 * I + 1.0);
-  }
-  Y[5] = 1000.0;
-
-  LeastSquaresAccumulator Ols;
-  for (size_t I = 0; I != X.size(); ++I)
-    Ols.add(X[I], Y[I]);
-  PolyCoeffs L = Ols.fit(1);
-  PolyCoeffs H = huberLinearFit(X.data(), Y.data(), X.size());
-  ASSERT_EQ(H.Degree, 1u);
-  EXPECT_LT(std::fabs(H.C1 - 2.0), std::fabs(L.C1 - 2.0));
-  EXPECT_LT(std::fabs(H.C1 - 2.0), 0.5);
-  EXPECT_LT(std::fabs(H.C0 - 1.0), 5.0);
-}
-
 //===----------------------------------------------------------------------===//
 // Plausibility gate
 //===----------------------------------------------------------------------===//
@@ -111,7 +78,7 @@ TEST(PlausibilityGateTest, ColdStartAdmitsOnFaith) {
   EXPECT_EQ(G.rejected(), 0u);
 }
 
-TEST(PlausibilityGateTest, RejectsImplausibleJumpAndTracksStreak) {
+TEST(PlausibilityGateTest, RejectsImplausibleJump) {
   GateConfig Cfg;
   Cfg.MinSamples = 4;
   PlausibilityGate G;
@@ -120,15 +87,12 @@ TEST(PlausibilityGateTest, RejectsImplausibleJumpAndTracksStreak) {
     ASSERT_TRUE(G.admit(V, Cfg));
 
   EXPECT_FALSE(G.admit(10000.0, Cfg));
-  EXPECT_EQ(G.rejectStreak(), 1u);
   EXPECT_FALSE(G.admit(9000.0, Cfg));
-  EXPECT_EQ(G.rejectStreak(), 2u);
   EXPECT_EQ(G.rejected(), 2u);
 
-  // An honest reading re-enters and clears the streak; the rejected lies
-  // never joined the window, so the median is still the honest one.
+  // An honest reading re-enters; the rejected lies never joined the
+  // window, so the median is still the honest one.
   EXPECT_TRUE(G.admit(100.3, Cfg));
-  EXPECT_EQ(G.rejectStreak(), 0u);
   EXPECT_EQ(G.accepted(), 7u);
 }
 
@@ -267,7 +231,7 @@ TEST(SensorFaultTest, ClockSkewLiesAboutSampleAgeReadSideOnly) {
 }
 
 //===----------------------------------------------------------------------===//
-// Transfer-log corruption, append gating, quarantine
+// Transfer-log corruption and append gating
 //===----------------------------------------------------------------------===//
 
 TransferObservation obsOf(double Mb, double Throughput) {
@@ -329,9 +293,7 @@ TEST(TransferLogCorruptTest, PathScopeLeavesOtherPathsHonest) {
 TEST(TransferLogGateTest, ImplausibleAppendsRejectedWithoutVersionBump) {
   TransferLog Log;
   Log.gateConfig().MinSamples = 3;
-  Log.setRobust(/*GateAppends=*/true, /*RobustArms=*/false,
-                /*Quarantine=*/false);
-  uint64_t Cfg0 = Log.configVersion();
+  Log.setAppendGate(true);
   for (int I = 0; I != 5; ++I)
     Log.append(1, 2, obsOf(64.0, 1e8), 1e8);
   uint64_t Ver = Log.version(1, 2);
@@ -346,65 +308,6 @@ TEST(TransferLogGateTest, ImplausibleAppendsRejectedWithoutVersionBump) {
   // Honest appends keep flowing afterwards.
   Log.append(1, 2, obsOf(64.0, 1.02e8), 1e8);
   EXPECT_EQ(Log.version(1, 2), Ver + 1);
-
-  // Reconfiguring the robust pipeline bumps the config version the
-  // factor cache stamps alongside per-path versions.
-  Log.setRobust(true, true, true);
-  EXPECT_GT(Log.configVersion(), Cfg0);
-}
-
-TEST(QuarantineTest, RobustArmsTrainOnlyWhenEnabled) {
-  TransferForecaster Naive, Robust;
-  Robust.setRobustArms(true);
-  for (int I = 0; I != 50; ++I) {
-    TransferObservation O = obsOf(100.0, 1e8);
-    Naive.observe(O, 1e8);
-    Robust.observe(O, 1e8);
-  }
-  // Six poisoned tail observations (a 20x throughput lie).
-  for (int I = 0; I != 6; ++I) {
-    TransferObservation O = obsOf(100.0, 2e9);
-    Naive.observe(O, 1e8);
-    Robust.observe(O, 1e8);
-  }
-  EXPECT_EQ(Naive.armScored(TransferForecaster::FirstRobustArm), 0u);
-  EXPECT_GT(Robust.armScored(TransferForecaster::FirstRobustArm), 0u);
-
-  // The 25%-trimmed arm discards the poisoned tail entirely; the global
-  // mean arm is dragged toward the lie.
-  double Trimmed = Robust.armPredict(6, megabytes(100.0), 4, 1e8);
-  double Mean = Robust.armPredict(1, megabytes(100.0), 4, 1e8);
-  EXPECT_NEAR(Trimmed, 1e8, 1e7);
-  EXPECT_GT(Mean, 1.5e8);
-  EXPECT_GT(Mean, Trimmed);
-}
-
-TEST(QuarantineTest, BenchesByzantineArmThenReprobesAndReadmits) {
-  TransferForecaster F;
-  F.setRobustArms(true);
-  F.setQuarantine(true);
-
-  // Clean history with a perfect probe: every arm's residuals sit at
-  // zero, so arm 0's plausibility band is razor thin.
-  for (int I = 0; I != 15; ++I)
-    F.observe(obsOf(100.0, 1e8), 1e8);
-  EXPECT_FALSE(F.armBenched(0));
-  EXPECT_EQ(F.benchCount(), 0u);
-
-  // The probe turns Byzantine for one observation: a 5x forecast lie
-  // blows the residual EWMA past the band and benches arm 0.
-  F.observe(obsOf(100.0, 1e8), 5e8);
-  EXPECT_TRUE(F.armBenched(0));
-  EXPECT_GE(F.benchCount(), 1u);
-  EXPECT_NE(F.bestArm(), 0u);
-
-  // Honest probes again: the EWMA decays, re-probes fire on the doubling
-  // schedule, and the arm re-enters under the band frozen at bench time.
-  for (int I = 0; I != 400; ++I)
-    F.observe(obsOf(100.0, 1e8), 1e8);
-  EXPECT_FALSE(F.armBenched(0));
-  // Re-probe trips were counted, not silently retried.
-  EXPECT_GT(F.benchCount(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -477,7 +380,7 @@ TEST(TelemetrySpecTest, ValidateFlagsBadTelemetryWindows) {
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-grid integration: routing, counters, confidence, cache identity
+// Whole-grid integration: routing, counters, gating, cache identity
 //===----------------------------------------------------------------------===//
 
 TEST(TelemetryGridTest, InjectorRoutesAllSixKindsAndCountsEdges) {
@@ -515,7 +418,7 @@ TEST(TelemetryGridTest, InjectorRoutesAllSixKindsAndCountsEdges) {
   EXPECT_GE(G->info().droppedSamples(), 3u);
 }
 
-TEST(TelemetryGridTest, GateRejectionsDegradeBwConfidence) {
+TEST(TelemetryGridTest, GateRejectionsKeepBiasOutOfTheForecast) {
   GridSpec Spec = telemetryBaseSpec(3002);
   // A 30x gain on the lz02 -> alpha1 bandwidth path for [100, 180).
   Spec.Faults.sensorBias("lz02", "alpha1", 100.0, 80.0, 30.0);
@@ -532,25 +435,21 @@ TEST(TelemetryGridTest, GateRejectionsDegradeBwConfidence) {
 
   G->sim().runUntil(95.0); // Healthy: gate trained, nothing rejected.
   SystemFactors Before = G->info().query(Client, *Server);
-  EXPECT_DOUBLE_EQ(Before.BwConfidence, 1.0);
   EXPECT_EQ(G->info().gateRejections(), 0u);
 
   G->sim().runUntil(150.0); // Mid-window: biased probes are implausible.
   SystemFactors During = G->info().query(Client, *Server);
   EXPECT_GE(G->info().gateRejections(), 1u);
-  EXPECT_LT(During.BwConfidence, 1.0);
-  // Selection still has a finite, honest last-known bandwidth to rank.
+  // The 30x readings never reached the forecaster: selection still ranks
+  // a finite, honest last-known bandwidth.
   EXPECT_TRUE(std::isfinite(During.BwFraction));
-
-  G->sim().runUntil(260.0); // Window over: honest samples re-admitted.
-  SystemFactors After = G->info().query(Client, *Server);
-  EXPECT_DOUBLE_EQ(After.BwConfidence, 1.0);
+  EXPECT_LT(During.PredictedBandwidth, 2.0 * Before.PredictedBandwidth);
 }
 
-/// One fetch-journal run of the telemetry chaos grid with the full robust
-/// pipeline enabled, with the factor/ranking caches on or off.  The
-/// journal folds in every robust-pipeline counter, so any divergence —
-/// selection, timing, gating, corruption — shows up as a string diff.
+/// One fetch-journal run of the telemetry chaos grid with both gates
+/// enabled, with the factor/ranking caches on or off.  The journal folds
+/// in every robust-pipeline counter, so any divergence — selection,
+/// timing, gating, corruption — shows up as a string diff.
 std::string runRobustGrid(uint64_t Seed, bool Caches) {
   GridSpec Spec = telemetryBaseSpec(Seed);
   Spec.Faults.sensorBias("lz02", "alpha1", 60.0, 120.0, 8.0);
@@ -563,11 +462,9 @@ std::string runRobustGrid(uint64_t Seed, bool Caches) {
   G->info().setSensorGate(true);
   TransferLog &Log = G->enableTransferLog();
   Log.gateConfig().MinSamples = 4;
-  Log.setRobust(true, true, true);
+  Log.setAppendGate(true);
 
-  CostWeights W;
-  W.ConfidenceBeta = 0.5;
-  CostModelPolicy Policy(W);
+  CostModelPolicy Policy;
   ReplicaSelector Sel(G->catalog(), G->info(), Policy);
   if (!Caches) {
     G->info().setFactorCacheEnabled(false);
@@ -607,14 +504,13 @@ std::string runRobustGrid(uint64_t Seed, bool Caches) {
 
   char Tail[256];
   std::snprintf(Tail, sizeof(Tail),
-                "gate=%llu drop=%llu rej=%llu corr=%llu app=%llu bench=%llu "
-                "tele=%llu end=%.17g\n",
+                "gate=%llu drop=%llu rej=%llu corr=%llu app=%llu tele=%llu "
+                "end=%.17g\n",
                 static_cast<unsigned long long>(G->info().gateRejections()),
                 static_cast<unsigned long long>(G->info().droppedSamples()),
                 static_cast<unsigned long long>(Log.rejectedAppends()),
                 static_cast<unsigned long long>(Log.corruptedAppends()),
                 static_cast<unsigned long long>(Log.totalAppends()),
-                static_cast<unsigned long long>(Log.totalBenches()),
                 static_cast<unsigned long long>(
                     G->faults()->counters().telemetryFaults()),
                 G->sim().now());
@@ -622,10 +518,9 @@ std::string runRobustGrid(uint64_t Seed, bool Caches) {
 }
 
 TEST(TelemetryGridTest, CachedEqualsUncachedWithRobustPipelineOn) {
-  // The factor cache stamps sensor versions, per-path log versions, the
-  // log config version and the forecaster quarantine state: with every
-  // telemetry fault kind firing and the whole robust pipeline live, a
-  // cache hit must reproduce the uncached decision byte for byte.
+  // The factor cache stamps sensor versions and per-path log versions:
+  // with every telemetry fault kind firing and both gates live, a cache
+  // hit must reproduce the uncached decision byte for byte.
   std::string Cached = runRobustGrid(4001, /*Caches=*/true);
   std::string Uncached = runRobustGrid(4001, /*Caches=*/false);
   EXPECT_EQ(Cached, Uncached);
