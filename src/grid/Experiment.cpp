@@ -25,7 +25,8 @@ Workload::Workload(DataGrid &Grid, ReplicaSelector &Selector,
       Clients(std::move(Clients)), Config(Config),
       Rng(Grid.sim().forkRng()),
       Files(Config.Files.empty() ? Grid.catalog().listFiles()
-                                 : Config.Files) {
+                                 : Config.Files),
+      Popularity(Files.size(), Config.ZipfExponent) {
   assert(!this->Clients.empty() && "workloads need at least one client");
   assert(!Files.empty() && "workloads need a populated catalogue");
   assert(Config.MeanInterarrival > 0.0 && "non-positive interarrival");
@@ -51,8 +52,7 @@ void Workload::scheduleNextArrival() {
   SimTime Gap = Rng.exponential(Config.MeanInterarrival);
   Grid.sim().schedule(Gap, [this] {
     Host *Client = Clients[Rng.uniformInt(Clients.size())];
-    const std::string &Lfn = Files[Rng.zipf(Files.size(),
-                                            Config.ZipfExponent)];
+    const std::string &Lfn = Files[Popularity.draw(Rng)];
     App.runJob(*Client, Lfn, [this](const JobRecord &R) {
       Stats.add(R);
       if (Observer)

@@ -16,6 +16,7 @@
 #define DGSIM_GRID_EXPERIMENT_H
 
 #include "grid/Application.h"
+#include "support/Random.h"
 #include "support/Statistics.h"
 
 #include <memory>
@@ -86,6 +87,7 @@ private:
   WorkloadConfig Config;
   RandomEngine Rng;
   std::vector<std::string> Files;
+  ZipfTable Popularity; // Over Files, built once.
   size_t Submitted = 0;
   ExperimentStats Stats;
   std::function<void(const JobRecord &)> Observer;

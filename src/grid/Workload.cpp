@@ -10,6 +10,7 @@
 #include "support/Json.h"
 
 #include <cassert>
+#include <optional>
 
 using namespace dgsim;
 
@@ -20,6 +21,9 @@ std::vector<WorkloadArrival> dgsim::expandWorkload(const WorkloadSpec &W,
   assert(!W.Lfns.empty() && "workloads need at least one file");
   std::vector<WorkloadArrival> Arrivals;
   double MeanGap = 1.0 / W.ArrivalsPerSecond;
+  std::optional<ZipfTable> Popularity;
+  if (W.ZipfExponent > 0.0)
+    Popularity.emplace(W.Lfns.size(), W.ZipfExponent);
   // Fixed draw order per arrival — gap, client, file — so inserting an
   // arrival never reshuffles the stream behind it.
   SimTime T = W.Start + Rng.exponential(MeanGap);
@@ -28,8 +32,7 @@ std::vector<WorkloadArrival> dgsim::expandWorkload(const WorkloadSpec &W,
     A.Time = T;
     A.ClientIdx = static_cast<uint32_t>(Rng.uniformInt(W.Clients.size()));
     A.LfnIdx = static_cast<uint32_t>(
-        W.ZipfExponent > 0.0 ? Rng.zipf(W.Lfns.size(), W.ZipfExponent)
-                             : Rng.uniformInt(W.Lfns.size()));
+        Popularity ? Popularity->draw(Rng) : Rng.uniformInt(W.Lfns.size()));
     Arrivals.push_back(A);
     T += Rng.exponential(MeanGap);
   }

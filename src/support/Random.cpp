@@ -6,6 +6,7 @@
 
 #include "support/Random.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -125,19 +126,21 @@ size_t RandomEngine::weightedIndex(const std::vector<double> &Weights) {
   return Weights.size() - 1;
 }
 
-size_t RandomEngine::zipf(size_t N, double S) {
+ZipfTable::ZipfTable(size_t N, double S) {
   assert(N > 0 && "zipf needs a non-empty universe");
-  // Direct inversion over the normalised harmonic weights.  N is small
-  // (file catalogue sizes), so the O(N) loop is fine.
-  double Total = 0.0;
-  for (size_t K = 1; K <= N; ++K)
-    Total += 1.0 / std::pow(static_cast<double>(K), S);
-  double Target = uniform() * Total;
+  Cdf.reserve(N);
   double Acc = 0.0;
   for (size_t K = 1; K <= N; ++K) {
     Acc += 1.0 / std::pow(static_cast<double>(K), S);
-    if (Target < Acc)
-      return K - 1;
+    Cdf.push_back(Acc);
   }
-  return N - 1;
+}
+
+size_t ZipfTable::draw(RandomEngine &Rng) const {
+  // Inversion: the first rank whose prefix sum exceeds the target.  The
+  // sums are exact running totals, so Cdf.back() is the normaliser; the
+  // clamp absorbs a target that rounds up onto it.
+  double Target = Rng.uniform() * Cdf.back();
+  size_t K = std::upper_bound(Cdf.begin(), Cdf.end(), Target) - Cdf.begin();
+  return std::min(K, Cdf.size() - 1);
 }

@@ -145,20 +145,45 @@ TEST(Random, WeightedIndexProportions) {
 
 TEST(Random, ZipfFavoursLowRanks) {
   RandomEngine R(41);
+  ZipfTable Z(10, 1.0);
   std::vector<int> Hits(10, 0);
   for (int I = 0; I < 50000; ++I)
-    ++Hits[R.zipf(10, 1.0)];
+    ++Hits[Z.draw(R)];
   EXPECT_GT(Hits[0], Hits[4]);
   EXPECT_GT(Hits[4], Hits[9]);
 }
 
 TEST(Random, ZipfZeroExponentIsUniform) {
   RandomEngine R(43);
+  ZipfTable Z(4, 0.0);
   std::vector<int> Hits(4, 0);
   for (int I = 0; I < 40000; ++I)
-    ++Hits[R.zipf(4, 0.0)];
+    ++Hits[Z.draw(R)];
   for (int H : Hits)
     EXPECT_NEAR(H / 40000.0, 0.25, 0.02);
+}
+
+TEST(Random, ZipfTableDrawsMatchPinnedDigest) {
+  // Digests of 10,000 draws each from the historical per-draw inversion
+  // (harmonic weights re-summed with pow() on every draw): the table must
+  // reproduce every rank bit for bit, one uniform() per draw.
+  struct Case {
+    size_t N;
+    double S;
+    uint64_t Digest;
+  };
+  const Case Cases[] = {{256, 0.8, 0x1719321c62676551ull},
+                        {10, 1.0, 0xb540749ed32041eeull},
+                        {4, 0.0, 0x013a11ba2944eb67ull},
+                        {1, 2.0, 0xa6e4f0723147f065ull}};
+  for (const Case &C : Cases) {
+    RandomEngine R(97);
+    ZipfTable Z(C.N, C.S);
+    uint64_t H = 14695981039346656037ull; // FNV-1a over the ranks.
+    for (int I = 0; I < 10000; ++I)
+      H = (H ^ Z.draw(R)) * 1099511628211ull;
+    EXPECT_EQ(H, C.Digest) << "N=" << C.N << " S=" << C.S;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -357,8 +382,9 @@ TEST(RunningStats, ClearResets) {
 
 TEST(Random, ZipfSingleElementUniverse) {
   RandomEngine R(51);
+  ZipfTable Z(1, 2.0);
   for (int I = 0; I < 20; ++I)
-    EXPECT_EQ(R.zipf(1, 2.0), 0u);
+    EXPECT_EQ(Z.draw(R), 0u);
 }
 
 TEST(Fmt, HumanReadable) {
