@@ -68,7 +68,7 @@ TransferManager::~TransferManager() {
 }
 
 void TransferManager::armWatchdog() {
-  if (!std::isfinite(Policy.StallTimeout) || ActiveList.empty() ||
+  if (!std::isfinite(Policy.StallTimeout) || liveTransfers() == 0 ||
       WatchdogEvent != InvalidEventId)
     return;
   WatchdogEvent = Sim.schedule(RefreshPeriod, [this] {
@@ -79,7 +79,7 @@ void TransferManager::armWatchdog() {
 }
 
 void TransferManager::setAdmissionPolicy(const AdmissionPolicy &A) {
-  assert(ActiveList.empty() &&
+  assert(liveTransfers() == 0 &&
          "set the admission policy before submitting transfers");
   Admission = A;
   Destinations.clear();
@@ -145,14 +145,24 @@ void TransferManager::releaseTransfer(TransferId Id) {
   A.DeadlineEvent = InvalidEventId;
   FreeSlots.push_back(Slot);
   IdToSlot.erase(It);
-  auto Pos = std::lower_bound(
-      ActiveList.begin(), ActiveList.end(), Id,
-      [](const std::pair<TransferId, uint32_t> &P, TransferId V) {
-        return P.first < V;
-      });
-  assert(Pos != ActiveList.end() && Pos->first == Id &&
+  auto &Entry = ActiveList[A.ActivePos];
+  assert(Entry.first == Id && Entry.second == Slot &&
          "active list out of sync");
-  ActiveList.erase(Pos);
+  Entry.second = DeadEntry;
+  if (2 * ++DeadEntries > ActiveList.size())
+    compactActiveList();
+}
+
+void TransferManager::compactActiveList() {
+  size_t Live = 0;
+  for (const auto &[Id, Slot] : ActiveList) {
+    if (Slot == DeadEntry)
+      continue;
+    Slots[Slot].ActivePos = static_cast<uint32_t>(Live);
+    ActiveList[Live++] = {Id, Slot};
+  }
+  ActiveList.resize(Live);
+  DeadEntries = 0;
 }
 
 TransferId TransferManager::submit(const TransferSpec &Spec,
@@ -231,6 +241,7 @@ TransferId TransferManager::submit(const TransferSpec &Spec,
         Spec.Destination->name().c_str(),
         T.Result.FileBytes / (1024.0 * 1024.0), Spec.Streams, Startup);
   IdToSlot.emplace(Id, Slot);
+  T.ActivePos = static_cast<uint32_t>(ActiveList.size());
   ActiveList.emplace_back(Id, Slot); // Ids are monotonic: stays sorted.
   // The deadline is armed for the transfer's whole life — queue wait
   // included — and cancelled when it resolves.  A deadline already in the
@@ -635,6 +646,8 @@ void TransferManager::failHost(const Host &H, bool MachineDown) {
   std::vector<TransferId> DeadDestinations;
   std::vector<std::pair<TransferId, size_t>> DeadStripes;
   for (const auto &[Id, Slot] : ActiveList) {
+    if (Slot == DeadEntry)
+      continue;
     const ActiveTransfer &T = Slots[Slot];
     if (MachineDown && T.Spec.Destination == &H) {
       // The receiving server lost the partial file state; the client must
@@ -697,6 +710,8 @@ void TransferManager::refreshCaps() {
   bool WatchStalls = std::isfinite(Policy.StallTimeout);
   std::vector<std::pair<TransferId, size_t>> Stalled;
   for (auto &[Id, Slot] : ActiveList) {
+    if (Slot == DeadEntry)
+      continue;
     ActiveTransfer &T = Slots[Slot];
     for (size_t I = 0, E = T.StripesLive.size(); I != E; ++I) {
       Stripe &S = T.StripesLive[I];

@@ -261,7 +261,7 @@ public:
 
   /// \returns the number of in-flight transfers (startup or data phase),
   /// not counting transfers waiting in an admission queue.
-  size_t activeTransfers() const { return ActiveList.size() - QueuedNow; }
+  size_t activeTransfers() const { return liveTransfers() - QueuedNow; }
 
   /// \returns transfers currently waiting in admission queues.
   size_t queuedTransfers() const { return QueuedNow; }
@@ -361,6 +361,7 @@ private:
     double PayloadPerWire = 1.0; // Payload bytes per wire byte (MODE E < 1).
     bool Queued = false;         // Waiting in an admission queue.
     EventId DeadlineEvent = InvalidEventId;
+    uint32_t ActivePos = 0; // Index of this transfer's ActiveList entry.
   };
 
   /// Per-destination admission state.  Keyed by host pointer and only
@@ -373,6 +374,11 @@ private:
 
   ActiveTransfer *findTransfer(TransferId Id);
   void releaseTransfer(TransferId Id);
+  /// Drops dead ActiveList entries, keeping the live ones in id order.
+  void compactActiveList();
+  /// \returns transfers in ActiveList that are not yet released (queued
+  /// ones included).
+  size_t liveTransfers() const { return ActiveList.size() - DeadEntries; }
   /// Schedules the protocol startup for an admitted transfer.
   void startTransfer(TransferId Id);
   /// Queues a transfer whose destination is at its admission limit,
@@ -434,10 +440,15 @@ private:
   /// refresh iterates ActiveList, which is kept sorted by id (ids are
   /// monotonic, so appends preserve order and iteration matches the
   /// ordered map this replaced — same FP addition order, same results).
+  /// A released transfer's entry is marked dead (slot DeadEntry) rather
+  /// than erased, and the list is compacted in order once half of it is
+  /// dead, so a release costs O(1) amortised instead of a vector shift.
   std::vector<ActiveTransfer> Slots;
   std::vector<uint32_t> FreeSlots;
   std::unordered_map<TransferId, uint32_t> IdToSlot;
   std::vector<std::pair<TransferId, uint32_t>> ActiveList;
+  static constexpr uint32_t DeadEntry = ~0u;
+  size_t DeadEntries = 0;
   std::unordered_map<const Host *, DestState> Destinations;
   /// Live-stripe endpoint counts (stripes whose Flow is live), maintained
   /// by noteStripeUp/noteStripeDown.  Looked up, never iterated, so the
