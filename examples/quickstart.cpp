@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The smallest useful dgsim program: build a two-site Data Grid, publish
-/// a file with two replicas, let the paper's cost model pick one, and
-/// fetch it with parallel GridFTP.
+/// a file with two replicas, print every replica's cost-model report, let
+/// the paper's cost model pick one, and fetch it with parallel GridFTP.
 ///
 /// Build and run:
 ///   cmake --build build --target quickstart && ./build/examples/quickstart
@@ -20,6 +20,7 @@
 #include "support/Units.h"
 
 #include <cstdio>
+#include <vector>
 
 using namespace dgsim;
 using namespace dgsim::units;
@@ -57,11 +58,13 @@ int main() {
   CostModelPolicy Policy; // The paper's 80/10/10 weights.
   ReplicaSelector Selector(Grid.catalog(), Grid.info(), Policy);
   Host *Client = Grid.findHost("lab0");
+  std::vector<CandidateReport> Reports =
+      Selector.scoreAll(Client->node(), "dataset");
   SelectionResult Sel = Selector.select(Client->node(), "dataset");
 
   Table T;
   T.setHeader({"candidate", "P_bw", "P_cpu", "P_io", "score"});
-  for (const CandidateReport &C : Sel.Candidates) {
+  for (const CandidateReport &C : Reports) {
     T.beginRow();
     T.add(C.Candidate->name());
     T.add(C.Factors.BwFraction, 3);

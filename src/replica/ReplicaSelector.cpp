@@ -37,8 +37,9 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
   SelectionResult &R = Result;
   R.Chosen = nullptr;
   R.LocalHit = false;
-  scoreAllInto(ClientNode, Lfn, R.Candidates);
-  assert(!R.Candidates.empty() && "selecting a file with no replicas");
+  const std::vector<Host *> &Holders = Catalog.locateRef(Lfn);
+  assert(!Holders.empty() && "selecting a file with no replicas");
+  hintQueries(Lfn);
 
   auto Excluded = [&Exclude](const Host *H) {
     return std::find(Exclude.begin(), Exclude.end(), H) != Exclude.end();
@@ -59,19 +60,18 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
   }
 
   // Dead or excluded holders never enter the policy's candidate list:
-  // failover must always land on a live replica.  The reports hold the
-  // holders in catalogue order, so no second catalog lookup is needed.
+  // failover must always land on a live replica.  Filtering reads only
+  // availability, so a filtered-out holder is never monitored.
   std::vector<Host *> &Candidates = CandScratch;
   Candidates.clear();
-  size_t Holders = R.Candidates.size();
-  for (const CandidateReport &C : R.Candidates)
-    if (C.Candidate->available() && !Excluded(C.Candidate))
-      Candidates.push_back(C.Candidate);
+  for (Host *H : Holders)
+    if (H->available() && !Excluded(H))
+      Candidates.push_back(H);
   if (Candidates.empty()) {
     if (Trace)
       Trace->record(Info.now(), TraceCategory::Selection,
                     Lfn + ": no live replica among " +
-                        std::to_string(Holders) + " holder(s)");
+                        std::to_string(Holders.size()) + " holder(s)");
     return R; // Chosen stays null.
   }
   // Breaker gate: holders resting behind an Open breaker (or half-open
@@ -102,6 +102,8 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
                         " live holder(s)");
     }
   }
+  // The policy's own factor queries are the only monitoring a selection
+  // triggers: it queries exactly the candidates it ranks.
   R.Chosen = Policy.choose(ClientNode, Candidates, Info);
   assert(R.Chosen && "policy returned no choice");
   if (Health)
@@ -121,16 +123,19 @@ ReplicaSelector::scoreAll(NodeId ClientNode, const std::string &Lfn) {
   return Reports;
 }
 
-void ReplicaSelector::scoreAllInto(NodeId ClientNode, const std::string &Lfn,
-                                   std::vector<CandidateReport> &Out) {
-  // With transfer-log feedback on, every factor query below (and any the
-  // policy makes while choosing) conditions on the fetch being planned.
-  // Without a log the hint is never consulted, so this stays off the
-  // probe-only fast path entirely.
+void ReplicaSelector::hintQueries(const std::string &Lfn) {
+  // With transfer-log feedback on, every factor query that follows
+  // conditions on the fetch being planned.  Without a log the hint is
+  // never consulted, so this stays off the probe-only fast path entirely.
   if (Info.transferLog())
     Info.setQueryHint(Catalog.fileSize(Lfn), HintStreams);
+}
+
+void ReplicaSelector::scoreAllInto(NodeId ClientNode, const std::string &Lfn,
+                                   std::vector<CandidateReport> &Out) {
+  hintQueries(Lfn);
   if (!RankCacheOn) {
-    // The historical per-call pipeline: one full query per holder.
+    // The reference pipeline: one full query per holder.
     Out.clear();
     for (Host *H : Catalog.locateRef(Lfn)) {
       CandidateReport C;

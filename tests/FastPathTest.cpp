@@ -107,7 +107,10 @@ namespace {
 // re-pinned after the latency and memory sensors, then the host memory-load
 // process, all of which self-schedule on the paper testbed, were deleted;
 // the grid journals' spec hash (h=) was re-pinned when the host memory
-// knobs left GridSpec.  Every other field is as captured.
+// knobs left GridSpec, and their mean sojourn (sj=) and end time (end=)
+// when selection stopped querying every holder before the policy ranked
+// its own candidates (the chaos grid's first-fetch monitors, and so its
+// forecasts, changed).  Every other field is as captured.
 constexpr const char *Fig3Journal =
     "st=0 d=75.366399999999999 tot=76.012164705882356 "
     "thr=28251841.745454364 e=3442";
@@ -116,11 +119,11 @@ constexpr const char *Fig4Journal =
     "thr=212887547.61860764 e=1344";
 constexpr const char *GridJournal =
     "a=478 c=478 f=0 s=0 lh=94 gp=1304908254.0784802 "
-    "sj=3536.5046559837019 e=1490 end=73.364265940490043 lg=0 "
+    "sj=3526.8371000986081 e=1490 end=73.364265940490057 lg=0 "
     "h=6fb97113bcbbb639";
 constexpr const char *GridLogFeedbackJournal =
     "a=478 c=478 f=0 s=0 lh=94 gp=1304908254.0784802 "
-    "sj=3531.3174084262682 e=1490 end=73.364265940490043 lg=384 "
+    "sj=3535.0381931861089 e=1490 end=73.364265940490057 lg=384 "
     "h=6fb97113bcbbb639";
 
 //===----------------------------------------------------------------------===//

@@ -412,7 +412,10 @@ TEST(FaultFailover, SelectionSkipsDeadReplicasAndPicksALiveOne) {
   EXPECT_TRUE(R.Chosen->available());
 
   // The report still covers the corpses (operator visibility)...
-  EXPECT_EQ(R.Candidates.size(), 3u);
+  EXPECT_EQ(
+      Sel.scoreAll(T.grid().findHost("lz04")->node(), PaperTestbed::FileA)
+          .size(),
+      3u);
 
   // ...and when the last holder dies too, selection gives up cleanly.
   T.lz(2).setUp(false);
@@ -592,25 +595,25 @@ TEST(FaultBlackout, InformationServiceServesStaleTaggedDataThroughOutage) {
   NodeId Client = G->findHost("lz04")->node();
 
   G->sim().runUntil(39.0); // Sensors have sampled; blackout not yet begun.
-  SelectionResult Before = Sel.select(Client, "chaos-a");
-  ASSERT_NE(Before.Chosen, nullptr);
-  ASSERT_FALSE(Before.Candidates.empty());
-  SimTime FreshAge = Before.Candidates.front().Factors.BwAgeSeconds;
+  ASSERT_NE(Sel.select(Client, "chaos-a").Chosen, nullptr);
+  auto Before = Sel.scoreAll(Client, "chaos-a");
+  ASSERT_FALSE(Before.empty());
+  SimTime FreshAge = Before.front().Factors.BwAgeSeconds;
 
   G->sim().runUntil(120.0); // 80 s into the blackout.
   EXPECT_TRUE(G->info().blackout());
-  SelectionResult During = Sel.select(Client, "chaos-a");
   // Selection still answers from last-known data...
-  ASSERT_NE(During.Chosen, nullptr);
-  ASSERT_FALSE(During.Candidates.empty());
+  ASSERT_NE(Sel.select(Client, "chaos-a").Chosen, nullptr);
+  auto During = Sel.scoreAll(Client, "chaos-a");
+  ASSERT_FALSE(During.empty());
   // ...with the staleness visible: ages grew well past a probe period.
-  EXPECT_GT(During.Candidates.front().Factors.BwAgeSeconds, FreshAge + 60.0);
-  EXPECT_GT(During.Candidates.front().Factors.HostAgeSeconds, 60.0);
+  EXPECT_GT(During.front().Factors.BwAgeSeconds, FreshAge + 60.0);
+  EXPECT_GT(During.front().Factors.HostAgeSeconds, 60.0);
 
   G->sim().runUntil(160.0); // Blackout over: sensors resample.
   EXPECT_FALSE(G->info().blackout());
-  SelectionResult After = Sel.select(Client, "chaos-a");
-  ASSERT_FALSE(After.Candidates.empty());
-  EXPECT_LT(After.Candidates.front().Factors.BwAgeSeconds,
-            During.Candidates.front().Factors.BwAgeSeconds);
+  auto After = Sel.scoreAll(Client, "chaos-a");
+  ASSERT_FALSE(After.empty());
+  EXPECT_LT(After.front().Factors.BwAgeSeconds,
+            During.front().Factors.BwAgeSeconds);
 }
