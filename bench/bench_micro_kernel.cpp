@@ -272,7 +272,8 @@ struct SelectFixture {
 } // namespace
 
 /// One replica selection per iteration over a rotating file set.  Arg 0
-/// toggles the factor + ranking caches; arg 1 picks warm (sim time frozen,
+/// toggles the epoch caches, of which selection reads only the factor
+/// cache (the ranking cache backs scoreAll); arg 1 picks warm (sim time frozen,
 /// every epoch check hits) or cold (sensor epochs advanced between
 /// selects, every cache entry revalidates and recomputes).
 static void BM_SelectReplica(benchmark::State &State) {
