@@ -201,7 +201,7 @@ BENCHMARK(BM_IncrementalRebalance)
     ->Unit(benchmark::kMicrosecond);
 
 //===----------------------------------------------------------------------===//
-// Selection fast path: epoch-cached scoring against the uncached pipeline
+// Selection: filter the holders, query each candidate, rank
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -209,8 +209,8 @@ namespace {
 /// A star grid sized for selection benchmarking: \p Sites replica holders
 /// behind one core, \p Files logical files with \p Replicas holders each,
 /// and one client issuing every select.  Sensors are warmed before
-/// measurement so the uncached arm pays the steady-state pipeline cost,
-/// not cold-start artifacts.
+/// measurement so selects pay the steady-state pipeline cost, not
+/// cold-start artifacts.
 struct SelectFixture {
   Simulator Sim{21};
   Topology Topo;
@@ -225,7 +225,7 @@ struct SelectFixture {
   NodeId ClientNode;
   std::vector<std::string> Lfns;
 
-  SelectFixture(size_t Sites, size_t Files, size_t Replicas, bool Cached) {
+  SelectFixture(size_t Sites, size_t Files, size_t Replicas) {
     using namespace dgsim::units;
     RandomEngine Rng(9);
     NodeId Core = Topo.addNode("core");
@@ -261,50 +261,24 @@ struct SelectFixture {
       Lfns.push_back(std::move(Lfn));
     }
     Sel = std::make_unique<ReplicaSelector>(Cat, *Info, Policy);
-    if (!Cached) {
-      Info->setFactorCacheEnabled(false);
-      Sel->setRankingCacheEnabled(false);
-    }
     Sim.runUntil(30.0); // Warm every sensor past its first samples.
   }
 };
 
 } // namespace
 
-/// One replica selection per iteration over a rotating file set.  Arg 0
-/// toggles the epoch caches, of which selection reads only the factor
-/// cache (the ranking cache backs scoreAll); arg 1 picks warm (sim time frozen,
-/// every epoch check hits) or cold (sensor epochs advanced between
-/// selects, every cache entry revalidates and recomputes).
+/// One replica selection per iteration over a rotating file set: the
+/// cost model queries every holder's current factors and ranks them.
 static void BM_SelectReplica(benchmark::State &State) {
-  const bool Cached = State.range(0);
-  const bool Warm = State.range(1);
-  SelectFixture F(64, 128, 4, Cached);
+  SelectFixture F(64, 128, 4);
   size_t I = 0;
-  if (Warm) {
-    for (auto _ : State) {
-      benchmark::DoNotOptimize(F.Sel->selectRef(F.ClientNode, F.Lfns[I]));
-      I = (I + 1) % F.Lfns.size();
-    }
-  } else {
-    for (auto _ : State) {
-      State.PauseTiming();
-      // A full bandwidth period: every input sensor re-samples, so the
-      // next select revalidates and recomputes every touched path.
-      F.Sim.runUntil(F.Sim.now() + 10.0);
-      State.ResumeTiming();
-      benchmark::DoNotOptimize(F.Sel->selectRef(F.ClientNode, F.Lfns[I]));
-      I = (I + 1) % F.Lfns.size();
-    }
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(F.Sel->selectRef(F.ClientNode, F.Lfns[I]));
+    I = (I + 1) % F.Lfns.size();
   }
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_SelectReplica)
-    ->Args({1, 1})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({0, 0})
-    ->ArgNames({"cached", "warm"});
+BENCHMARK(BM_SelectReplica);
 
 static void BM_NwsForecasterObserve(benchmark::State &State) {
   RandomEngine Rng(4);
@@ -456,9 +430,9 @@ dgsim::exp::TrialResult runKernelTrial(const dgsim::exp::TrialPoint &P) {
     Sim.runUntil(Windows);
     Ops = double(Ticks);
     Events = Sim.eventsExecuted();
-  } else if (Workload == "select-cached" || Workload == "select-uncached") {
+  } else if (Workload == "select") {
     constexpr size_t Selects = 100000;
-    SelectFixture F(64, 128, 4, Workload == "select-cached");
+    SelectFixture F(64, 128, 4);
     size_t I = 0;
     for (size_t K = 0; K < Selects; ++K) {
       benchmark::DoNotOptimize(F.Sel->selectRef(F.ClientNode, F.Lfns[I]));
@@ -505,7 +479,7 @@ int writeKernelReport(const std::string &Path) {
   S.Title = "Event-kernel microbench workloads";
   S.Axes = {{"workload",
              {"event-churn", "periodic-tick", "interned-lookup",
-              "select-cached", "select-uncached", "heap-dispatch"}}};
+              "select", "heap-dispatch"}}};
   S.Seeds = {1};
   S.Metrics = {"ops_per_sec", "events_per_sec", "wall_seconds"};
   S.Run = runKernelTrial;

@@ -20,9 +20,10 @@
 /// refresh, and two-choice replica sampling (at thousands of selections
 /// per forecast period, plain arg-max herds onto stale winners).
 ///
-/// Reports events/s, transfers/s and peak RSS alongside the usual shape
-/// checks; an RSS probe at the workload midpoint checks that memory is
-/// flat after warm-up (sublinear in transfer count).  --baseline PATH
+/// Reports events/s, transfers/s and peak RSS on stderr, so stdout (the
+/// usual shape checks and deterministic counts) can be pinned; an RSS
+/// probe at the workload midpoint checks that memory is flat after
+/// warm-up (sublinear in transfer count).  --baseline PATH
 /// gates the run against a committed capture of the same configuration
 /// (see main()).
 ///
@@ -412,8 +413,10 @@ int main(int argc, char **argv) {
                         "transfer count)");
   }
 
-  std::printf("\ntransfers: %.0f completed (%.0f transfers/s host-side)\n",
-              Completed, SweepWall > 0.0 ? Completed / SweepWall : 0.0);
+  std::printf("\ntransfers: %.0f completed\n", Completed);
+  std::fflush(stdout);
+  std::fprintf(stderr, "host: %.0f transfers/s\n",
+               SweepWall > 0.0 ? Completed / SweepWall : 0.0);
   bench::printRunFooter(Events, SweepWall);
   return bench::exitCode();
 }

@@ -142,104 +142,62 @@ InformationService::watchPathEntry(NodeId Client, NodeId Server) {
 
 SystemFactors InformationService::query(NodeId ClientNode,
                                         const Host &Candidate) {
-  // The entry lookup doubles as the TTL touch: cached and uncached queries
-  // drive eviction identically.
-  return queryEntry(watchPathEntry(ClientNode, Candidate.node()), ClientNode,
-                    Candidate);
-}
-
-SystemFactors InformationService::queryEntry(PathSensors &PS,
-                                             NodeId ClientNode,
-                                             const Host &Candidate) {
-  PS.LastQuery = Sim.now();
-  const Sensor *Bw = PS.Bandwidth.get();
+  // The entry lookup doubles as the TTL touch.
+  const Sensor *Bw =
+      watchPathEntry(ClientNode, Candidate.node()).Bandwidth.get();
   assert(Bw && "watchPath did not create a sensor");
   ++FactorQueries;
 
-  FactorCache &C = PS.Cache;
-  bool Hit = FactorCacheEnabled && C.Valid && C.Cand == &Candidate &&
-             C.BwVer == Bw->version() && C.CpuVer == C.Cpu->version() &&
-             C.IoVer == C.Io->version() &&
-             // With a transfer log attached the prediction also depends
-             // on the path's log stream and the query hint; without one,
-             // the check (and the entry) is the three sensor versions.
-             (!Log ||
-              (C.LogVer == Log->version(Candidate.node(), ClientNode) &&
-               C.HintBytes == HintBytes && C.HintStreams == HintStreams));
-  if (!Hit) {
-    ++FactorRecomputes;
-    SystemFactors F;
-    F.PredictedBandwidth = Bw->forecast();
-    if (Log)
-      F.PredictedBandwidth =
-          Log->predict(Candidate.node(), ClientNode, HintBytes, HintStreams,
-                       F.PredictedBandwidth);
-    const NetPath *Path =
-        Net.routing().pathRef(Candidate.node(), ClientNode);
-    F.TheoreticalBandwidth = Path ? Path->BottleneckCapacity : 0.0;
+  SystemFactors F;
+  F.PredictedBandwidth = Bw->forecast();
+  if (Log)
+    F.PredictedBandwidth =
+        Log->predict(Candidate.node(), ClientNode, HintBytes, HintStreams,
+                     F.PredictedBandwidth);
+  const NetPath *Path = Net.routing().pathRef(Candidate.node(), ClientNode);
+  F.TheoreticalBandwidth = Path ? Path->BottleneckCapacity : 0.0;
 
-    double Denominator = 0.0;
-    if (Config.Normalization == BwNormalization::ClientAccess) {
-      // The client can never receive faster than its best access link.
-      // Capacities are immutable after build, so the max is computed once
-      // per client node.
-      if (ClientNode >= ClientDenominator.size())
-        ClientDenominator.resize(ClientNode + 1, -1.0);
-      if (ClientDenominator[ClientNode] < 0.0) {
-        const Topology &Topo = Net.topology();
-        double D = 0.0;
-        for (LinkId L : Topo.linksAt(ClientNode))
-          D = std::max(D, Topo.link(L).Capacity);
-        ClientDenominator[ClientNode] = D;
-      }
-      Denominator = ClientDenominator[ClientNode];
-    } else {
-      Denominator = F.TheoreticalBandwidth;
+  double Denominator = 0.0;
+  if (Config.Normalization == BwNormalization::ClientAccess) {
+    // The client can never receive faster than its best access link.
+    // Capacities are immutable after build, so the max is computed once
+    // per client node.
+    if (ClientNode >= ClientDenominator.size())
+      ClientDenominator.resize(ClientNode + 1, -1.0);
+    if (ClientDenominator[ClientNode] < 0.0) {
+      const Topology &Topo = Net.topology();
+      double D = 0.0;
+      for (LinkId L : Topo.linksAt(ClientNode))
+        D = std::max(D, Topo.link(L).Capacity);
+      ClientDenominator[ClientNode] = D;
     }
-    if (Candidate.node() == ClientNode || !std::isfinite(Denominator) ||
-        Denominator <= 0.0) {
-      // Local replica (or an isolated client): bandwidth does not bind.
-      F.BwFraction = 1.0;
-    } else {
-      F.BwFraction =
-          std::clamp(F.PredictedBandwidth / Denominator, 0.0, 1.0);
-    }
-    const HostSensors &HS = hostSensors(Candidate);
-    F.CpuIdle = HS.Cpu->lastValue();
-    F.IoIdle = HS.Io->lastValue();
-
-    C.Cand = &Candidate;
-    C.Cpu = HS.Cpu.get();
-    C.Io = HS.Io.get();
-    C.BwVer = Bw->version();
-    C.CpuVer = C.Cpu->version();
-    C.IoVer = C.Io->version();
-    if (Log) {
-      C.LogVer = Log->version(Candidate.node(), ClientNode);
-      C.HintBytes = HintBytes;
-      C.HintStreams = HintStreams;
-    }
-    C.Factors = F;
-    C.Valid = true;
-    ++C.Epoch;
+    Denominator = ClientDenominator[ClientNode];
+  } else {
+    Denominator = F.TheoreticalBandwidth;
   }
+  if (Candidate.node() == ClientNode || !std::isfinite(Denominator) ||
+      Denominator <= 0.0) {
+    // Local replica (or an isolated client): bandwidth does not bind.
+    F.BwFraction = 1.0;
+  } else {
+    F.BwFraction = std::clamp(F.PredictedBandwidth / Denominator, 0.0, 1.0);
+  }
+  const HostSensors &HS = hostSensors(Candidate);
+  F.CpuIdle = HS.Cpu->lastValue();
+  F.IoIdle = HS.Io->lastValue();
 
   // Staleness tags: how old the data behind the answer is.  Sensors keep
   // serving their last sample through a blackout, so these ages are the
-  // only signal that the measurements have stopped being fresh — and they
-  // advance with the clock, so they are recomputed on cache hits too.
+  // only signal that the measurements have stopped being fresh.
   auto AgeOf = [this](const Sensor &S) {
     SimTime Last = S.lastSampleTime();
     return std::isfinite(Last) ? Sim.now() - Last
                                : std::numeric_limits<double>::infinity();
   };
-  SystemFactors F = C.Factors;
-  F.BwAgeSeconds = AgeOf(*Bw);
-  F.HostAgeSeconds = AgeOf(*C.Cpu);
   // A clock-skewed sensor can stamp samples in the future; a negative age
   // is the lie's artefact, not a meaningful reading.
-  F.BwAgeSeconds = std::max(F.BwAgeSeconds, 0.0);
-  F.HostAgeSeconds = std::max(F.HostAgeSeconds, 0.0);
+  F.BwAgeSeconds = std::max(AgeOf(*Bw), 0.0);
+  F.HostAgeSeconds = std::max(AgeOf(*HS.Cpu), 0.0);
   return F;
 }
 
@@ -339,7 +297,6 @@ void InformationService::evictIdlePaths() {
       if (const SensorFaultState *F = S.faultState())
         RetiredDropped += F->Dropped;
       It = Paths.erase(It);
-      ++PathsStructVersion;
     } else {
       ++It;
     }

@@ -167,7 +167,8 @@ public:
   void watchPath(NodeId Client, NodeId Server);
 
   /// \returns the current factors for fetching data from \p Candidate to a
-  /// client at \p ClientNode.  The candidate must have been registered.
+  /// client at \p ClientNode, computed from the sensors' current state on
+  /// every call.  The candidate must have been registered.
   SystemFactors query(NodeId ClientNode, const Host &Candidate);
 
   /// \returns the latest CPU idle reading for a registered host.
@@ -221,97 +222,41 @@ public:
   /// must track the touched working set, not every pair ever queried.
   size_t pathSensorCount() const { return Paths.size(); }
 
-  /// Enables or disables the per-path factor cache (default on).  Cached
-  /// and uncached answers are bit-identical by construction — the cache
-  /// revalidates against every input sensor's version and replays the
-  /// exact recompute pipeline on any mismatch — so this knob exists for
-  /// the determinism suite and the BM_SelectReplica uncached arm, not for
-  /// correctness.
-  void setFactorCacheEnabled(bool V) { FactorCacheEnabled = V; }
-  bool factorCacheEnabled() const { return FactorCacheEnabled; }
-
-  /// \returns total query() calls (cache introspection).
+  /// \returns total query() calls; each computes the factors afresh.
   uint64_t factorQueries() const { return FactorQueries; }
 
-  /// \returns how many query() calls ran the full factor pipeline (cache
-  /// miss or cache disabled).  factorQueries() - factorRecomputes() is the
-  /// hit count.
-  uint64_t factorRecomputes() const { return FactorRecomputes; }
+  /// Equal to factorQueries(); kept only for dgbench's per-layer report.
+  uint64_t factorRecomputes() const { return FactorQueries; }
 
   /// Attaches a transfer log as the second prediction source: queries
   /// then refine P^BW's predicted bandwidth through the path's
   /// minimum-MSE meta-selector (probe forecast vs log-trained regression
   /// arms), trained per (candidate, client) path by completed transfers.
   /// Pass nullptr to detach.  With no log attached (the default), the
-  /// factor pipeline and its cache behave bit-identically to the
-  /// historical probe-only service — the golden figures depend on that.
+  /// factor pipeline behaves bit-identically to the historical probe-only
+  /// service — the golden figures depend on that.
   void setTransferLog(TransferLog *L) { Log = L; }
   TransferLog *transferLog() { return Log; }
 
   /// Sets the prospective-transfer context the log-trained predictors
   /// condition on (file size and stream count of the fetch being
   /// planned).  Sticky until the next call; consulted only while a
-  /// transfer log is attached.  The factor cache keys on it, so flipping
-  /// hints revalidates instead of serving a stale prediction.
+  /// transfer log is attached, by every query() that follows.
   void setQueryHint(Bytes FileBytes, unsigned Streams) {
     HintBytes = FileBytes;
     HintStreams = Streams;
   }
 
-  /// \returns a counter bumped whenever the Paths map *erases* entries
-  /// (TTL eviction).  Stored PathSensors pointers — the map is node-based,
-  /// so inserts and rehashes never move entries — remain valid exactly as
-  /// long as this version is unchanged; the selector's ranking cache
-  /// revalidates against it before dereferencing its bindings.
-  uint64_t pathsStructureVersion() const { return PathsStructVersion; }
-
 private:
-  /// The selection fast path (ReplicaSelector's ranking cache, DESIGN.md
-  /// §13) binds directly to PathSensors entries and queries through
-  /// queryEntry(), skipping the per-candidate hash lookup.
-  friend class ReplicaSelector;
-
   struct HostSensors {
     std::unique_ptr<Sensor> Cpu;
     std::unique_ptr<Sensor> Io;
-  };
-
-  /// Version-stamped result of the factor pipeline for one (client, server)
-  /// path and one candidate host.  Everything in Factors except the two
-  /// staleness ages is a pure function of three sensor version counters
-  /// (the path's bandwidth sensor, the candidate's CPU and I/O sensors)
-  /// plus static topology, so the stamps make "unchanged inputs" checkable
-  /// in three integer compares; the ages are recomputed on every query
-  /// because they advance with the clock.
-  struct FactorCache {
-    const Host *Cand = nullptr;
-    /// The candidate's host sensors, resolved once per recompute so cache
-    /// hits skip the name-interner lookup.  Stable: host sensors live for
-    /// the run (only *path* sensors are TTL-evicted, and eviction destroys
-    /// this whole struct with the entry that owns it).
-    const Sensor *Cpu = nullptr;
-    const Sensor *Io = nullptr;
-    uint64_t BwVer = 0, CpuVer = 0, IoVer = 0;
-    /// Transfer-log inputs, stamped only while a log is attached: the
-    /// path's append counter plus the query hint the prediction was
-    /// conditioned on.  A log append bumps exactly this path's version,
-    /// so feedback invalidates the one entry it affects and nothing else.
-    uint64_t LogVer = 0;
-    Bytes HintBytes = 0.0;
-    unsigned HintStreams = 0;
-    /// Bumped once per recompute: the path's forecast epoch.  Consumers
-    /// (ReplicaSelector's ranking cache) can observe it to learn whether a
-    /// ranking built from this entry is still current.
-    uint64_t Epoch = 0;
-    SystemFactors Factors;
-    bool Valid = false;
   };
 
   struct PathSensors {
     std::unique_ptr<Sensor> Bandwidth;
     /// Last time a query touched this path; drives TTL eviction.
     SimTime LastQuery = 0.0;
-    FactorCache Cache;
   };
 
   /// Calls \p F on every sensor the service owns: each host's CPU and
@@ -335,13 +280,6 @@ private:
   /// find-or-create + LastQuery touch behind watchPath(); \returns the
   /// entry so query() needs no second hash lookup.
   PathSensors &watchPathEntry(NodeId Client, NodeId Server);
-
-  /// The factor pipeline against an already-resolved path entry: touches
-  /// the TTL stamp, revalidates the factor cache against the three input
-  /// sensor versions, recomputes on mismatch, and refreshes the staleness
-  /// ages.  query() is watchPathEntry() + this.
-  SystemFactors queryEntry(PathSensors &PS, NodeId ClientNode,
-                           const Host &Candidate);
 
   /// \returns the stagger-group batch for new host/path sensors, creating
   /// it lazily; nullptr when batching is off (sensors self-schedule).
@@ -386,14 +324,11 @@ private:
   /// computed once per client node.  -1 marks "not yet computed".
   mutable std::vector<double> ClientDenominator;
   uint64_t FactorQueries = 0;
-  uint64_t FactorRecomputes = 0;
-  uint64_t PathsStructVersion = 0;
   /// Completed-transfer feedback (nullptr = probe-only, the default).
   TransferLog *Log = nullptr;
   /// Prospective-transfer context for the log-trained predictors.
   Bytes HintBytes = 0.0;
   unsigned HintStreams = 0;
-  bool FactorCacheEnabled = true;
   bool Blackout = false;
   /// Telemetry faults currently in force, in begin order (re-applied to
   /// sensors created mid-window).  A handful at most; scanned linearly.

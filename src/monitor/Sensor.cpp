@@ -81,7 +81,6 @@ void Sensor::faultBegin(FaultKind Kind, double Magnitude, double Offset,
   default:
     assert(false && "not a sensor-level telemetry fault kind");
   }
-  ++Version;
 }
 
 void Sensor::faultEnd(FaultKind Kind) {
@@ -111,7 +110,6 @@ void Sensor::faultEnd(FaultKind Kind) {
   default:
     assert(false && "not a sensor-level telemetry fault kind");
   }
-  ++Version;
 }
 
 void Sensor::recordSlow(SimTime Now, double Value) {
@@ -138,5 +136,4 @@ void Sensor::recordSlow(SimTime Now, double Value) {
     return; // Rejected: counted by the gate, surfaced by the service.
   Last = {Now, Value};
   Fc.observe(Value);
-  ++Version;
 }

@@ -104,13 +104,6 @@ public:
   /// \returns the NWS forecast of the next value.
   double forecast() const { return Fc.predict(); }
 
-  /// \returns a counter bumped once per ingested sample.  Everything a
-  /// consumer can read from this sensor (lastValue, lastSampleTime,
-  /// forecast) is a pure function of the sample stream, so an unchanged
-  /// version means bit-identical reads — the invalidation contract behind
-  /// InformationService's factor cache (DESIGN.md §13).
-  uint64_t version() const { return Version; }
-
   /// \returns the adaptive forecaster (for error introspection; its
   /// observationCount() is the number of samples ingested).
   const NwsForecaster &forecaster() const { return Fc; }
@@ -134,9 +127,7 @@ public:
   /// sensor-level telemetry kind (bias/stuck/noise/dropout/clock-skew);
   /// \p Magnitude / \p Offset follow FaultWindow's conventions and
   /// \p NoiseSeed seeds the sensor-private noise stream (SensorNoise
-  /// only).  Calls nest; faultEnd() unwinds one level.  Both bump
-  /// version(): clock skew changes lastSampleTime() reads immediately,
-  /// and a uniform rule is cheaper than a per-kind one.
+  /// only).  Calls nest; faultEnd() unwinds one level.
   void faultBegin(FaultKind Kind, double Magnitude, double Offset,
                   uint64_t NoiseSeed);
   void faultEnd(FaultKind Kind);
@@ -173,7 +164,6 @@ private:
     }
     Last = {Now, Value};
     Fc.observe(Value);
-    ++Version;
   }
 
   /// The corruption/gating pipeline: dropout -> stuck -> bias -> noise,
@@ -192,7 +182,6 @@ private:
   /// Batch membership (batch-driven mode); maintained by SensorBatch.
   SensorBatch *Batch = nullptr;
   size_t BatchPos = 0;
-  uint64_t Version = 0;
   bool Suspended = false;
   std::unique_ptr<SensorFaultState> Faults;
   const GateConfig *GateCfg = nullptr;

@@ -35,14 +35,12 @@ void TransferLog::append(NodeId Server, NodeId Client,
   }
   PathLog &P = Paths[Key];
   if (GateAppends && !P.PathGate.admit(Obs.Throughput, Gate)) {
-    // Implausible append: counted, never trained on.  Nothing a reader
-    // can observe through predict() changed, so the path version (and
-    // with it the factor cache) stays put.
+    // Implausible append: counted, never trained on, so nothing a
+    // reader can observe through predict() changed.
     ++Rejected;
     return;
   }
   P.Fc.observe(Obs, ProbeForecast);
-  ++P.Version;
   ++Appends;
 }
 
@@ -80,11 +78,6 @@ double TransferLog::predict(NodeId Server, NodeId Client, Bytes FileBytes,
   if (It == Paths.end())
     return ProbeForecast;
   return It->second.Fc.predict(FileBytes, Streams, ProbeForecast);
-}
-
-uint64_t TransferLog::version(NodeId Server, NodeId Client) const {
-  auto It = Paths.find(logKey(Server, Client));
-  return It == Paths.end() ? 0 : It->second.Version;
 }
 
 const TransferForecaster *TransferLog::forecaster(NodeId Server,

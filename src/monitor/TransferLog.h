@@ -11,11 +11,9 @@
 /// path — the end-to-end signal Allcock et al. argue actually predicts
 /// replica fetch time.  Each path keeps a TransferForecaster (the
 /// probe-vs-log minimum-MSE meta-selector, trained on running
-/// least-squares sums), an optional plausibility gate on appends, and a
-/// sensor-style version counter bumped on every ingested append so
-/// InformationService's factor cache revalidates in one integer compare —
-/// appends never disturb the epoch-cached fast path, they just invalidate
-/// exactly the entries they affect.  No observation is stored.
+/// least-squares sums) and an optional plausibility gate on appends; each
+/// InformationService query reads the path's current prediction.  No
+/// observation is stored.
 ///
 /// Appends happen inside transfer-completion callbacks on the simulator's
 /// one thread, so the log needs no synchronisation.
@@ -52,13 +50,6 @@ public:
   double predict(NodeId Server, NodeId Client, Bytes FileBytes,
                  unsigned Streams, double ProbeForecast) const;
 
-  /// \returns a counter bumped once per append on this path; 0 for a path
-  /// never appended to.  Everything predict() can answer for the path is
-  /// a pure function of its observation stream (plus the caller-supplied
-  /// probe forecast), so an unchanged version means bit-identical reads —
-  /// the same invalidation contract as Sensor::version() (DESIGN.md §13).
-  uint64_t version(NodeId Server, NodeId Client) const;
-
   /// \returns the path's meta-selector, or nullptr when never appended to
   /// (per-arm introspection for the prediction-accuracy harness).
   const TransferForecaster *forecaster(NodeId Server, NodeId Client) const;
@@ -77,7 +68,7 @@ public:
   /// appends (existing and future).  A rejected append is counted and
   /// never trains the forecaster.  Off by default.  A flip changes no
   /// prediction by itself: the forecasters are untouched until the next
-  /// ingested append, which bumps its path's version.
+  /// ingested append.
   void setAppendGate(bool V) { GateAppends = V; }
 
   /// Gate tuning shared by every path; mutate before enabling.
@@ -108,7 +99,6 @@ private:
   struct PathLog {
     TransferForecaster Fc;
     PlausibilityGate PathGate;
-    uint64_t Version = 0;
   };
 
   /// One corruption scope (global, or one path): depth-counted like every

@@ -53,7 +53,6 @@ HealthTracker::SiteState &HealthTracker::refresh(const Host &Site) {
   if (S.State == BreakerState::Open && Sim.now() >= S.OpenUntil) {
     S.State = BreakerState::HalfOpen;
     S.ProbeInFlight = false;
-    ++Version;
     trace(Site, "breaker half-open (probe window)");
   }
   return S;
@@ -81,7 +80,6 @@ void HealthTracker::trip(SiteState &S, const Host &Site) {
 void HealthTracker::recordSuccess(const Host &Site, Bytes PayloadBytes,
                                   SimTime DataSeconds) {
   SiteState &S = refresh(Site);
-  ++Version;
   double Tput =
       DataSeconds > 0.0 ? PayloadBytes * 8.0 / DataSeconds : 0.0;
   S.TputEwma = S.Samples == 0
@@ -103,7 +101,6 @@ void HealthTracker::recordSuccess(const Host &Site, Bytes PayloadBytes,
 
 void HealthTracker::recordFailure(const Host &Site) {
   SiteState &S = refresh(Site);
-  ++Version;
   S.FailEwma = Config.Alpha + (1.0 - Config.Alpha) * S.FailEwma;
   ++S.Samples;
   switch (S.State) {
@@ -122,10 +119,8 @@ void HealthTracker::recordFailure(const Host &Site) {
 
 void HealthTracker::noteAbandoned(const Host &Site) {
   auto It = Sites.find(&Site);
-  if (It != Sites.end() && It->second.ProbeInFlight) {
+  if (It != Sites.end())
     It->second.ProbeInFlight = false;
-    ++Version;
-  }
 }
 
 BreakerState HealthTracker::state(const Host &Site) {
@@ -145,7 +140,6 @@ void HealthTracker::noteDispatch(const Host &Site) {
   SiteState &S = refresh(Site);
   if (S.State == BreakerState::HalfOpen && !S.ProbeInFlight) {
     S.ProbeInFlight = true;
-    ++Version;
     trace(Site, "probe dispatched");
   }
 }

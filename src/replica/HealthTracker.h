@@ -134,14 +134,6 @@ public:
   /// Breaker trips across all sites since construction.
   uint64_t totalTrips() const { return Trips; }
 
-  /// \returns a counter bumped on every observable state mutation — EWMA
-  /// samples, breaker transitions (including the lazy Open → HalfOpen
-  /// advance), probe-slot takes and releases.  An unchanged version means
-  /// every health read (state/allows/healthScore) at the same sim time
-  /// would repeat verbatim; the selection fast path stamps cached rankings
-  /// with it (DESIGN.md §13).
-  uint64_t version() const { return Version; }
-
   const HealthConfig &config() const { return Config; }
 
   /// Attaches a trace log (TraceCategory::Health events).
@@ -173,7 +165,6 @@ private:
   /// the unordered map cannot leak nondeterminism into the simulation.
   std::unordered_map<const Host *, SiteState> Sites;
   uint64_t Trips = 0;
-  uint64_t Version = 0;
 };
 
 } // namespace dgsim

@@ -52,7 +52,6 @@ void ReplicaCatalog::addReplica(std::string_view Lfn, Host &Location) {
   if (std::find(Locs.begin(), Locs.end(), &Location) != Locs.end())
     return;
   Locs.push_back(&Location);
-  ++F->Version;
 }
 
 bool ReplicaCatalog::removeReplica(std::string_view Lfn,
@@ -65,7 +64,6 @@ bool ReplicaCatalog::removeReplica(std::string_view Lfn,
   if (Pos == Locs.end())
     return false;
   Locs.erase(Pos);
-  ++F->Version;
   return true;
 }
 

@@ -33,9 +33,6 @@ struct LogicalFile {
   Bytes Size = 0.0;
   /// Hosts holding a complete copy, in registration order.
   std::vector<Host *> Locations;
-  /// Bumped on every Locations mutation (addReplica/removeReplica); the
-  /// selection fast path stamps cached rankings with it (DESIGN.md §13).
-  uint64_t Version = 0;
 };
 
 /// The catalog service.  Logical file names are interned to dense ids on
@@ -66,18 +63,6 @@ public:
   /// locate() pays — the per-fetch selection loop reads this.  The
   /// reference is invalidated by the next catalog mutation.
   const std::vector<Host *> &locateRef(std::string_view Lfn) const;
-
-  /// \returns the dense id of \p Lfn, or StringInterner::InvalidId when it
-  /// is not registered.  Ids are stable for the catalog's lifetime and
-  /// key the selector's ranking cache.
-  StringInterner::Id fileId(std::string_view Lfn) const {
-    return LfnIds.find(Lfn);
-  }
-
-  /// \returns the mutation version of file \p Id (see LogicalFile::Version).
-  uint64_t fileVersion(StringInterner::Id Id) const {
-    return Files[Id].Version;
-  }
 
   /// \returns the hosts holding \p Lfn sorted by host name (ties — which
   /// only arise if two hosts share a name — break on node id).  Unlike

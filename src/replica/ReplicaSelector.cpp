@@ -78,8 +78,8 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
   // with the probe taken) are removed — unless that would leave nothing,
   // in which case an unhealthy replica still beats no replica and the
   // policy sees every live holder (health-demoted in its scoring).
-  // Health is always read live, never cached: allows()/noteDispatch()
-  // carry side effects (lazy transitions, the half-open probe slot).
+  // Health is read on every call: allows()/noteDispatch() carry side
+  // effects (lazy transitions, the half-open probe slot).
   if (Health) {
     std::vector<Host *> &Admitted = AdmitScratch;
     Admitted.clear();
@@ -118,8 +118,15 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
 
 std::vector<CandidateReport>
 ReplicaSelector::scoreAll(NodeId ClientNode, const std::string &Lfn) {
+  hintQueries(Lfn);
   std::vector<CandidateReport> Reports;
-  scoreAllInto(ClientNode, Lfn, Reports);
+  for (Host *H : Catalog.locateRef(Lfn)) {
+    CandidateReport C;
+    C.Candidate = H;
+    C.Factors = Info.query(ClientNode, *H);
+    C.Score = ReportModel.score(C.Factors);
+    Reports.push_back(C);
+  }
   return Reports;
 }
 
@@ -129,60 +136,4 @@ void ReplicaSelector::hintQueries(const std::string &Lfn) {
   // never consulted, so this stays off the probe-only fast path entirely.
   if (Info.transferLog())
     Info.setQueryHint(Catalog.fileSize(Lfn), HintStreams);
-}
-
-void ReplicaSelector::scoreAllInto(NodeId ClientNode, const std::string &Lfn,
-                                   std::vector<CandidateReport> &Out) {
-  hintQueries(Lfn);
-  if (!RankCacheOn) {
-    // The reference pipeline: one full query per holder.
-    Out.clear();
-    for (Host *H : Catalog.locateRef(Lfn)) {
-      CandidateReport C;
-      C.Candidate = H;
-      C.Factors = Info.query(ClientNode, *H);
-      C.Score = ReportModel.score(C.Factors);
-      Out.push_back(C);
-    }
-    return;
-  }
-
-  StringInterner::Id FileId = Catalog.fileId(Lfn);
-  assert(FileId != StringInterner::InvalidId &&
-         "scoring an unregistered file");
-  // Deterministic bound: rather than tracking per-entry recency, a full
-  // flush when the entry count would exceed the cap keeps memory
-  // proportional to the hot working set (entries rebuild on demand).
-  if (RankCache.size() > RankCacheCap)
-    RankCache.clear();
-  RankEntry &E = RankCache[(uint64_t(FileId) << 32) | ClientNode];
-
-  uint64_t FileVer = Catalog.fileVersion(FileId);
-  uint64_t PathsVer = Info.pathsStructureVersion();
-  const std::vector<Host *> &HoldersRef = Catalog.locateRef(Lfn);
-  if (E.FileVer != FileVer || E.PathsVer != PathsVer) {
-    // (Re)bind: the replica set mutated or the path map evicted entries,
-    // so candidate order and path-entry pointers are re-resolved.
-    // watchPathEntry touches/creates exactly as a full query would.
-    ++RankRebinds;
-    E.Reports.clear();
-    E.Paths.clear();
-    for (Host *H : HoldersRef) {
-      CandidateReport C;
-      C.Candidate = H;
-      E.Reports.push_back(C);
-      E.Paths.push_back(&Info.watchPathEntry(ClientNode, H->node()));
-    }
-    E.FileVer = FileVer;
-    E.PathsVer = PathsVer;
-  }
-  // Refresh content through the epoch-validated factor cache: on
-  // unchanged sensor versions this is three integer compares and an age
-  // refresh per candidate, with the TTL touch preserved.
-  for (size_t I = 0; I != E.Reports.size(); ++I) {
-    CandidateReport &C = E.Reports[I];
-    C.Factors = Info.queryEntry(*E.Paths[I], ClientNode, *C.Candidate);
-    C.Score = ReportModel.score(C.Factors);
-  }
-  Out = E.Reports;
 }

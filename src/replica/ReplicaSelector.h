@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace dgsim {
@@ -94,24 +93,15 @@ public:
                                        {});
 
   /// Scores every holder without choosing (the Fig 5 cost program and
-  /// the Table 1 report), in catalogue order — down holders included:
-  /// their report is how an operator sees an outage.  Queries, and so
-  /// monitors, every holder's path.
+  /// the Table 1 report): one information-service query per holder, in
+  /// catalogue order — down holders included: their report is how an
+  /// operator sees an outage.  Queries, and so monitors, every holder's
+  /// path.
   std::vector<CandidateReport> scoreAll(NodeId ClientNode,
                                         const std::string &Lfn);
 
-  /// Enables or disables the per-(file, client) ranking cache behind
-  /// scoreAll() (default on).  Like the factor cache underneath it, the
-  /// cached ranking is revalidated against catalog file versions, the
-  /// path-map structure version and per-sensor forecast epochs, so cached
-  /// and uncached reports are bit-identical; the knob exists for the
-  /// determinism suite.
-  void setRankingCacheEnabled(bool V) { RankCacheOn = V; }
-  bool rankingCacheEnabled() const { return RankCacheOn; }
-
-  /// \returns how many times a ranking entry was (re)bound to catalog
-  /// holders and path sensors — cache-shape introspection for tests.
-  uint64_t rankingRebinds() const { return RankRebinds; }
+  /// Always 0; kept only for dgbench's per-layer report.
+  uint64_t rankingRebinds() const { return 0; }
 
   SelectionPolicy &policy() { return Policy; }
   const CostModel &reportModel() const { return ReportModel; }
@@ -134,34 +124,9 @@ public:
   HealthTracker *healthTracker() { return Health; }
 
 private:
-  /// One cached ranking: the candidate reports of one (file, client-node)
-  /// pair plus direct bindings to the path-sensor entries backing them.
-  /// Bindings are re-resolved when the file's replica set mutates
-  /// (FileVer) or the path map evicted entries (PathsVer); the factor
-  /// content itself revalidates per candidate inside queryEntry().
-  struct RankEntry {
-    std::vector<CandidateReport> Reports;
-    std::vector<InformationService::PathSensors *> Paths;
-    uint64_t FileVer = ~0ull;
-    uint64_t PathsVer = ~0ull;
-  };
-
   /// Sets the information service's query hint for a fetch of \p Lfn
   /// (only consulted while a transfer log is attached).
   void hintQueries(const std::string &Lfn);
-
-  /// Builds (or refreshes) the ranking for (ClientNode, Lfn) into \p Out,
-  /// reusing Out's storage.  Side effects match the uncached per-call
-  /// scoring exactly: every holder's path entry is touched (TTL) and
-  /// lazily created, so cached and uncached runs see identical sensor
-  /// populations and eviction schedules.
-  void scoreAllInto(NodeId ClientNode, const std::string &Lfn,
-                    std::vector<CandidateReport> &Out);
-
-  /// Ranking-cache bound: when the entry count would exceed it the whole
-  /// cache is flushed (deterministic, amortised O(1)) and rebuilt on
-  /// demand, keeping memory proportional to the hot working set.
-  static constexpr size_t RankCacheCap = 4096;
 
   ReplicaCatalog &Catalog;
   InformationService &Info;
@@ -169,15 +134,11 @@ private:
   CostModel ReportModel;
   TraceLog *Trace = nullptr;
   HealthTracker *Health = nullptr;
-  /// Keyed by (file id << 32 | client node); lookups only, never iterated.
-  std::unordered_map<uint64_t, RankEntry> RankCache;
   /// Reused result + filter scratch for the allocation-free selectRef().
   SelectionResult Result;
   std::vector<Host *> CandScratch;
   std::vector<Host *> AdmitScratch;
-  uint64_t RankRebinds = 0;
   unsigned HintStreams = 4;
-  bool RankCacheOn = true;
 };
 
 } // namespace dgsim

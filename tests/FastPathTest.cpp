@@ -5,17 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The hot-path contract (DESIGN.md §13): the selection caches are pure
-/// performance substitutions — every observable byte of a run is
-/// identical with them on or off — and the serial kernel reproduces the
-/// runs behind the goldens exactly.  Covered by whole runs:
+/// The hot-path contract (DESIGN.md §13): the serial kernel and
+/// selection, which reads the sensors' current state on every query,
+/// reproduce the runs behind the goldens exactly.  Covered by whole runs:
 ///
 ///   * the paper-testbed transfers behind the fig3/fig4 goldens, pinned
 ///     to journals captured when the kernel still carried a calendar
 ///     queue and an intra-run parallel executor (every arm agreed);
 ///   * the batched 16-site chaos grid, pinned the same way with transfer-
-///     log feedback off and on, and byte-identical across cached and
-///     uncached selection;
+///     log feedback off and on;
 ///   * the driven workload's arrival events, which must schedule without
 ///     spilling a closure to the heap;
 ///   * the path sensor of a fresh (client, holder) pair, whose heap blocks
@@ -168,10 +166,9 @@ TEST(FastPathDeterminism, TestbedFig4ParallelStreamsMatchesPinnedJournal) {
 //===----------------------------------------------------------------------===//
 
 /// The batched chaos grid — batched sensors + host loads, fault plan,
-/// open-loop workload — with the selection caches on or off.  Every
-/// counter the driver keeps is folded into the journal.
-std::string runBatchedGrid(uint64_t Seed, bool SelectionCaches,
-                           bool LogFeedback = false) {
+/// open-loop workload.  Every workload counter is folded into the
+/// journal.
+std::string runBatchedGrid(uint64_t Seed, bool LogFeedback = false) {
   GridSpec Spec;
   Spec.Seed = Seed;
   Spec.Info.BandwidthPeriod = 10.0;
@@ -216,10 +213,6 @@ std::string runBatchedGrid(uint64_t Seed, bool SelectionCaches,
   CostModelPolicy Cost;
   TwoChoicePolicy Policy(Cost, RandomEngine(Seed * 7919 + 13).fork());
   ReplicaSelector Sel(G->catalog(), G->info(), Policy);
-  if (!SelectionCaches) {
-    G->info().setFactorCacheEnabled(false);
-    Sel.setRankingCacheEnabled(false);
-  }
   ReplicaManager Mgr(G->catalog(), Sel, G->transfers());
   WorkloadDriver Driver(*G, Mgr);
 
@@ -254,23 +247,13 @@ std::string runBatchedGrid(uint64_t Seed, bool SelectionCaches,
 }
 
 TEST(FastPathDeterminism, GridMatchesPinnedJournal) {
-  EXPECT_EQ(runBatchedGrid(42, true), GridJournal);
-}
-
-TEST(FastPathDeterminism, GridUncachedSelectionMatchesCached) {
-  EXPECT_EQ(runBatchedGrid(42, false), runBatchedGrid(42, true));
+  EXPECT_EQ(runBatchedGrid(42), GridJournal);
 }
 
 TEST(FastPathDeterminism, GridLogFeedbackMatchesPinnedJournal) {
   // Transfer-log feedback on: predictions change selections, so this
   // journal legitimately differs from the feedback-off one.
-  EXPECT_EQ(runBatchedGrid(42, true, true), GridLogFeedbackJournal);
-}
-
-TEST(FastPathDeterminism, GridLogFeedbackUncachedMatchesCached) {
-  // The FactorCache entry now carries the log version and query hints,
-  // and a cache hit must reproduce the refined prediction byte-for-byte.
-  EXPECT_EQ(runBatchedGrid(42, false, true), runBatchedGrid(42, true, true));
+  EXPECT_EQ(runBatchedGrid(42, /*LogFeedback=*/true), GridLogFeedbackJournal);
 }
 
 TEST(FastPathAlloc, DrivenArrivalsScheduleWithoutHeapFallbacks) {
@@ -278,7 +261,7 @@ TEST(FastPathAlloc, DrivenArrivalsScheduleWithoutHeapFallbacks) {
   // fetch options live in the driver, so no capture outgrows the inline
   // buffer.
   const uint64_t Before = InlineFunctionStats::heapFallbacks();
-  runBatchedGrid(42, true);
+  runBatchedGrid(42);
   EXPECT_EQ(InlineFunctionStats::heapFallbacks(), Before);
 }
 

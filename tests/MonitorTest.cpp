@@ -350,7 +350,7 @@ TEST(PathProbe, OneSolvePerBandwidthSample) {
   T.sim().runUntil(101.0);
   uint64_t Samples = 0;
   for (const Sensor *S : Bw)
-    Samples += S->version();
+    Samples += S->forecaster().observationCount();
   // Each sensor is primed and first ticks at t = 1 s, then ticks every
   // 10 s through t = 101 s: 12 samples.
   EXPECT_EQ(Samples, 3u * 12u);

@@ -13,12 +13,12 @@
 ///   * TransferForecaster — partition-bucket boundaries, the postcast
 ///     scoring convention, the NaN-probe skip, and the minimum-MSE
 ///     tie-break to the lowest arm id on manufactured exact ties;
-///   * TransferLog — per-path version counters and the unknown-path probe
-///     passthrough;
-///   * InformationService + TransferLog — the factor cache revalidates on
-///     exactly the path a log append touches and on query-hint flips, and
-///     stays hint-insensitive with no log attached (the bit-identity the
-///     golden figures depend on);
+///   * TransferLog — per-path observation counts and the unknown-path
+///     probe passthrough;
+///   * InformationService + TransferLog — a log append moves the
+///     prediction of exactly the path it touches, the query hint conditions
+///     it, and with no log attached any hint reads the probe forecast (the
+///     bit-identity the golden figures depend on);
 ///   * degraded inputs — all-NaN probe streams, a blackout over an empty
 ///     gated log, and paths with and without log history side by side.
 ///
@@ -40,6 +40,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 using namespace dgsim;
 using namespace dgsim::units;
@@ -279,20 +280,23 @@ TEST(TransferForecaster, NegativeExtrapolationClampsToZero) {
 }
 
 //===----------------------------------------------------------------------===//
-// TransferLog: versions, ring window, passthrough
+// TransferLog: per-path observations, passthrough
 //===----------------------------------------------------------------------===//
 
-TEST(TransferLog, VersionCountsPerPathIndependently) {
+TEST(TransferLog, ObservationsCountPerPathIndependently) {
   TransferLog Log;
-  EXPECT_EQ(Log.version(1, 2), 0u); // Never appended: version 0.
+  EXPECT_EQ(Log.forecaster(1, 2), nullptr); // Never appended.
   for (int I = 0; I < 3; ++I)
     Log.append(1, 2, obs(4.0, 4, 1e8), NaN);
-  EXPECT_EQ(Log.version(1, 2), 3u);
-  EXPECT_EQ(Log.version(2, 1), 0u); // Directional: the reverse path.
-  EXPECT_EQ(Log.version(3, 4), 0u);
+  ASSERT_NE(Log.forecaster(1, 2), nullptr);
+  EXPECT_EQ(Log.forecaster(1, 2)->observationCount(), 3u);
+  EXPECT_EQ(Log.forecaster(2, 1), nullptr); // Directional: the reverse path.
+  EXPECT_EQ(Log.forecaster(3, 4), nullptr);
   Log.append(3, 4, obs(4.0, 4, 1e8), NaN);
-  EXPECT_EQ(Log.version(3, 4), 1u);
-  EXPECT_EQ(Log.version(1, 2), 3u); // Untouched by the other path.
+  ASSERT_NE(Log.forecaster(3, 4), nullptr);
+  EXPECT_EQ(Log.forecaster(3, 4)->observationCount(), 1u);
+  // Untouched by the other path.
+  EXPECT_EQ(Log.forecaster(1, 2)->observationCount(), 3u);
   EXPECT_EQ(Log.totalAppends(), 4u);
   EXPECT_EQ(Log.pathCount(), 2u);
 }
@@ -304,7 +308,7 @@ TEST(TransferLog, UnknownPathForwardsProbeForecast) {
 }
 
 //===----------------------------------------------------------------------===//
-// InformationService + TransferLog: factor-cache invalidation
+// InformationService + TransferLog: log-refined queries
 //===----------------------------------------------------------------------===//
 
 struct LogCacheFixture : ::testing::Test {
@@ -345,54 +349,49 @@ struct LogCacheFixture : ::testing::Test {
 
 TEST_F(LogCacheFixture, AppendInvalidatesExactlyThatPath) {
   Info->setQueryHint(megabytes(8), 4);
-  Info->query(Client, *HostA);
-  Info->query(Client, *HostB);
-  uint64_t R0 = Info->factorRecomputes();
-  Info->query(Client, *HostA);
-  Info->query(Client, *HostB);
-  EXPECT_EQ(Info->factorRecomputes(), R0); // Warm entries hit.
+  SystemFactors A0 = Info->query(Client, *HostA);
+  SystemFactors B0 = Info->query(Client, *HostB);
 
-  // One append on the A path: A revalidates and recomputes, B stays hot.
-  Log.append(NodeA, Client, obs(8.0, 4, 5e7), NaN);
-  Info->query(Client, *HostA);
-  EXPECT_EQ(Info->factorRecomputes(), R0 + 1);
-  Info->query(Client, *HostB);
-  EXPECT_EQ(Info->factorRecomputes(), R0 + 1);
-  Info->query(Client, *HostA);
-  EXPECT_EQ(Info->factorRecomputes(), R0 + 1); // Restamped: hits again.
+  // Appends on the A path with the probe arm pinned wrong: log_mean's
+  // postcast error is 0, so a log arm wins A's meta-selection.  Only the
+  // A path's prediction moves; B's reads bit for bit as before.
+  for (int I = 0; I < 4; ++I)
+    Log.append(NodeA, Client, obs(8.0, 4, 2e7), 9e7);
+  SystemFactors A1 = Info->query(Client, *HostA);
+  SystemFactors B1 = Info->query(Client, *HostB);
+  EXPECT_NE(A1.PredictedBandwidth, A0.PredictedBandwidth);
+  EXPECT_DOUBLE_EQ(A1.PredictedBandwidth, 2e7);
+  EXPECT_EQ(B1.PredictedBandwidth, B0.PredictedBandwidth);
 }
 
 TEST_F(LogCacheFixture, QueryHintFlipRevalidates) {
-  Log.append(NodeA, Client, obs(8.0, 4, 5e7), NaN);
+  // A size-dependent arm wins: throughput exactly linear in file size,
+  // probe constantly wrong.  The log-trained predictors condition on the
+  // hint, so two prospective transfers get two predictions.
+  for (double Mb : {1.0, 2.0, 3.0, 4.0, 5.0})
+    Log.append(NodeA, Client, obs(Mb, 4, 1e6 * Mb), 1e7);
+  Info->setQueryHint(megabytes(2), 4);
+  SystemFactors Small = Info->query(Client, *HostA);
   Info->setQueryHint(megabytes(8), 4);
-  Info->query(Client, *HostA);
-  uint64_t R0 = Info->factorRecomputes();
-  Info->query(Client, *HostA);
-  EXPECT_EQ(Info->factorRecomputes(), R0);
-
-  // The log-trained predictors condition on the hint, so a different
-  // prospective transfer must not be served the stale prediction.
-  Info->setQueryHint(megabytes(16), 4);
-  Info->query(Client, *HostA);
-  EXPECT_EQ(Info->factorRecomputes(), R0 + 1);
-  Info->setQueryHint(megabytes(16), 8);
-  Info->query(Client, *HostA);
-  EXPECT_EQ(Info->factorRecomputes(), R0 + 2);
-  Info->query(Client, *HostA);
-  EXPECT_EQ(Info->factorRecomputes(), R0 + 2); // Stable hint: hit.
+  SystemFactors Large = Info->query(Client, *HostA);
+  EXPECT_NEAR(Small.PredictedBandwidth, 2e6, 2e6 * 0.01);
+  EXPECT_NEAR(Large.PredictedBandwidth, 8e6, 8e6 * 0.01);
 }
 
 TEST_F(LogCacheFixture, NoLogAttachedIgnoresHints) {
-  // Detached, the service is the historical probe-only pipeline: hints
-  // must not reach the cache key (bit-identity with the goldens).
+  // Detached, the service is the historical probe-only pipeline: whatever
+  // the hint, a query reads the sensor's forecast, even on a path whose
+  // log would have won (bit-identity with the goldens).
+  for (int I = 0; I < 4; ++I)
+    Log.append(NodeA, Client, obs(8.0, 4, 2e7), 9e7);
   Info->setTransferLog(nullptr);
-  Info->query(Client, *HostA);
-  uint64_t R0 = Info->factorRecomputes();
-  Info->setQueryHint(megabytes(16), 8);
-  Info->query(Client, *HostA);
-  Info->setQueryHint(megabytes(32), 2);
-  Info->query(Client, *HostA);
-  EXPECT_EQ(Info->factorRecomputes(), R0);
+  const std::pair<double, unsigned> Hints[] = {{8.0, 4}, {16.0, 8}, {32.0, 2}};
+  for (auto [Mb, Streams] : Hints) {
+    Info->setQueryHint(megabytes(Mb), Streams);
+    SystemFactors F = Info->query(Client, *HostA);
+    EXPECT_EQ(F.PredictedBandwidth,
+              Info->bandwidthSensor(Client, NodeA)->forecast());
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -442,7 +441,7 @@ TEST_F(LogCacheFixture, BlackoutWithEmptyLogAnswersFromLastKnown) {
 
 TEST_F(LogCacheFixture, PartialPerPathLogsServeMixedPipelines) {
   // Path A trained, path B never appended: one query batch serves A the
-  // log-refined prediction and B the raw probe, and warm cache entries
+  // log-refined prediction and B the raw probe, and repeated queries
   // reproduce both bit for bit (no cross-path bleed).
   Log.setAppendGate(true);
   for (int I = 0; I != 4; ++I)
@@ -454,10 +453,8 @@ TEST_F(LogCacheFixture, PartialPerPathLogsServeMixedPipelines) {
   EXPECT_NE(FB.PredictedBandwidth, 2e7);
   EXPECT_TRUE(std::isfinite(FB.PredictedBandwidth));
 
-  uint64_t R0 = Info->factorRecomputes();
   SystemFactors FA2 = Info->query(Client, *HostA);
   SystemFactors FB2 = Info->query(Client, *HostB);
-  EXPECT_EQ(Info->factorRecomputes(), R0); // Both entries hit warm.
   EXPECT_EQ(FA2.PredictedBandwidth, FA.PredictedBandwidth);
   EXPECT_EQ(FB2.PredictedBandwidth, FB.PredictedBandwidth);
 }

@@ -354,75 +354,23 @@ TEST_F(ReplicaFixture, ScoreAllMatchesSelectReports) {
 }
 
 //===----------------------------------------------------------------------===//
-// Selection fast path: factor + ranking cache invalidation (DESIGN.md §13)
+// Selection reads current state (DESIGN.md §13)
 //===----------------------------------------------------------------------===//
 
-TEST_F(ReplicaFixture, FactorCacheRevalidatesPerSensorEpoch) {
+TEST_F(ReplicaFixture, ScoreAllFollowsCatalogMutation) {
   CostModelPolicy P;
   ReplicaSelector Sel(Cat, *Info, P);
-  uint64_t Q0 = Info->factorQueries(), R0 = Info->factorRecomputes();
-  (void)Sel.scoreAll(ClientNode, "file-a");
-  EXPECT_EQ(Info->factorQueries() - Q0, 3u);
-  EXPECT_EQ(Info->factorRecomputes() - R0, 3u) << "cold: every path computes";
-  (void)Sel.scoreAll(ClientNode, "file-a");
-  EXPECT_EQ(Info->factorQueries() - Q0, 6u);
-  EXPECT_EQ(Info->factorRecomputes() - R0, 3u)
-      << "same sim time, same sensor versions: pure hits";
-  // One full bandwidth period re-samples every input sensor (host sensors
-  // tick twice as fast), advancing all three version stamps.
-  Sim.runUntil(Sim.now() + 10.0);
-  (void)Sel.scoreAll(ClientNode, "file-a");
-  EXPECT_EQ(Info->factorQueries() - Q0, 9u);
-  EXPECT_EQ(Info->factorRecomputes() - R0, 6u)
-      << "advanced forecast epochs must recompute";
-}
-
-TEST_F(ReplicaFixture, CachedScoresBitIdenticalToUncached) {
-  CostModelPolicy P;
-  ReplicaSelector Cached(Cat, *Info, P);
-  (void)Cached.scoreAll(ClientNode, "file-a"); // Warm both cache layers.
-  auto Warm = Cached.scoreAll(ClientNode, "file-a");
-
-  Info->setFactorCacheEnabled(false);
-  ReplicaSelector Uncached(Cat, *Info, P);
-  Uncached.setRankingCacheEnabled(false);
-  auto Cold = Uncached.scoreAll(ClientNode, "file-a");
-  Info->setFactorCacheEnabled(true);
-
-  ASSERT_EQ(Warm.size(), Cold.size());
-  for (size_t I = 0; I < Warm.size(); ++I) {
-    EXPECT_EQ(Warm[I].Candidate, Cold[I].Candidate);
-    // Exact equality on purpose: the contract is bit-identical, not close.
-    EXPECT_EQ(Warm[I].Score, Cold[I].Score);
-    EXPECT_EQ(Warm[I].Factors.BwFraction, Cold[I].Factors.BwFraction);
-    EXPECT_EQ(Warm[I].Factors.CpuIdle, Cold[I].Factors.CpuIdle);
-    EXPECT_EQ(Warm[I].Factors.IoIdle, Cold[I].Factors.IoIdle);
-    EXPECT_EQ(Warm[I].Factors.PredictedBandwidth,
-              Cold[I].Factors.PredictedBandwidth);
-    EXPECT_EQ(Warm[I].Factors.TheoreticalBandwidth,
-              Cold[I].Factors.TheoreticalBandwidth);
-    EXPECT_EQ(Warm[I].Factors.BwAgeSeconds, Cold[I].Factors.BwAgeSeconds);
-    EXPECT_EQ(Warm[I].Factors.HostAgeSeconds, Cold[I].Factors.HostAgeSeconds);
-  }
-}
-
-TEST_F(ReplicaFixture, RankingCacheRebindsOnCatalogMutation) {
-  CostModelPolicy P;
-  ReplicaSelector Sel(Cat, *Info, P);
-  EXPECT_EQ(Sel.rankingRebinds(), 0u);
-  (void)Sel.scoreAll(ClientNode, "file-a");
-  EXPECT_EQ(Sel.rankingRebinds(), 1u);
-  (void)Sel.scoreAll(ClientNode, "file-a");
-  EXPECT_EQ(Sel.rankingRebinds(), 1u) << "stable replica set: no rebind";
+  uint64_t Q0 = Info->factorQueries();
+  auto Reports = Sel.scoreAll(ClientNode, "file-a");
+  EXPECT_EQ(Reports.size(), 3u);
+  EXPECT_EQ(Info->factorQueries() - Q0, 3u) << "one query per holder";
 
   ASSERT_TRUE(Cat.removeReplica("file-a", *Slow));
-  auto Reports = Sel.scoreAll(ClientNode, "file-a");
-  EXPECT_EQ(Sel.rankingRebinds(), 2u) << "removal bumps the file version";
+  Reports = Sel.scoreAll(ClientNode, "file-a");
   EXPECT_EQ(Reports.size(), 2u);
 
   Cat.addReplica("file-a", *Slow);
   Reports = Sel.scoreAll(ClientNode, "file-a");
-  EXPECT_EQ(Sel.rankingRebinds(), 3u) << "re-add bumps it again";
   ASSERT_EQ(Reports.size(), 3u);
   bool SawSlow = false;
   for (const CandidateReport &C : Reports)
@@ -430,12 +378,10 @@ TEST_F(ReplicaFixture, RankingCacheRebindsOnCatalogMutation) {
   EXPECT_TRUE(SawSlow) << "the fresh holder must be visible immediately";
 }
 
-TEST_F(ReplicaFixture, DownHolderExcludedDespiteWarmRanking) {
+TEST_F(ReplicaFixture, DownHolderExcludedFromSelection) {
   CostModelPolicy P;
   ReplicaSelector Sel(Cat, *Info, P);
-  (void)Sel.scoreAll(ClientNode, "file-a"); // Warm the ranking cache.
   EXPECT_EQ(Sel.select(ClientNode, "file-a").Chosen, Fast.get());
-  // Availability is read live per call, never through the ranking cache.
   Fast->setUp(false);
   SelectionResult R = Sel.select(ClientNode, "file-a");
   EXPECT_NE(R.Chosen, Fast.get());
@@ -446,7 +392,7 @@ TEST_F(ReplicaFixture, DownHolderExcludedDespiteWarmRanking) {
   EXPECT_EQ(Sel.select(ClientNode, "file-a").Chosen, Fast.get());
 }
 
-TEST_F(ReplicaFixture, BreakerFlipGatesWarmCachedSelection) {
+TEST_F(ReplicaFixture, BreakerFlipGatesSelection) {
   HealthConfig HC;
   HC.MinSamples = 2;
   HealthTracker T(Sim, HC);
@@ -454,18 +400,15 @@ TEST_F(ReplicaFixture, BreakerFlipGatesWarmCachedSelection) {
   ReplicaSelector Sel(Cat, *Info, P);
   Sel.setHealthTracker(&T);
   EXPECT_EQ(Sel.select(ClientNode, "file-a").Chosen, Fast.get());
-  uint64_t V0 = T.version();
   T.recordFailure(*Fast);
   T.recordFailure(*Fast); // EWMA 0.51 >= 0.5: trips the breaker.
-  EXPECT_GT(T.version(), V0) << "breaker flips advance the health version";
-  // The breaker gate runs on live health state every call; warm factor
-  // caches must not resurrect the tripped holder.
+  // The breaker gate reads health state on every call.
   SelectionResult R = Sel.select(ClientNode, "file-a");
   EXPECT_NE(R.Chosen, Fast.get());
   EXPECT_NE(R.Chosen, nullptr);
 }
 
-TEST(SelectionFastPath, PathEvictionRebindsRankings) {
+TEST(SelectionFastPath, ScoreAllRecreatesEvictedPath) {
   Simulator Sim(5);
   Topology Topo;
   NodeId C = Topo.addNode("client");
@@ -489,22 +432,16 @@ TEST(SelectionFastPath, PathEvictionRebindsRankings) {
 
   Sim.runUntil(10.0);
   ASSERT_EQ(Sel.scoreAll(C, "f").size(), 1u);
-  EXPECT_EQ(Sel.rankingRebinds(), 1u);
   EXPECT_EQ(Info.pathSensorCount(), 1u);
-  uint64_t PV = Info.pathsStructureVersion();
 
-  // Idle past the TTL: the sweep destroys the path sensors the cached
-  // ranking is bound to and bumps the structure version.
+  // Idle past the TTL: the sweep destroys the path's sensor.
   Sim.runUntil(100.0);
   EXPECT_EQ(Info.pathSensorCount(), 0u);
-  EXPECT_GT(Info.pathsStructureVersion(), PV);
 
-  // The next report must rebind (recreating the path), not dereference
-  // the evicted entries.
+  // The next report recreates the path.
   auto Reports = Sel.scoreAll(C, "f");
   ASSERT_EQ(Reports.size(), 1u);
   EXPECT_EQ(Reports[0].Candidate, &Server);
-  EXPECT_EQ(Sel.rankingRebinds(), 2u);
   EXPECT_EQ(Info.pathSensorCount(), 1u);
 }
 

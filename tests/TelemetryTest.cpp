@@ -17,8 +17,8 @@
 ///     appends (global and per-path) and append gating.
 ///   * GridSpec validation of telemetry windows, injector routing and
 ///     counters through whole-grid runs, the sensor gate keeping a biased
-///     probe out of the served forecast, and the factor cache staying
-///     bit-identical to uncached queries with both gates enabled.
+///     probe out of the served forecast, and same-seed runs staying
+///     bit-identical with every fault kind firing and both gates enabled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -158,10 +158,10 @@ TEST(SensorFaultTest, StuckFreezesLastReadingButKeepsIngesting) {
   // The reading is frozen at the pre-fault value...
   EXPECT_DOUBLE_EQ(S.lastValue(), 50.0);
   // ...but samples still ingest (a stuck sensor looks alive), so the
-  // version keeps moving and staleness does not give it away.
-  uint64_t Ver = S.version();
+  // observation count keeps moving and staleness does not give it away.
+  size_t Seen = S.forecaster().observationCount();
   Sim.runUntil(6.5);
-  EXPECT_GT(S.version(), Ver);
+  EXPECT_GT(S.forecaster().observationCount(), Seen);
 
   S.faultEnd(FaultKind::SensorStuck);
   Sim.runUntil(7.5);
@@ -176,9 +176,10 @@ TEST(SensorFaultTest, DropoutSilencesSamplesAndCountsThem) {
   SimTime LastSample = S.lastSampleTime();
 
   S.faultBegin(FaultKind::SensorDropout, 0.0, 0.0, 0);
-  uint64_t Ver = S.version(); // faultBegin itself bumped it.
+  size_t Seen = S.forecaster().observationCount();
   Sim.runUntil(5.5);
-  EXPECT_EQ(S.version(), Ver); // Nothing ingested during the dropout...
+  // Nothing ingested during the dropout...
+  EXPECT_EQ(S.forecaster().observationCount(), Seen);
   EXPECT_EQ(S.lastSampleTime(), LastSample); // ...so readings age.
   ASSERT_NE(S.faultState(), nullptr);
   EXPECT_GE(S.faultState()->Dropped, 3u);
@@ -290,24 +291,25 @@ TEST(TransferLogCorruptTest, PathScopeLeavesOtherPathsHonest) {
   EXPECT_EQ(Log.corruptedAppends(), 8u);
 }
 
-TEST(TransferLogGateTest, ImplausibleAppendsRejectedWithoutVersionBump) {
+TEST(TransferLogGateTest, ImplausibleAppendsRejectedUntrained) {
   TransferLog Log;
   Log.gateConfig().MinSamples = 3;
   Log.setAppendGate(true);
   for (int I = 0; I != 5; ++I)
     Log.append(1, 2, obsOf(64.0, 1e8), 1e8);
-  uint64_t Ver = Log.version(1, 2);
+  const TransferForecaster *Fc = Log.forecaster(1, 2);
+  ASSERT_NE(Fc, nullptr);
+  EXPECT_EQ(Fc->observationCount(), 5u);
 
-  // A 10,000x throughput lie: gated out — not trained on, and
-  // invisible to the factor cache's version stamp.
+  // A 10,000x throughput lie: gated out, never trained on.
   Log.append(1, 2, obsOf(64.0, 1e12), 1e8);
   EXPECT_EQ(Log.rejectedAppends(), 1u);
   EXPECT_EQ(Log.totalAppends(), 5u);
-  EXPECT_EQ(Log.version(1, 2), Ver);
+  EXPECT_EQ(Fc->observationCount(), 5u);
 
   // Honest appends keep flowing afterwards.
   Log.append(1, 2, obsOf(64.0, 1.02e8), 1e8);
-  EXPECT_EQ(Log.version(1, 2), Ver + 1);
+  EXPECT_EQ(Fc->observationCount(), 6u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -447,10 +449,10 @@ TEST(TelemetryGridTest, GateRejectionsKeepBiasOutOfTheForecast) {
 }
 
 /// One fetch-journal run of the telemetry chaos grid with both gates
-/// enabled, with the factor/ranking caches on or off.  The journal folds
-/// in every robust-pipeline counter, so any divergence — selection,
-/// timing, gating, corruption — shows up as a string diff.
-std::string runRobustGrid(uint64_t Seed, bool Caches) {
+/// enabled.  The journal folds in every robust-pipeline counter, so any
+/// divergence — selection, timing, gating, corruption — shows up as a
+/// string diff.
+std::string runRobustGrid(uint64_t Seed) {
   GridSpec Spec = telemetryBaseSpec(Seed);
   Spec.Faults.sensorBias("lz02", "alpha1", 60.0, 120.0, 8.0);
   Spec.Faults.sensorNoise("", "", 30.0, 300.0, 0.6);
@@ -466,10 +468,6 @@ std::string runRobustGrid(uint64_t Seed, bool Caches) {
 
   CostModelPolicy Policy;
   ReplicaSelector Sel(G->catalog(), G->info(), Policy);
-  if (!Caches) {
-    G->info().setFactorCacheEnabled(false);
-    Sel.setRankingCacheEnabled(false);
-  }
   ReplicaManager Mgr(G->catalog(), Sel, G->transfers());
 
   struct Job {
@@ -517,25 +515,16 @@ std::string runRobustGrid(uint64_t Seed, bool Caches) {
   return Journal + Tail;
 }
 
-TEST(TelemetryGridTest, CachedEqualsUncachedWithRobustPipelineOn) {
-  // The factor cache stamps sensor versions and per-path log versions:
-  // with every telemetry fault kind firing and both gates live, a cache
-  // hit must reproduce the uncached decision byte for byte.
-  std::string Cached = runRobustGrid(4001, /*Caches=*/true);
-  std::string Uncached = runRobustGrid(4001, /*Caches=*/false);
-  EXPECT_EQ(Cached, Uncached);
-  // The run actually exercised the pipeline: all six fetches resolved
-  // and the poison window touched real appends.
-  EXPECT_NE(Cached.find("ok=1"), std::string::npos);
-  EXPECT_NE(Cached.find("tele=4"), std::string::npos);
-}
-
 TEST(TelemetryGridTest, SameSeedRunsBitIdenticalUnderTelemetryFaults) {
   // SensorNoise and LogCorrupt draw from forked, window-seeded streams:
   // two same-seed runs must agree bit for bit.
-  std::string A = runRobustGrid(4002, true);
-  std::string B = runRobustGrid(4002, true);
+  std::string A = runRobustGrid(4002);
+  std::string B = runRobustGrid(4002);
   EXPECT_EQ(A, B);
+  // The run actually exercised the pipeline: a fetch resolved and all
+  // four telemetry windows opened.
+  EXPECT_NE(A.find("ok=1"), std::string::npos);
+  EXPECT_NE(A.find("tele=4"), std::string::npos);
 }
 
 } // namespace
