@@ -67,12 +67,20 @@ struct RssProbe {
 std::mutex RssMutex;
 std::vector<RssProbe> RssProbes;
 
+/// The network's solver work in one trial: monitoring probe solves,
+/// committed rebalances and the flow demands those rebalances solved.
+struct SolveCounts {
+  uint64_t ProbeSolves = 0;
+  uint64_t Rebalances = 0;
+  uint64_t DemandsSolved = 0;
+};
+
 /// Builds the tiered grid for \p Sites sites and runs the open-loop
-/// stream of roughly \p Transfers fetches through it.  \p ProbeSolves
-/// receives the network's probe solve count, which the perf footer
-/// records beside the event count.
+/// stream of roughly \p Transfers fetches through it.  \p Solves
+/// receives the network's solver counts, which the perf footer records
+/// beside the event count.
 exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
-                         uint64_t &ProbeSolves) {
+                         SolveCounts &Solves) {
   GridSpec Spec;
   Spec.Seed = Seed;
   // Scale-mode monitoring: shared batch ticks instead of one heap event
@@ -188,7 +196,9 @@ exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
                  : SojournSum / double(C.SojournSeconds.size()));
   Result.SpecHash = G->spec().hash();
   Result.EventsExecuted = G->sim().eventsExecuted();
-  ProbeSolves = G->network().probeSolves();
+  Solves.ProbeSolves = G->network().probeSolves();
+  Solves.Rebalances = G->network().rebalanceEvents();
+  Solves.DemandsSolved = G->network().rebalanceDemandsSolved();
   return Result;
 }
 
@@ -214,12 +224,14 @@ constexpr bool TimedBuild = true;
 struct PerfFigures {
   double EventsExecuted = 0.0;
   double ProbeSolves = 0.0;
+  double Rebalances = 0.0;
+  double DemandsSolved = 0.0;
   double EventsPerS = 0.0;
   double CallbackHeapFallbacks = 0.0;
 };
 
 /// Reads the "perf" figures out of a committed document.  Hand-rolled
-/// scan: the repo carries a JSON writer, not a parser, and a four-key
+/// scan: the repo carries a JSON writer, not a parser, and a six-key
 /// probe does not justify growing one.  \returns false, after saying why,
 /// when the file or any key is missing.
 bool readBaseline(const std::string &Path, PerfFigures &Out) {
@@ -247,6 +259,8 @@ bool readBaseline(const std::string &Path, PerfFigures &Out) {
   };
   bool Ok = Read("events_executed", Out.EventsExecuted);
   Ok = Read("probe_solves", Out.ProbeSolves) && Ok;
+  Ok = Read("rebalances", Out.Rebalances) && Ok;
+  Ok = Read("demands_solved", Out.DemandsSolved) && Ok;
   Ok = Read("events_per_s", Out.EventsPerS) && Ok;
   Ok = Read("callback_heap_fallbacks", Out.CallbackHeapFallbacks) && Ok;
   return Ok && Out.EventsPerS > 0.0;
@@ -283,12 +297,14 @@ int main(int argc, char **argv) {
   std::mutex PerfMutex;
   double TrialWall = 0.0;
   uint64_t TrialEvents = 0;
-  uint64_t TrialProbeSolves = 0;
+  SolveCounts TrialSolves;
   const uint64_t Sbo0 = InlineFunctionStats::heapFallbacks();
   auto CurrentPerf = [&] {
     PerfFigures P;
     P.EventsExecuted = double(TrialEvents);
-    P.ProbeSolves = double(TrialProbeSolves);
+    P.ProbeSolves = double(TrialSolves.ProbeSolves);
+    P.Rebalances = double(TrialSolves.Rebalances);
+    P.DemandsSolved = double(TrialSolves.DemandsSolved);
     P.EventsPerS = TrialWall > 0.0 ? double(TrialEvents) / TrialWall : 0.0;
     P.CallbackHeapFallbacks =
         double(InlineFunctionStats::heapFallbacks() - Sbo0);
@@ -303,19 +319,21 @@ int main(int argc, char **argv) {
   S.Metrics = {"arrivals",   "completed",  "failed",
                "local_hits", "goodput_gb", "mean_sojourn_s"};
   S.Run = [Transfers, &PerfMutex, &TrialWall, &TrialEvents,
-           &TrialProbeSolves](const exp::TrialPoint &P) {
+           &TrialSolves](const exp::TrialPoint &P) {
     auto A0 = std::chrono::steady_clock::now();
-    uint64_t ProbeSolves = 0;
+    SolveCounts Solves;
     exp::TrialResult R = runTier(
         std::strtoull(P.param("sites").c_str(), nullptr, 10), Transfers,
-        P.Seed, ProbeSolves);
+        P.Seed, Solves);
     double Wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - A0)
             .count();
     std::lock_guard<std::mutex> Lock(PerfMutex);
     TrialWall += Wall;
     TrialEvents += R.EventsExecuted;
-    TrialProbeSolves += ProbeSolves;
+    TrialSolves.ProbeSolves += Solves.ProbeSolves;
+    TrialSolves.Rebalances += Solves.Rebalances;
+    TrialSolves.DemandsSolved += Solves.DemandsSolved;
     return R;
   };
   auto Footer = [&](json::JsonWriter &W) {
@@ -324,6 +342,8 @@ int main(int argc, char **argv) {
     W.beginObject();
     W.member("events_executed", uint64_t(P.EventsExecuted));
     W.member("probe_solves", uint64_t(P.ProbeSolves));
+    W.member("rebalances", uint64_t(P.Rebalances));
+    W.member("demands_solved", uint64_t(P.DemandsSolved));
     W.member("events_per_s", P.EventsPerS);
     W.member("callback_heap_fallbacks", uint64_t(P.CallbackHeapFallbacks));
     W.endObject();
@@ -359,8 +379,8 @@ int main(int argc, char **argv) {
   if (!BaselinePath.empty()) {
     // The perf-regression gate.  Work counters repeat exactly for a fixed
     // configuration, so they are gated tightly: a run may not execute more
-    // kernel events or probe solves, or spill more callbacks to the heap,
-    // than the capture.
+    // kernel events, probe solves, committed rebalances or solved
+    // demands, or spill more callbacks to the heap, than the capture.
     // Events/s is host time and noisy; its floor sits below the spread of
     // back-to-back quick runs (EXPERIMENTS.md), so only a real hot-path
     // regression trips it.
@@ -369,12 +389,14 @@ int main(int argc, char **argv) {
     bench::shapeCheck(Readable, "the committed baseline is readable and "
                                 "names every gated figure");
     if (Readable) {
-      std::printf("baseline: %.0f events, %.0f probe solves, %.0f callback "
-                  "heap fallbacks, %.0f events/s vs %.0f, %.0f, %.0f, %.0f "
-                  "committed (%.2fx)\n",
-                  Perf.EventsExecuted, Perf.ProbeSolves,
-                  Perf.CallbackHeapFallbacks, Perf.EventsPerS,
-                  Base.EventsExecuted, Base.ProbeSolves,
+      std::printf("baseline: %.0f events, %.0f probe solves, %.0f "
+                  "rebalances, %.0f demands solved, %.0f callback heap "
+                  "fallbacks, %.0f events/s vs %.0f, %.0f, %.0f, %.0f, "
+                  "%.0f, %.0f committed (%.2fx)\n",
+                  Perf.EventsExecuted, Perf.ProbeSolves, Perf.Rebalances,
+                  Perf.DemandsSolved, Perf.CallbackHeapFallbacks,
+                  Perf.EventsPerS, Base.EventsExecuted, Base.ProbeSolves,
+                  Base.Rebalances, Base.DemandsSolved,
                   Base.CallbackHeapFallbacks, Base.EventsPerS,
                   Perf.EventsPerS / Base.EventsPerS);
       bench::shapeCheckLe(Perf.EventsExecuted, Base.EventsExecuted,
@@ -384,6 +406,13 @@ int main(int argc, char **argv) {
       bench::shapeCheckLe(Perf.ProbeSolves, Base.ProbeSolves, "probe_solves",
                           "the run's monitors probe the network no more "
                           "often than in the committed baseline");
+      bench::shapeCheckLe(Perf.Rebalances, Base.Rebalances, "rebalances",
+                          "the run commits no more network rebalances than "
+                          "the committed baseline");
+      bench::shapeCheckLe(Perf.DemandsSolved, Base.DemandsSolved,
+                          "demands_solved",
+                          "the run's rebalances solve no more flow demands "
+                          "than in the committed baseline");
       bench::shapeCheckLe(Perf.CallbackHeapFallbacks,
                           Base.CallbackHeapFallbacks,
                           "callback_heap_fallbacks",

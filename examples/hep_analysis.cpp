@@ -90,7 +90,7 @@ int main() {
   std::printf("NWS bandwidth forecasts seen by alpha2:\n");
   Table N;
   N.setHeader({"source", "forecast", "winning predictor"});
-  for (Host *H : T.grid().catalog().locate("run-2005-07/events")) {
+  for (Host *H : T.grid().catalog().locateRef("run-2005-07/events")) {
     T.grid().info().query(T.alpha(2).node(), *H);
     const Sensor *S =
         T.grid().info().bandwidthSensor(T.alpha(2).node(), H->node());

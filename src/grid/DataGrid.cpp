@@ -14,12 +14,10 @@
 
 using namespace dgsim;
 
-DataGrid::DataGrid(uint64_t Seed, InformationServiceConfig InfoConfig,
-                   ProtocolCosts Costs)
-    : Sim(Seed), InfoConfig(InfoConfig), Costs(Costs) {
+DataGrid::DataGrid(uint64_t Seed, InformationServiceConfig InfoConfig)
+    : Sim(Seed), InfoConfig(InfoConfig) {
   Spec.Seed = Seed;
   Spec.Info = InfoConfig;
-  Spec.Costs = Costs;
 }
 
 DataGrid::~DataGrid() = default;
@@ -36,7 +34,7 @@ std::unique_ptr<DataGrid> DataGrid::buildFrom(const GridSpec &Spec) {
       std::fprintf(stderr, "  - %s\n", P.c_str());
     std::abort();
   }
-  auto G = std::make_unique<DataGrid>(Spec.Seed, Spec.Info, Spec.Costs);
+  auto G = std::make_unique<DataGrid>(Spec.Seed, Spec.Info);
   for (const SiteConfig &S : Spec.Sites)
     G->addSite(S);
   for (const std::string &B : Spec.Backbones)
@@ -88,8 +86,7 @@ Site &DataGrid::addSite(const SiteConfig &Config) {
   for (const SiteHostSpec &Spec : Config.Hosts) {
     assert(!findHost(Spec.Name) && "duplicate host name");
     NodeId Node = Topo.addNode(Spec.Name);
-    Topo.addLink(Node, Switch, Config.LanCapacity, Config.LanDelay,
-                 Config.LanLoss);
+    Topo.addLink(Node, Switch, Config.LanCapacity, Config.LanDelay);
     HostConfig HC;
     HC.Name = Spec.Name;
     HC.CpuSpeed = Spec.CpuSpeed;
@@ -102,7 +99,7 @@ Site &DataGrid::addSite(const SiteConfig &Config) {
     HC.DiskCfg.Background.Volatility = Spec.LoadVolatility;
     if (InfoConfig.BatchHostLoads && !HostLoadBatch)
       HostLoadBatch =
-          std::make_unique<CpuLoadBatch>(Sim, HC.Cpu.UpdatePeriod);
+          std::make_unique<CpuLoadBatch>(Sim, CpuLoadConfig::UpdatePeriod);
     S->Hosts.push_back(
         std::make_unique<Host>(Sim, HC, Node, HostLoadBatch.get()));
   }
@@ -170,7 +167,7 @@ void DataGrid::finalize() {
   Router = std::make_unique<Routing>(Topo);
   Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
   InfoService = std::make_unique<InformationService>(Sim, *Net, InfoConfig);
-  Transfers = std::make_unique<TransferManager>(Sim, *Net, Costs);
+  Transfers = std::make_unique<TransferManager>(Sim, *Net);
   Transfers->setTrace(&Trace);
   for (auto &S : Sites)
     for (auto &H : S->Hosts)

@@ -65,8 +65,7 @@ private:
 class DataGrid {
 public:
   explicit DataGrid(uint64_t Seed = 1,
-                    InformationServiceConfig InfoConfig = {},
-                    ProtocolCosts Costs = {});
+                    InformationServiceConfig InfoConfig = {});
   ~DataGrid();
 
   DataGrid(const DataGrid &) = delete;
@@ -189,7 +188,6 @@ private:
   Topology Topo;
   TcpModel Tcp;
   InformationServiceConfig InfoConfig;
-  ProtocolCosts Costs;
   /// Shared tick driver for every host-load OU process when
   /// InfoConfig.BatchHostLoads is set; null otherwise.  Declared before
   /// Sites so it outlives the member models that detach on destruction.

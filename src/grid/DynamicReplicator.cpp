@@ -55,7 +55,7 @@ void DynamicReplicator::onJob(const JobRecord &Record) {
     return;
   if (InFlight.count(Key))
     return;
-  if (Grid.catalog().locate(Record.Lfn).size() >=
+  if (Grid.catalog().locateRef(Record.Lfn).size() >=
       Config.MaxReplicasPerFile)
     return;
 

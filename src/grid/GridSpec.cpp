@@ -218,16 +218,6 @@ std::string GridSpec::canonicalJson() const {
                ? "client-access"
                : "per-path");
   W.endObject();
-  W.key("costs");
-  W.beginObject();
-  W.member("ftp_dialogue_rtts", Costs.FtpDialogueRtts);
-  W.member("gsi_handshake_rtts", Costs.GsiHandshakeRtts);
-  W.member("gsi_crypto_s", Costs.GsiCryptoSeconds);
-  W.member("mode_e_negotiation_rtts", Costs.ModeENegotiationRtts);
-  W.member("server_setup_s", Costs.ServerSetupSeconds);
-  W.member("mode_e_block_bytes", Costs.ModeEBlockBytes);
-  W.member("mode_e_header_bytes", Costs.ModeEHeaderBytes);
-  W.endObject();
   W.key("sites");
   W.beginArray();
   for (const SiteConfig &S : Sites) {
@@ -235,7 +225,6 @@ std::string GridSpec::canonicalJson() const {
     W.member("name", S.Name);
     W.member("lan_capacity", S.LanCapacity);
     W.member("lan_delay", S.LanDelay);
-    W.member("lan_loss", S.LanLoss);
     W.key("hosts");
     W.beginArray();
     for (const SiteHostSpec &H : S.Hosts) {

@@ -28,7 +28,6 @@
 
 #include "fault/FaultPlan.h"
 #include "grid/Workload.h"
-#include "gridftp/Protocol.h"
 #include "monitor/InformationService.h"
 #include "support/Units.h"
 
@@ -59,7 +58,6 @@ struct SiteConfig {
   /// LAN link from each host to the site switch.
   BitRate LanCapacity = 1e9;
   SimTime LanDelay = 0.0001;
-  double LanLoss = 0.0;
 };
 
 /// A wide-area link between two named endpoints (site or backbone names).
@@ -91,7 +89,6 @@ struct CatalogFileSpec {
 struct GridSpec {
   uint64_t Seed = 1;
   InformationServiceConfig Info;
-  ProtocolCosts Costs;
   std::vector<SiteConfig> Sites;
   std::vector<std::string> Backbones;
   std::vector<LinkSpec> Links;

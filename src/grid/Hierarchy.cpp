@@ -39,18 +39,8 @@ std::vector<std::string> HierarchySpec::validate() const {
     Err("hierarchy has zero sites per region");
   if (HostsPerSite == 0)
     Err("hierarchy has zero hosts per site");
-  if (AggsPerRegion > 0) {
-    if (UplinksPerSite == 0)
-      Err("hierarchy fabric has zero uplinks per site");
-    if (UplinksPerSite > AggsPerRegion)
-      Err("hierarchy fabric wants " + std::to_string(UplinksPerSite) +
-          " uplinks per site but has only " + std::to_string(AggsPerRegion) +
-          " spines per region");
-  }
 
   checkLinkClass(Errors, "root link", RootLink);
-  if (AggsPerRegion > 0)
-    checkLinkClass(Errors, "fabric link", FabricLink);
   if (AccessClasses.empty())
     Err("hierarchy has no access link classes");
   double TotalWeight = 0.0;
@@ -62,21 +52,8 @@ std::vector<std::string> HierarchySpec::validate() const {
   if (!AccessClasses.empty() && TotalWeight <= 0.0)
     Err("hierarchy access classes have no positive weight");
 
-  if (LanCapacity <= 0.0)
-    Err("hierarchy has non-positive LAN capacity");
-  if (LanDelay <= 0.0)
-    Err("hierarchy has non-positive LAN delay");
   if (DiskReadRate <= 0.0 || DiskWriteRate <= 0.0)
     Err("hierarchy has non-positive disk rates");
-
-  if (CpuSpeedMin <= 0.0 || CpuSpeedMax < CpuSpeedMin)
-    Err("hierarchy has a bad CPU speed range");
-  if (CpuMeanLoadMin < 0.0 || CpuMeanLoadMax < CpuMeanLoadMin ||
-      CpuMeanLoadMax > 1.0)
-    Err("hierarchy has a bad CPU mean-load range");
-  if (IoMeanLoadMin < 0.0 || IoMeanLoadMax < IoMeanLoadMin ||
-      IoMeanLoadMax > 1.0)
-    Err("hierarchy has a bad I/O mean-load range");
 
   if (FileCount > 0) {
     if (FileSizeMin <= 0.0 || FileSizeMax < FileSizeMin)
@@ -136,41 +113,25 @@ std::vector<std::string> dgsim::appendHierarchy(GridSpec &Spec,
     std::string Region = H.Prefix + "-r" + std::to_string(G);
     Spec.Backbones.push_back(Region);
     addLink(Core, Region, H.RootLink);
-    for (unsigned J = 0; J != H.AggsPerRegion; ++J) {
-      std::string Agg = Region + "-a" + std::to_string(J);
-      Spec.Backbones.push_back(Agg);
-      addLink(Region, Agg, H.FabricLink);
-    }
     for (unsigned I = 0; I != H.SitesPerRegion; ++I) {
       SiteConfig Site;
       Site.Name = Region + "-s" + std::to_string(I);
-      Site.LanCapacity = H.LanCapacity;
-      Site.LanDelay = H.LanDelay;
       for (unsigned K = 0; K != H.HostsPerSite; ++K) {
         SiteHostSpec Host;
         Host.Name = Site.Name + "-h" + std::to_string(K);
-        Host.CpuSpeed = HostRng.uniform(H.CpuSpeedMin, H.CpuSpeedMax);
-        Host.CpuMeanLoad = HostRng.uniform(H.CpuMeanLoadMin, H.CpuMeanLoadMax);
-        Host.IoMeanLoad = HostRng.uniform(H.IoMeanLoadMin, H.IoMeanLoadMax);
+        Host.CpuSpeed = HostRng.uniform(HierarchySpec::CpuSpeedMin,
+                                        HierarchySpec::CpuSpeedMax);
+        Host.CpuMeanLoad = HostRng.uniform(HierarchySpec::CpuMeanLoadMin,
+                                           HierarchySpec::CpuMeanLoadMax);
+        Host.IoMeanLoad = HostRng.uniform(HierarchySpec::IoMeanLoadMin,
+                                          HierarchySpec::IoMeanLoadMax);
         Host.DiskReadRate = H.DiskReadRate;
         Host.DiskWriteRate = H.DiskWriteRate;
         Names.Hosts.push_back(Host.Name);
         Site.Hosts.push_back(std::move(Host));
       }
-      const LinkClassSpec &Access =
-          H.AccessClasses[LinkRng.weightedIndex(AccessWeights)];
-      if (H.AggsPerRegion == 0) {
-        // Direct attach: the hierarchy stays a tree and the router's LCA
-        // fast path serves every route.
-        addLink(Site.Name, Region, Access);
-      } else {
-        // Leaf-spine fabric: uplinks spread round-robin from the site's
-        // index, all of the site's drawn access class.
-        for (unsigned U = 0; U != H.UplinksPerSite; ++U) {
-          unsigned J = (I + U) % H.AggsPerRegion;
-          addLink(Site.Name, Region + "-a" + std::to_string(J), Access);
-        }
-      }
+      addLink(Site.Name, Region,
+              H.AccessClasses[LinkRng.weightedIndex(AccessWeights)]);
       Names.Sites.push_back(Site.Name);
       Spec.Sites.push_back(std::move(Site));
     }

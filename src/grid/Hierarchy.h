@@ -18,12 +18,8 @@
 /// itself, so the spec's canonical JSON and content hash cover the whole
 /// generated grid and buildFrom replays it bit-identically.
 ///
-/// Region fabric: with AggsPerRegion == 0 every site attaches straight to
-/// its regional backbone and the topology is a tree (Routing's LCA fast
-/// path applies).  With AggsPerRegion >= 1 each region gets a leaf-spine
-/// fabric — sites uplink into UplinksPerSite aggregation spines (cf.
-/// SimGrid's FatTreeZone) — buying path redundancy at the cost of cycles,
-/// which Routing detects and serves with Dijkstra.
+/// Every site attaches straight to its regional backbone, so the
+/// topology is a tree and Routing's LCA fast path serves every route.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,9 +48,8 @@ struct LinkClassSpec {
 /// Declarative tiered-grid description; expand with appendHierarchy().
 struct HierarchySpec {
   /// Name prefix for every generated entity.  The core backbone is
-  /// "<Prefix>-core", regions "<Prefix>-r<g>", aggregation spines
-  /// "<Prefix>-r<g>-a<j>", sites "<Prefix>-r<g>-s<i>", hosts
-  /// "<site>-h<k>", files "<Prefix>-f<n>".
+  /// "<Prefix>-core", regions "<Prefix>-r<g>", sites "<Prefix>-r<g>-s<i>",
+  /// hosts "<site>-h<k>", files "<Prefix>-f<n>".
   std::string Prefix = "tier";
   /// Seed of the generator's private RNG tree (independent of the grid
   /// seed, so regenerating a topology never perturbs runtime draws).
@@ -67,19 +62,8 @@ struct HierarchySpec {
   /// Hosts per generated site.
   unsigned HostsPerSite = 2;
 
-  /// Aggregation spines per region.  0 = sites attach directly to the
-  /// regional backbone (tree); >= 1 = leaf-spine fabric per region.
-  unsigned AggsPerRegion = 0;
-  /// Fabric uplinks per site, spread round-robin across the region's
-  /// spines.  Ignored when AggsPerRegion == 0; must not exceed it
-  /// otherwise.  Values >= 2 create redundant paths (and cycles).
-  unsigned UplinksPerSite = 2;
-
   /// Core <-> regional backbone trunks.
   LinkClassSpec RootLink{10e9, 0.020, 0.0, 1.0};
-  /// Regional backbone <-> spine, and spine <-> site, when a fabric is
-  /// present.
-  LinkClassSpec FabricLink{10e9, 0.002, 0.0, 1.0};
   /// Site access-link classes, drawn per site by weight (heterogeneous
   /// last-mile capacities).  Must be non-empty.
   std::vector<LinkClassSpec> AccessClasses{
@@ -87,10 +71,6 @@ struct HierarchySpec {
       {100e6, 0.010, 0.0005, 0.35},
       {20e6, 0.025, 0.002, 0.15},
   };
-
-  /// Site LAN knobs (uniform across generated sites).
-  BitRate LanCapacity = 1e9;
-  SimTime LanDelay = 0.0001;
 
   /// Host storage, uniform across generated hosts.  The defaults match
   /// SiteHostSpec's 2005-era single-disk machine; a scale bench whose
@@ -100,13 +80,14 @@ struct HierarchySpec {
   BitRate DiskWriteRate = 320e6;
 
   /// Host heterogeneity: each host draws its relative CPU speed and load
-  /// operating points uniformly from these ranges.
-  double CpuSpeedMin = 0.75;
-  double CpuSpeedMax = 1.5;
-  double CpuMeanLoadMin = 0.1;
-  double CpuMeanLoadMax = 0.35;
-  double IoMeanLoadMin = 0.05;
-  double IoMeanLoadMax = 0.25;
+  /// operating points uniformly from these ranges.  Generated sites keep
+  /// SiteConfig's LAN defaults.
+  static constexpr double CpuSpeedMin = 0.75;
+  static constexpr double CpuSpeedMax = 1.5;
+  static constexpr double CpuMeanLoadMin = 0.1;
+  static constexpr double CpuMeanLoadMax = 0.35;
+  static constexpr double IoMeanLoadMin = 0.05;
+  static constexpr double IoMeanLoadMax = 0.25;
 
   /// Generated catalog: FileCount logical files with sizes drawn from
   /// [FileSizeMin, FileSizeMax] and ReplicasPerFile distinct holder hosts

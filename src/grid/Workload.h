@@ -112,10 +112,10 @@ public:
 
   /// Starts the grid's workload \p Index (order of DataGrid::addWorkload
   /// calls): each arrival is a non-daemon event that runs one fetch with
-  /// \p FetchOpts (per-request deadlines and priorities ride in there) and
-  /// schedules its successor, so a million-arrival stream keeps exactly
-  /// one pending event instead of a million.  Call once per workload,
-  /// before sim().run().
+  /// \p FetchOpts (per-request deadlines ride in there) and schedules its
+  /// successor, so a million-arrival stream keeps exactly one pending
+  /// event instead of a million.  Call once per workload, before
+  /// sim().run().
   void start(size_t Index, const FetchOptions &FetchOpts = FetchOptions());
 
   /// Caps the per-fetch sample vectors (QueueWaitSeconds/SojournSeconds)

@@ -6,6 +6,8 @@
 
 #include "gridftp/Protocol.h"
 
+#include <cassert>
+
 using namespace dgsim;
 
 const char *dgsim::transferProtocolName(TransferProtocol P) {
@@ -22,7 +24,6 @@ const char *dgsim::transferProtocolName(TransferProtocol P) {
 }
 
 SimTime dgsim::protocolStartupTime(TransferProtocol P,
-                                   const ProtocolCosts &Costs,
                                    const NetPath &ControlPath,
                                    SimTime TcpConnectTime,
                                    double SlowerCpuSpeed) {
@@ -31,20 +32,20 @@ SimTime dgsim::protocolStartupTime(TransferProtocol P,
   // Control connection + dialogue + one data-channel connect; PASV-style
   // data connections for parallel streams open concurrently, so a single
   // connect time covers MODE E as well.
-  SimTime T = TcpConnectTime + Costs.FtpDialogueRtts * Rtt +
-              Costs.ServerSetupSeconds + TcpConnectTime;
+  SimTime T = TcpConnectTime + protocol::FtpDialogueRtts * Rtt +
+              protocol::ServerSetupSeconds + TcpConnectTime;
   if (P == TransferProtocol::Ftp)
     return T;
-  T += Costs.GsiHandshakeRtts * Rtt + Costs.GsiCryptoSeconds / SlowerCpuSpeed;
+  T += protocol::GsiHandshakeRtts * Rtt +
+       protocol::GsiCryptoSeconds / SlowerCpuSpeed;
   if (P == TransferProtocol::GridFtpModeE)
-    T += Costs.ModeENegotiationRtts * Rtt;
+    T += protocol::ModeENegotiationRtts * Rtt;
   return T;
 }
 
-Bytes dgsim::protocolWireBytes(TransferProtocol P, const ProtocolCosts &Costs,
-                               Bytes PayloadBytes) {
+Bytes dgsim::protocolWireBytes(TransferProtocol P, Bytes PayloadBytes) {
   assert(PayloadBytes >= 0.0 && "negative payload");
   if (P == TransferProtocol::GridFtpModeE)
-    return PayloadBytes * (1.0 + Costs.modeEOverheadFraction());
+    return PayloadBytes * (1.0 + protocol::ModeEOverheadFraction);
   return PayloadBytes;
 }

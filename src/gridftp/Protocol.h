@@ -17,7 +17,7 @@
 ///     (8-bit flags + 64-bit offset + 64-bit length = 17 bytes of header
 ///     per block), which makes out-of-order arrival self-describing and so
 ///     permits N parallel TCP data connections;
-///   * striped and third-party (client-mediated) transfers.
+///   * striped transfers.
 ///
 /// The paper stresses (§4.2) that "parallel data transfer with one TCP
 /// stream is not the same as no parallel data transfer at all": stream mode
@@ -31,8 +31,6 @@
 
 #include "net/Routing.h"
 #include "support/Units.h"
-
-#include <cassert>
 
 namespace dgsim {
 
@@ -49,42 +47,37 @@ enum class TransferProtocol {
 /// \returns a short printable protocol name.
 const char *transferProtocolName(TransferProtocol P);
 
-/// Tunable protocol cost constants.
-struct ProtocolCosts {
-  /// Control-channel round trips for the pre-transfer FTP dialogue
-  /// (USER, PASS, TYPE, SIZE, PASV, RETR).
-  double FtpDialogueRtts = 5.0;
-  /// Extra control round trips GridFTP spends on GSI authentication.
-  double GsiHandshakeRtts = 2.0;
-  /// CPU seconds of public-key cryptography on the reference machine
-  /// (divided by the slower endpoint's CpuSpeed).
-  SimTime GsiCryptoSeconds = 0.35;
-  /// Extra round trips to negotiate MODE E and the parallelism option.
-  double ModeENegotiationRtts = 1.0;
-  /// Server-side setup latency (process fork, file open).
-  SimTime ServerSetupSeconds = 0.05;
-  /// MODE E data block payload size, bytes (globus-url-copy default).
-  double ModeEBlockBytes = 64.0 * 1024.0;
-  /// MODE E per-block header: 8-bit flags + 64-bit offset + 64-bit length.
-  double ModeEHeaderBytes = 17.0;
-
-  /// \returns the fraction of extra wire bytes MODE E framing adds.
-  double modeEOverheadFraction() const {
-    assert(ModeEBlockBytes > 0.0 && "block size must be positive");
-    return ModeEHeaderBytes / ModeEBlockBytes;
-  }
-};
+/// Protocol cost constants.
+namespace protocol {
+/// Control-channel round trips for the pre-transfer FTP dialogue
+/// (USER, PASS, TYPE, SIZE, PASV, RETR).
+inline constexpr double FtpDialogueRtts = 5.0;
+/// Extra control round trips GridFTP spends on GSI authentication.
+inline constexpr double GsiHandshakeRtts = 2.0;
+/// CPU seconds of public-key cryptography on the reference machine
+/// (divided by the slower endpoint's CpuSpeed).
+inline constexpr SimTime GsiCryptoSeconds = 0.35;
+/// Extra round trips to negotiate MODE E and the parallelism option.
+inline constexpr double ModeENegotiationRtts = 1.0;
+/// Server-side setup latency (process fork, file open).
+inline constexpr SimTime ServerSetupSeconds = 0.05;
+/// MODE E data block payload size, bytes (globus-url-copy default).
+inline constexpr double ModeEBlockBytes = 64.0 * 1024.0;
+/// MODE E per-block header: 8-bit flags + 64-bit offset + 64-bit length.
+inline constexpr double ModeEHeaderBytes = 17.0;
+/// The fraction of extra wire bytes MODE E framing adds.
+inline constexpr double ModeEOverheadFraction =
+    ModeEHeaderBytes / ModeEBlockBytes;
+} // namespace protocol
 
 /// Computes the pre-data startup latency of a transfer on \p ControlPath.
 /// \p SlowerCpuSpeed is the smaller of the two endpoints' CPU speeds
 /// (GSI crypto runs on both ends; the slower dominates).
-SimTime protocolStartupTime(TransferProtocol P, const ProtocolCosts &Costs,
-                            const NetPath &ControlPath,
+SimTime protocolStartupTime(TransferProtocol P, const NetPath &ControlPath,
                             SimTime TcpConnectTime, double SlowerCpuSpeed);
 
 /// \returns the bytes that actually cross the wire for \p PayloadBytes.
-Bytes protocolWireBytes(TransferProtocol P, const ProtocolCosts &Costs,
-                        Bytes PayloadBytes);
+Bytes protocolWireBytes(TransferProtocol P, Bytes PayloadBytes);
 
 } // namespace dgsim
 

@@ -37,8 +37,6 @@ const char *dgsim::shedPolicyName(ShedPolicy P) {
     return "reject";
   case ShedPolicy::ShedOldest:
     return "shed-oldest";
-  case ShedPolicy::ShedLowestPriority:
-    return "shed-lowest-priority";
   }
   assert(false && "unknown shed policy");
   return "?";
@@ -55,9 +53,8 @@ void TransferManager::trace(const char *Fmt, ...) const {
   Trace->record(Sim.now(), TraceCategory::Transfer, Buf);
 }
 
-TransferManager::TransferManager(Simulator &Sim, FlowNetwork &Net,
-                                 ProtocolCosts Costs)
-    : Sim(Sim), Net(Net), Costs(Costs) {
+TransferManager::TransferManager(Simulator &Sim, FlowNetwork &Net)
+    : Sim(Sim), Net(Net) {
   RefreshHandle =
       Sim.schedulePeriodic(RefreshPeriod, [this] { refreshCaps(); });
 }
@@ -209,30 +206,18 @@ TransferId TransferManager::submit(const TransferSpec &Spec,
   T.Result.FileBytes = Spec.Range ? Spec.Range->Length : Spec.FileBytes;
   T.Result.StartTime = Sim.now();
 
-  // The control dialogue runs between the control client (or the
-  // destination, in the common client-pull case) and the primary source.
+  // The control dialogue runs between the destination, which drives the
+  // transfer (client pull), and the primary source.
   Host *PrimarySource = Spec.Source ? Spec.Source : Spec.Stripes.front();
-  NodeId ControlNode = Spec.ControlClient != InvalidNodeId
-                           ? Spec.ControlClient
-                           : Spec.Destination->node();
   const NetPath *ControlPath =
-      Net.routing().pathRef(ControlNode, PrimarySource->node());
-  assert(ControlPath && "control client cannot reach the source");
+      Net.routing().pathRef(Spec.Destination->node(), PrimarySource->node());
+  assert(ControlPath && "the destination cannot reach the source");
 
   double SlowerCpu = std::min(PrimarySource->config().CpuSpeed,
                               Spec.Destination->config().CpuSpeed);
   SimTime Startup = protocolStartupTime(
-      Spec.Protocol, Costs, *ControlPath,
-      Net.tcp().connectTime(*ControlPath), SlowerCpu);
-  // Third-party transfers also cost a dialogue leg to the destination; the
-  // two legs overlap except for the final coordinated STOR/RETR exchange.
-  if (Spec.ControlClient != InvalidNodeId &&
-      Spec.ControlClient != Spec.Destination->node()) {
-    const NetPath *DstPath =
-        Net.routing().pathRef(ControlNode, Spec.Destination->node());
-    assert(DstPath && "control client cannot reach the destination");
-    Startup += DstPath->Rtt;
-  }
+      Spec.Protocol, *ControlPath, Net.tcp().connectTime(*ControlPath),
+      SlowerCpu);
   T.Result.StartupSeconds = Startup;
 
   trace("#%llu submit %s %s -> %s, %.0f MB, %u stream(s), startup %.3f s",
@@ -296,22 +281,6 @@ void TransferManager::enqueueTransfer(TransferId Id, DestState &D) {
   case ShedPolicy::ShedOldest:
     Victim = D.Pending.front();
     break;
-  case ShedPolicy::ShedLowestPriority: {
-    // Lowest priority loses; among equals the earliest submission does —
-    // it has waited longest and is the least likely to still meet a
-    // deadline.  A deterministic argmin over the submission-ordered queue.
-    int WorstPriority = Found->Spec.Priority;
-    for (TransferId P : D.Pending) {
-      ActiveTransfer *Q = findTransfer(P);
-      assert(Q && "pending list out of sync");
-      if (Q->Spec.Priority < WorstPriority ||
-          (Q->Spec.Priority == WorstPriority && P < Victim)) {
-        WorstPriority = Q->Spec.Priority;
-        Victim = P;
-      }
-    }
-    break;
-  }
   }
   shedTransfer(Victim, Victim == Id ? "queue full" : "displaced");
 }
@@ -364,8 +333,7 @@ void TransferManager::beginData(TransferId Id) {
   if (Sources.empty())
     Sources.push_back(T.Spec.Source);
 
-  Bytes WireBytes =
-      protocolWireBytes(T.Spec.Protocol, Costs, T.Result.FileBytes);
+  Bytes WireBytes = protocolWireBytes(T.Spec.Protocol, T.Result.FileBytes);
   T.PayloadPerWire = WireBytes > 0.0 ? T.Result.FileBytes / WireBytes : 1.0;
   std::vector<double> &Weights = WeightScratch;
   Weights.assign(T.Spec.StripeWeights.begin(), T.Spec.StripeWeights.end());
@@ -398,7 +366,7 @@ SimTime TransferManager::backoffSeconds(unsigned ConsecutiveFailures) const {
   if (ConsecutiveFailures <= 1)
     return 0.0;
   double Exp = Policy.BackoffBase *
-               std::pow(Policy.BackoffFactor,
+               std::pow(RetryPolicy::BackoffFactor,
                         static_cast<double>(ConsecutiveFailures - 2));
   return std::min(Exp, Policy.BackoffMax);
 }
@@ -454,12 +422,7 @@ void TransferManager::onStripeDone(TransferId Id, size_t StripeIdx) {
   ActiveTransfer &T = *Found;
   Stripe &S = T.StripesLive[StripeIdx];
 
-  // Undo this stripe's disk accounting.
-  S.Source->disk().removeTransferLoad(S.AccountedRate);
-  T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
-  S.AccountedRate = 0.0;
-  S.Flow = InvalidFlowId;
-  noteStripeDown(*S.Source, *T.Spec.Destination);
+  tearDownStripe(T, S);
   // The attempt's whole volume landed: it counts toward the file exactly
   // once, whatever protocol we ran.
   S.DeliveredWire += S.AttemptWire;
@@ -488,6 +451,14 @@ void TransferManager::onStripeDone(TransferId Id, size_t StripeIdx) {
     Done(Result);
 }
 
+void TransferManager::tearDownStripe(const ActiveTransfer &T, Stripe &S) {
+  S.Source->disk().removeTransferLoad(S.AccountedRate);
+  T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
+  S.AccountedRate = 0.0;
+  S.Flow = InvalidFlowId;
+  noteStripeDown(*S.Source, *T.Spec.Destination);
+}
+
 bool TransferManager::cancel(TransferId Id) {
   ActiveTransfer *Found = findTransfer(Id);
   if (!Found)
@@ -497,10 +468,7 @@ bool TransferManager::cancel(TransferId Id) {
     if (S.Flow == InvalidFlowId)
       continue;
     Net.cancelFlow(S.Flow);
-    S.Flow = InvalidFlowId;
-    S.Source->disk().removeTransferLoad(S.AccountedRate);
-    T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
-    noteStripeDown(*S.Source, *T.Spec.Destination);
+    tearDownStripe(T, S);
   }
   trace("#%llu cancelled", static_cast<unsigned long long>(Id));
   releaseTransfer(Id);
@@ -519,11 +487,7 @@ void TransferManager::failStripe(TransferId Id, size_t StripeIdx,
 
   Bytes Remaining = Net.remainingBytes(S.Flow);
   Net.cancelFlow(S.Flow);
-  S.Flow = InvalidFlowId;
-  S.Source->disk().removeTransferLoad(S.AccountedRate);
-  T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
-  S.AccountedRate = 0.0;
-  noteStripeDown(*S.Source, *T.Spec.Destination);
+  tearDownStripe(T, S);
   ++T.Result.Restarts;
   ++TotalRestarts;
   if (Timeout) {
@@ -594,11 +558,7 @@ void TransferManager::failTransfer(TransferId Id, const char *Reason,
     if (S.Flow == InvalidFlowId)
       continue;
     Net.cancelFlow(S.Flow);
-    S.Source->disk().removeTransferLoad(S.AccountedRate);
-    T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
-    S.Flow = InvalidFlowId;
-    S.AccountedRate = 0.0;
-    noteStripeDown(*S.Source, *T.Spec.Destination);
+    tearDownStripe(T, S);
   }
   TransferResult Result = T.Result;
   Result.Status = St;

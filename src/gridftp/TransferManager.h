@@ -12,8 +12,7 @@
 ///   * plain FTP and GridFTP stream mode (one data connection),
 ///   * GridFTP MODE E with N parallel TCP streams,
 ///   * striped transfers (one stripe flow per source host, partial file
-///     transfer of an equal partition each — the paper's future work §5),
-///   * third-party transfers (control client distinct from both endpoints).
+///     transfer of an equal partition each — the paper's future work §5).
 ///
 /// While a transfer runs, the manager periodically refreshes each flow's
 /// endpoint cap from the hosts' current CPU/disk state and mirrors the
@@ -35,11 +34,11 @@
 /// degradation"): an optional AdmissionPolicy bounds the transfers in
 /// flight per destination host.  Excess submissions wait in a FIFO
 /// admission queue of configurable depth; overflow is shed by a
-/// deterministic policy (reject newest / shed oldest / shed lowest
-/// priority) with Status == Shed and zero bytes moved.  Per-transfer
-/// deadlines abort transfers — queued or mid-flight — that can no longer
-/// finish in time (Status == DeadlineExpired).  With the default policy
-/// (MaxActivePerDestination == 0) none of this machinery runs.
+/// deterministic policy (reject newest / shed oldest) with Status == Shed
+/// and zero bytes moved.  Per-transfer deadlines abort transfers — queued
+/// or mid-flight — that can no longer finish in time (Status ==
+/// DeadlineExpired).  With the default policy (MaxActivePerDestination ==
+/// 0) none of this machinery runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,13 +89,6 @@ struct TransferSpec {
   TransferProtocol Protocol = TransferProtocol::GridFtpModeE;
   /// Parallel TCP streams per data mover (must be 1 for stream protocols).
   unsigned Streams = 1;
-  /// Third-party control client node; InvalidNodeId means the destination
-  /// drives the transfer itself (the common client-pull case).
-  NodeId ControlClient = InvalidNodeId;
-  /// Scheduling priority under admission control: when the pending queue
-  /// overflows under ShedPolicy::ShedLowestPriority, lower-priority
-  /// transfers are shed first (ties go to the earliest submission).
-  int Priority = 0;
   /// Optional absolute sim-time deadline.  A transfer that has not
   /// delivered its last byte by this time — whether still queued or
   /// mid-flight — is aborted with Status == DeadlineExpired.  +inf (the
@@ -135,12 +127,9 @@ enum class ShedPolicy : uint8_t {
   /// it is the least likely to still meet a deadline) and queue the
   /// newcomer at the tail.
   ShedOldest,
-  /// Shed the lowest TransferSpec::Priority among queue ∪ {newcomer};
-  /// ties go to the earliest submission.  The newcomer may shed itself.
-  ShedLowestPriority,
 };
 
-/// \returns "reject", "shed-oldest" or "shed-lowest-priority".
+/// \returns "reject" or "shed-oldest".
 const char *shedPolicyName(ShedPolicy P);
 
 /// Per-destination-host admission control.  Disabled by default — with
@@ -170,7 +159,7 @@ struct RetryPolicy {
   /// min(BackoffBase * BackoffFactor^(k-2), BackoffMax) seconds on top of
   /// the TCP connect + control round trip.
   SimTime BackoffBase = 1.0;
-  double BackoffFactor = 2.0;
+  static constexpr double BackoffFactor = 2.0;
   SimTime BackoffMax = 64.0;
   /// Consecutive no-progress failures a stripe survives before the whole
   /// transfer is reported Failed.  0 means unbounded (retry forever).
@@ -226,8 +215,7 @@ public:
   /// transfer allocates no closure storage in steady state.
   using CompletionFn = InlineFunction<void(const TransferResult &), 48>;
 
-  TransferManager(Simulator &Sim, FlowNetwork &Net,
-                  ProtocolCosts Costs = ProtocolCosts());
+  TransferManager(Simulator &Sim, FlowNetwork &Net);
   ~TransferManager();
 
   TransferManager(const TransferManager &) = delete;
@@ -288,8 +276,6 @@ public:
 
   /// \returns stall timeouts detected across all transfers.
   uint64_t totalTimeouts() const { return TotalTimeouts; }
-
-  const ProtocolCosts &costs() const { return Costs; }
 
   /// The recovery policy applied to every transfer.  May be changed at any
   /// time; in-flight stripes pick the new values up on their next failure
@@ -392,6 +378,10 @@ private:
   void beginData(TransferId Id);
   void startStripeFlow(TransferId Id, size_t StripeIdx, Bytes Volume);
   void onStripeDone(TransferId Id, size_t StripeIdx);
+  /// Bookkeeping once stripe \p S's flow has ended (completed, or after
+  /// the caller's cancelFlow): releases its disk load on both endpoints
+  /// and its endpoint counts, and marks the stripe flowless.
+  void tearDownStripe(const ActiveTransfer &T, Stripe &S);
   /// Tears down one stripe's data connection and schedules the retry (or
   /// fails the transfer when the retry budget is gone).  \p Timeout marks
   /// stall-watchdog detections for the counters.
@@ -430,7 +420,6 @@ private:
 
   Simulator &Sim;
   FlowNetwork &Net;
-  ProtocolCosts Costs;
   RetryPolicy Policy;
   bool BatchedRefresh = false;
   AdmissionPolicy Admission;

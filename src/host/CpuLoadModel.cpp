@@ -18,14 +18,13 @@ CpuLoadModel::CpuLoadModel(Simulator &Sim, CpuLoadConfig Config,
       BaseLoad(Config.MeanLoad) {
   assert(Config.MeanLoad >= 0.0 && Config.MeanLoad <= 1.0 &&
          "mean load outside [0, 1]");
-  assert(Config.UpdatePeriod > 0.0 && "non-positive update period");
-  SqrtDt = std::sqrt(Config.UpdatePeriod);
   if (Batch) {
-    assert(Batch->period() == Config.UpdatePeriod &&
+    assert(Batch->period() == CpuLoadConfig::UpdatePeriod &&
            "batch-driven model must share the batch period");
     Batch->add(*this);
   } else {
-    TickHandle = Sim.schedulePeriodic(Config.UpdatePeriod, [this] { tick(); });
+    TickHandle =
+        Sim.schedulePeriodic(CpuLoadConfig::UpdatePeriod, [this] { tick(); });
   }
 }
 
@@ -37,8 +36,8 @@ CpuLoadModel::~CpuLoadModel() {
 
 void CpuLoadModel::tick() {
   // Euler-Maruyama step of the OU SDE, clipped to the unit interval.
-  double Dt = Config.UpdatePeriod;
+  constexpr double Dt = CpuLoadConfig::UpdatePeriod;
   BaseLoad += Config.Reversion * (Config.MeanLoad - BaseLoad) * Dt +
-              Config.Volatility * SqrtDt * Rng.normal(0.0, 1.0);
+              Config.Volatility * std::sqrt(Dt) * Rng.normal(0.0, 1.0);
   BaseLoad = std::clamp(BaseLoad, 0.0, 1.0);
 }

@@ -38,7 +38,7 @@ struct CpuLoadConfig {
   /// Diffusion strength per sqrt(second).
   double Volatility = 0.05;
   /// Tick period, seconds.
-  SimTime UpdatePeriod = 1.0;
+  static constexpr SimTime UpdatePeriod = 1.0;
 };
 
 /// A live CPU-load process attached to a simulator.
@@ -74,8 +74,7 @@ private:
   Simulator &Sim;
   CpuLoadConfig Config;
   RandomEngine Rng;
-  double BaseLoad;     // OU level, clamped to [0, 1] by tick().
-  double SqrtDt = 0.0; // sqrt(UpdatePeriod), hoisted out of tick().
+  double BaseLoad; // OU level, clamped to [0, 1] by tick().
   EventId TickHandle = InvalidEventId;
   /// Batch membership (batch-driven mode); maintained by CpuLoadBatch.
   CpuLoadBatch *Batch = nullptr;

@@ -160,18 +160,9 @@ SystemFactors InformationService::query(NodeId ClientNode,
   double Denominator = 0.0;
   if (Config.Normalization == BwNormalization::ClientAccess) {
     // The client can never receive faster than its best access link.
-    // Capacities are immutable after build, so the max is computed once
-    // per client node.
-    if (ClientNode >= ClientDenominator.size())
-      ClientDenominator.resize(ClientNode + 1, -1.0);
-    if (ClientDenominator[ClientNode] < 0.0) {
-      const Topology &Topo = Net.topology();
-      double D = 0.0;
-      for (LinkId L : Topo.linksAt(ClientNode))
-        D = std::max(D, Topo.link(L).Capacity);
-      ClientDenominator[ClientNode] = D;
-    }
-    Denominator = ClientDenominator[ClientNode];
+    const Topology &Topo = Net.topology();
+    for (LinkId L : Topo.linksAt(ClientNode))
+      Denominator = std::max(Denominator, Topo.link(L).Capacity);
   } else {
     Denominator = F.TheoreticalBandwidth;
   }

@@ -318,11 +318,6 @@ private:
   /// eviction erases every idle entry regardless of the order it meets
   /// them.
   std::unordered_map<uint64_t, PathSensors> Paths;
-  /// Per-client P^BW denominator under ClientAccess normalisation: the max
-  /// capacity over the client's access links.  Topology is immutable after
-  /// build (faults toggle link *availability*, never capacity), so this is
-  /// computed once per client node.  -1 marks "not yet computed".
-  mutable std::vector<double> ClientDenominator;
   uint64_t FactorQueries = 0;
   /// Completed-transfer feedback (nullptr = probe-only, the default).
   TransferLog *Log = nullptr;

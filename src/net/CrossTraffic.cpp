@@ -15,7 +15,6 @@ CrossTraffic::CrossTraffic(Simulator &Sim, FlowNetwork &Net,
     : Sim(Sim), Net(Net), Config(Config), Rng(Sim.forkRng()) {
   assert(Config.MeanInterarrival > 0.0 && "non-positive interarrival time");
   assert(Config.MinFlowBytes > 0.0 && "non-positive flow size");
-  assert(Config.ParetoShape > 0.0 && "non-positive pareto shape");
 }
 
 void CrossTraffic::start() {
@@ -39,7 +38,8 @@ void CrossTraffic::scheduleNext() {
     NextArrival = InvalidEventId;
     if (!Running)
       return;
-    Bytes Size = Rng.pareto(Config.MinFlowBytes, Config.ParetoShape);
+    Bytes Size =
+        Rng.pareto(Config.MinFlowBytes, CrossTrafficConfig::ParetoShape);
     FlowOptions Options;
     Options.Streams = Config.Streams;
     Options.Background = true;

@@ -31,7 +31,7 @@ struct CrossTrafficConfig {
   /// Pareto scale (minimum flow size), bytes.
   Bytes MinFlowBytes = 512.0 * 1024.0;
   /// Pareto shape; 1 < alpha <= 2 gives heavy tails.
-  double ParetoShape = 1.5;
+  static constexpr double ParetoShape = 1.5;
   /// Streams per background flow.
   unsigned Streams = 1;
 };

@@ -17,13 +17,6 @@ static uint64_t pairKey(NodeId Src, NodeId Dst) {
   return (static_cast<uint64_t>(Src) << 32) | Dst;
 }
 
-std::optional<NetPath> Routing::path(NodeId Src, NodeId Dst) {
-  const CacheEntry &E = lookup(Src, Dst);
-  if (!E.Path)
-    return std::nullopt;
-  return *E.Path;
-}
-
 const NetPath *Routing::pathRef(NodeId Src, NodeId Dst) {
   const CacheEntry &E = lookup(Src, Dst);
   return E.Path.get();

@@ -12,9 +12,9 @@
 ///
 /// Two route engines sit behind one cache.  On the first query the router
 /// analyses the topology: if it is a forest (which every generated tier
-/// hierarchy without fabric redundancy is), routes decompose at the lowest
-/// common ancestor and are assembled from per-node parent channels in
-/// O(depth) — no Dijkstra, no all-pairs state.  Any topology with redundant
+/// hierarchy is), routes decompose at the lowest common ancestor and are
+/// assembled from per-node parent channels in O(depth) — no Dijkstra, no
+/// all-pairs state.  Any topology with redundant
 /// paths (cycles, parallel links) falls back to Dijkstra.  Both engines feed
 /// the same aggregate computation, and on a forest the shortest path is
 /// unique, so the produced NetPath is bit-identical either way.
@@ -35,7 +35,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -61,11 +60,7 @@ class Routing {
 public:
   explicit Routing(const Topology &Topo) : Topo(Topo) {}
 
-  /// \returns the path from \p Src to \p Dst, or std::nullopt when the
-  /// nodes are disconnected.  The returned value is an owned copy.
-  std::optional<NetPath> path(NodeId Src, NodeId Dst);
-
-  /// Allocation-free variant: \returns a pointer to the cached path, or
+  /// \returns a pointer to the cached path from \p Src to \p Dst, or
   /// nullptr when the nodes are disconnected.  The pointer stays valid until
   /// a later route computation overflows the cache and triggers an eviction
   /// sweep; the last few returned paths (RecentRingSize) always survive a

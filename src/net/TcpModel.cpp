@@ -19,10 +19,10 @@ BitRate TcpModel::perStreamCap(const NetPath &Path) const {
     // Same-host or zero-delay path: neither window nor loss binds.
     return Inf;
   }
-  double WindowBound = Config.MaxWindowBytes * 8.0 / Path.Rtt;
+  double WindowBound = MaxWindowBytes * 8.0 / Path.Rtt;
   double LossBound = Inf;
   if (Path.LossRate > 0.0)
-    LossBound = (Config.MssBytes * 8.0 / Path.Rtt) * Config.MathisC /
+    LossBound = (MssBytes * 8.0 / Path.Rtt) * MathisC /
                 std::sqrt(Path.LossRate);
   return std::min(WindowBound, LossBound);
 }

@@ -30,29 +30,22 @@
 
 namespace dgsim {
 
-/// Tunable constants of the TCP throughput model.
-struct TcpConfig {
-  /// Maximum segment size, bytes (Ethernet default).
-  double MssBytes = 1460.0;
-  /// Maximum effective window, bytes.  64 KiB is the classic no-window-
-  /// scaling default that made parallel streams worthwhile in 2005.
-  double MaxWindowBytes = 64.0 * 1024.0;
-  /// Mathis constant (sqrt(3/2) for periodic losses with delayed ACKs off).
-  double MathisC = 1.224744871391589;
-  /// TCP/IP + Ethernet header overhead as a fraction of payload; the
-  /// goodput of a saturated link is Capacity / (1 + HeaderOverhead).
-  double HeaderOverhead = 0.058; // 40B TCP/IP + 38B Ethernet framing / 1460B+
-  /// Time to establish one connection (SYN handshake), in RTTs.
-  double ConnectRtts = 1.5;
-};
-
 /// Stateless throughput calculator shared by all flows.
 class TcpModel {
 public:
-  explicit TcpModel(TcpConfig Config = TcpConfig())
-      : Config(Config), Goodput(1.0 / (1.0 + Config.HeaderOverhead)) {}
-
-  const TcpConfig &config() const { return Config; }
+  /// Maximum segment size, bytes (Ethernet default).
+  static constexpr double MssBytes = 1460.0;
+  /// Maximum effective window, bytes.  64 KiB is the classic no-window-
+  /// scaling default that made parallel streams worthwhile in 2005.
+  static constexpr double MaxWindowBytes = 64.0 * 1024.0;
+  /// Mathis constant (sqrt(3/2) for periodic losses with delayed ACKs off).
+  static constexpr double MathisC = 1.224744871391589;
+  /// TCP/IP + Ethernet header overhead as a fraction of payload (40 B of
+  /// TCP/IP + 38 B of Ethernet framing per 1460 B+ segment); the goodput
+  /// of a saturated link is Capacity / (1 + HeaderOverhead).
+  static constexpr double HeaderOverhead = 0.058;
+  /// Time to establish one connection (SYN handshake), in RTTs.
+  static constexpr double ConnectRtts = 1.5;
 
   /// \returns the payload rate one stream can sustain on \p Path, before any
   /// competition for link capacity: min(window bound, loss bound).
@@ -62,21 +55,16 @@ public:
   /// \returns the aggregate cap for \p Streams parallel streams.
   BitRate parallelCap(const NetPath &Path, unsigned Streams) const;
 
-  /// \returns the usable payload fraction of raw link capacity
-  /// (precomputed once; this sits on the rebalance hot path).
-  double goodputFactor() const { return Goodput; }
+  /// \returns the usable payload fraction of raw link capacity.
+  double goodputFactor() const { return 1.0 / (1.0 + HeaderOverhead); }
 
   /// \returns the time to open \p Connections TCP connections in series
   /// batches (GridFTP opens the parallel data connections concurrently, so
   /// this is one connect time regardless of N, plus per-connection setup
   /// charged by the protocol layer).
   SimTime connectTime(const NetPath &Path) const {
-    return Config.ConnectRtts * Path.Rtt;
+    return ConnectRtts * Path.Rtt;
   }
-
-private:
-  TcpConfig Config;
-  double Goodput;
 };
 
 } // namespace dgsim

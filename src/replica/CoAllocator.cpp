@@ -22,7 +22,7 @@ CoAllocator::CoAllocator(ReplicaCatalog &Catalog, InformationService &Info,
 }
 
 CoAllocationPlan CoAllocator::plan(const std::string &Lfn, Host &Client) {
-  std::vector<Host *> Replicas = Catalog.locate(Lfn);
+  const std::vector<Host *> &Replicas = Catalog.locateRef(Lfn);
   assert(!Replicas.empty() && "co-allocating a file with no replicas");
 
   CoAllocationPlan Plan;

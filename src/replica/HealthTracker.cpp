@@ -63,9 +63,9 @@ void HealthTracker::trip(SiteState &S, const Host &Site) {
   ++Trips;
   double Window =
       std::min(Config.OpenSeconds *
-                   std::pow(Config.OpenBackoffFactor,
+                   std::pow(HealthConfig::OpenBackoffFactor,
                             static_cast<double>(S.ConsecutiveTrips - 1)),
-               Config.OpenMaxSeconds);
+               HealthConfig::OpenMaxSeconds);
   // Deterministic jitter: same seed, same probe schedule — but breakers
   // tripped by one event don't all probe at the same instant.
   if (Config.ProbeJitter > 0.0)

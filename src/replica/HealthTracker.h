@@ -72,8 +72,8 @@ struct HealthConfig {
   /// Open window after the first trip, seconds; consecutive re-trips
   /// back off exponentially up to OpenMaxSeconds.
   SimTime OpenSeconds = 20.0;
-  double OpenBackoffFactor = 2.0;
-  SimTime OpenMaxSeconds = 160.0;
+  static constexpr double OpenBackoffFactor = 2.0;
+  static constexpr SimTime OpenMaxSeconds = 160.0;
   /// Probe scheduling jitter as a fraction of the open window, drawn
   /// from the tracker's forked engine (deterministic per seed).  Keeps a
   /// fleet of breakers tripped by one outage from probing in lockstep.

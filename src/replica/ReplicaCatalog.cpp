@@ -67,13 +67,6 @@ bool ReplicaCatalog::removeReplica(std::string_view Lfn,
   return true;
 }
 
-std::vector<Host *> ReplicaCatalog::locate(std::string_view Lfn) const {
-  const LogicalFile *F = findFile(Lfn);
-  if (!F)
-    return {};
-  return F->Locations;
-}
-
 const std::vector<Host *> &
 ReplicaCatalog::locateRef(std::string_view Lfn) const {
   static const std::vector<Host *> Empty;
@@ -82,7 +75,7 @@ ReplicaCatalog::locateRef(std::string_view Lfn) const {
 }
 
 std::vector<Host *> ReplicaCatalog::listReplicas(std::string_view Lfn) const {
-  std::vector<Host *> Locs = locate(Lfn);
+  std::vector<Host *> Locs = locateRef(Lfn);
   std::sort(Locs.begin(), Locs.end(), [](const Host *A, const Host *B) {
     if (int C = A->name().compare(B->name()))
       return C < 0;

@@ -37,7 +37,7 @@ struct LogicalFile {
 
 /// The catalog service.  Logical file names are interned to dense ids on
 /// registration; every lookup is one hash of the name plus a vector access,
-/// and the per-job selection loop hits this on each locate().
+/// and the per-job selection loop hits this on each locateRef().
 class ReplicaCatalog {
 public:
   /// Registers a logical file.  Names must be unique and sizes positive.
@@ -56,17 +56,14 @@ public:
   /// Unregisters a replica.  \returns true when one was removed.
   bool removeReplica(std::string_view Lfn, const Host &Location);
 
-  /// \returns the hosts holding \p Lfn (empty when none or unknown).
-  std::vector<Host *> locate(std::string_view Lfn) const;
-
-  /// \returns the hosts holding \p Lfn by reference, without the copy
-  /// locate() pays — the per-fetch selection loop reads this.  The
-  /// reference is invalidated by the next catalog mutation.
+  /// \returns the hosts holding \p Lfn in registration order (empty when
+  /// none or unknown).  The reference is invalidated by the next catalog
+  /// mutation; copy the list to keep it across one.
   const std::vector<Host *> &locateRef(std::string_view Lfn) const;
 
   /// \returns the hosts holding \p Lfn sorted by host name (ties — which
   /// only arise if two hosts share a name — break on node id).  Unlike
-  /// locate(), the order is independent of registration history, so
+  /// locateRef(), the order is independent of registration history, so
   /// failover sweeps and reports that iterate replicas stay deterministic
   /// across catalogs built in different orders.
   std::vector<Host *> listReplicas(std::string_view Lfn) const;

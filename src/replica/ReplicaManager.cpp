@@ -140,7 +140,6 @@ void ReplicaManager::startFetchAttempt(uint32_t Slot) {
   Spec.FileBytes = St.Res.FileBytes;
   Spec.Protocol = St.Options.Protocol;
   Spec.Streams = St.Options.Streams;
-  Spec.Priority = St.Options.Priority;
   Spec.Deadline = St.AbsDeadline;
   // GridFTP resumes across failover via partial file transfer: the
   // destination keeps what earlier sources delivered, so the next source
@@ -232,7 +231,7 @@ void ReplicaManager::finishFetch(uint32_t Slot, bool Succeeded) {
 }
 
 bool ReplicaManager::remove(const std::string &Lfn, const Host &Location) {
-  if (Catalog.locate(Lfn).size() <= 1)
+  if (Catalog.locateRef(Lfn).size() <= 1)
     return false; // Never drop the last copy.
   return Catalog.removeReplica(Lfn, Location);
 }

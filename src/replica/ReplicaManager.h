@@ -57,9 +57,6 @@ struct FetchOptions {
   unsigned MaxFailovers = 8;
   /// Register the destination as a new replica holder on success.
   bool Register = true;
-  /// Admission-control priority forwarded to every attempt's
-  /// TransferSpec (see ShedPolicy::ShedLowestPriority).
-  int Priority = 0;
   /// Per-fetch deadline, seconds from the fetch() call.  The whole fetch
   /// — queue wait, failovers and all — must finish by then; an attempt
   /// aborted at the deadline ends the fetch (DeadlineExpired), it does

@@ -181,7 +181,7 @@ bool StorageManager::ensureSpace(Host &H, Bytes Size, SimTime Now,
   // and (under admission control) so are files at least as hot as the
   // one trying to come in.
   auto CanEvict = [this, SE, IncomingHotness](const std::string &Lfn) {
-    if (Catalog.locate(Lfn).size() <= 1)
+    if (Catalog.locateRef(Lfn).size() <= 1)
       return false;
     return SE->accessCount(Lfn) < IncomingHotness;
   };

@@ -219,7 +219,7 @@ ChaosOutcome runChaosOverload(uint64_t Seed) {
   AdmissionPolicy AP;
   AP.MaxActivePerDestination = 1;
   AP.QueueDepth = 1;
-  AP.Shed = ShedPolicy::ShedLowestPriority;
+  AP.Shed = ShedPolicy::ShedOldest;
   G->transfers().setAdmissionPolicy(AP);
 
   CostModelPolicy Policy;
@@ -244,15 +244,13 @@ ChaosOutcome runChaosOverload(uint64_t Seed) {
                       {"chaos-a", "lz03", 121.0}, {"chaos-b", "lz02", 160.0}};
   ChaosOutcome Out;
   Out.SpecHash = Spec.hash();
-  int Priority = 0;
   for (const Job &J : Jobs) {
-    G->sim().scheduleAt(J.At, [&, J, Priority] {
+    G->sim().scheduleAt(J.At, [&, J] {
       FetchOptions FO;
       FO.Streams = 4;
       FO.MaxFailovers = 2;
       FO.Register = false;
       FO.DeadlineSeconds = 120.0;
-      FO.Priority = Priority;
       Mgr.fetch(J.Lfn, *G->findHost(J.Client), FO,
                 [&, J](const FetchResult &R) {
                   ++Out.Callbacks;
@@ -286,7 +284,6 @@ ChaosOutcome runChaosOverload(uint64_t Seed) {
                   Out.Journal += Line;
                 });
     });
-    Priority = (Priority + 1) % 3;
   }
   G->sim().run();
   if (G->faults())

@@ -31,48 +31,44 @@ TEST(Protocol, Names) {
 }
 
 TEST(Protocol, StartupOrdering) {
-  ProtocolCosts Costs;
   NetPath P;
   P.Rtt = 0.010;
   SimTime Connect = 0.015;
-  SimTime Ftp = protocolStartupTime(TransferProtocol::Ftp, Costs, P, Connect,
-                                    1.0);
-  SimTime Stream = protocolStartupTime(TransferProtocol::GridFtpStream,
-                                       Costs, P, Connect, 1.0);
-  SimTime ModeE = protocolStartupTime(TransferProtocol::GridFtpModeE, Costs,
-                                      P, Connect, 1.0);
+  SimTime Ftp = protocolStartupTime(TransferProtocol::Ftp, P, Connect, 1.0);
+  SimTime Stream =
+      protocolStartupTime(TransferProtocol::GridFtpStream, P, Connect, 1.0);
+  SimTime ModeE =
+      protocolStartupTime(TransferProtocol::GridFtpModeE, P, Connect, 1.0);
   // GSI makes GridFTP startup strictly slower than FTP; MODE E adds the
   // negotiation round trip on top.
   EXPECT_LT(Ftp, Stream);
   EXPECT_LT(Stream, ModeE);
   EXPECT_NEAR(Stream - Ftp,
-              Costs.GsiHandshakeRtts * P.Rtt + Costs.GsiCryptoSeconds, 1e-9);
-  EXPECT_NEAR(ModeE - Stream, Costs.ModeENegotiationRtts * P.Rtt, 1e-9);
+              protocol::GsiHandshakeRtts * P.Rtt + protocol::GsiCryptoSeconds,
+              1e-9);
+  EXPECT_NEAR(ModeE - Stream, protocol::ModeENegotiationRtts * P.Rtt, 1e-9);
 }
 
 TEST(Protocol, SlowCpuInflatesGsiCost) {
-  ProtocolCosts Costs;
   NetPath P;
   P.Rtt = 0.010;
-  SimTime Fast = protocolStartupTime(TransferProtocol::GridFtpStream, Costs,
-                                     P, 0.0, 2.0);
-  SimTime Slow = protocolStartupTime(TransferProtocol::GridFtpStream, Costs,
-                                     P, 0.0, 0.5);
+  SimTime Fast =
+      protocolStartupTime(TransferProtocol::GridFtpStream, P, 0.0, 2.0);
+  SimTime Slow =
+      protocolStartupTime(TransferProtocol::GridFtpStream, P, 0.0, 0.5);
   EXPECT_NEAR(Slow - Fast,
-              Costs.GsiCryptoSeconds / 0.5 - Costs.GsiCryptoSeconds / 2.0,
+              protocol::GsiCryptoSeconds / 0.5 -
+                  protocol::GsiCryptoSeconds / 2.0,
               1e-9);
 }
 
 TEST(Protocol, ModeEFramingOverhead) {
-  ProtocolCosts Costs;
   Bytes Payload = megabytes(100);
-  EXPECT_DOUBLE_EQ(protocolWireBytes(TransferProtocol::Ftp, Costs, Payload),
+  EXPECT_DOUBLE_EQ(protocolWireBytes(TransferProtocol::Ftp, Payload),
                    Payload);
-  EXPECT_DOUBLE_EQ(
-      protocolWireBytes(TransferProtocol::GridFtpStream, Costs, Payload),
-      Payload);
-  Bytes Wire = protocolWireBytes(TransferProtocol::GridFtpModeE, Costs,
-                                 Payload);
+  EXPECT_DOUBLE_EQ(protocolWireBytes(TransferProtocol::GridFtpStream, Payload),
+                   Payload);
+  Bytes Wire = protocolWireBytes(TransferProtocol::GridFtpModeE, Payload);
   EXPECT_GT(Wire, Payload);
   EXPECT_NEAR(Wire / Payload, 1.0 + 17.0 / (64.0 * 1024.0), 1e-12);
 }
@@ -266,32 +262,6 @@ TEST_F(TransferFixture, StripedBeatsSingleWhenSourceDiskBound) {
   EXPECT_LT(Striped.DataSeconds, Single.DataSeconds * 0.7);
 }
 
-TEST_F(TransferFixture, ThirdPartyControlRunsOverClientPaths) {
-  TransferSpec S;
-  S.Source = Src.get();
-  S.Destination = Dst.get();
-  S.FileBytes = megabytes(64);
-  S.Protocol = TransferProtocol::GridFtpModeE;
-  S.Streams = 4;
-  TransferResult Pull = runOne(S);
-
-  S.ControlClient = Topo.findNode("src1"); // Mediated by a third host.
-  TransferResult ThirdParty = runOne(S);
-  // Startup is now priced over the client->source dialogue plus one extra
-  // round trip to the destination, independent of the pull dialogue.
-  auto CtlPath = Router->path(Topo.findNode("src1"), SrcNode);
-  auto DstPath = Router->path(Topo.findNode("src1"), DstNode);
-  ASSERT_TRUE(CtlPath && DstPath);
-  SimTime Expected =
-      protocolStartupTime(S.Protocol, Mgr->costs(), *CtlPath,
-                          Tcp.connectTime(*CtlPath), 1.0) +
-      DstPath->Rtt;
-  EXPECT_NEAR(ThirdParty.StartupSeconds, Expected, 1e-9);
-  // Data movement is unaffected by who drives the control channel.
-  EXPECT_NEAR(ThirdParty.DataSeconds, Pull.DataSeconds,
-              Pull.DataSeconds * 0.05);
-}
-
 TEST_F(TransferFixture, BusySourceDiskSlowsTransfer) {
   HostConfig HC = quietHost("busy-src", 1.0);
   HC.Name = "busy-src";
@@ -452,11 +422,10 @@ TEST_F(TransferFixture, FailureOnModeEBlockBoundaryResumesExactly) {
   S.Streams = 1;
   TransferResult Clean = runOne(S);
 
-  ProtocolCosts Costs; // The fixture's manager runs on the defaults.
-  Bytes Wire =
-      protocolWireBytes(TransferProtocol::GridFtpModeE, Costs, S.FileBytes);
+  Bytes Wire = protocolWireBytes(TransferProtocol::GridFtpModeE, S.FileBytes);
   double WireRate = Wire / Clean.DataSeconds;
-  const Bytes BlockWire = Costs.ModeEBlockBytes + Costs.ModeEHeaderBytes;
+  const Bytes BlockWire =
+      protocol::ModeEBlockBytes + protocol::ModeEHeaderBytes;
   Bytes BoundaryWire = std::floor(Wire / BlockWire / 2.0) * BlockWire;
   ASSERT_GT(BoundaryWire, 0.0);
 

@@ -107,7 +107,7 @@ TEST(PaperTestbed, PublishFileACreatesThreeReplicas) {
   PaperTestbed T(O);
   T.publishFileA();
   T.publishFileA(); // Idempotent.
-  auto Locations = T.grid().catalog().locate(PaperTestbed::FileA);
+  auto Locations = T.grid().catalog().locateRef(PaperTestbed::FileA);
   ASSERT_EQ(Locations.size(), 3u);
   EXPECT_DOUBLE_EQ(T.grid().catalog().fileSize(PaperTestbed::FileA),
                    megabytes(1024));

@@ -86,7 +86,7 @@ TEST(Integration, ReplicationThenCoAllocationCompound) {
                         const TransferResult &) { Replicated = true; });
   T.sim().run();
   ASSERT_TRUE(Replicated);
-  ASSERT_EQ(Cat.locate("data").size(), 2u);
+  ASSERT_EQ(Cat.locateRef("data").size(), 2u);
 
   // Single- vs dual-source fetch to hit3 (TCP-bound per source).
   auto Fetch = [&](size_t MaxSources) {

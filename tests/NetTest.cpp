@@ -121,6 +121,22 @@ TEST(Routing, PrefersLowerDelay) {
   EXPECT_DOUBLE_EQ(P->Rtt, 2.0 * 0.004);
 }
 
+TEST(Routing, CyclicTopologyFallsBackToDijkstra) {
+  // Two sites each uplinked to two spines: redundant paths make cycles,
+  // so the topology is no forest and the LCA fast path must stand down.
+  Topology T;
+  NodeId S1 = T.addNode("s1"), S2 = T.addNode("s2");
+  NodeId Spine1 = T.addNode("spine1"), Spine2 = T.addNode("spine2");
+  for (NodeId Site : {S1, S2})
+    for (NodeId Spine : {Spine1, Spine2})
+      T.addLink(Site, Spine, gbps(10), milliseconds(2));
+  Routing R(T);
+  const NetPath *P = R.pathRef(S1, S2);
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(P->Channels.size(), 2u);
+  EXPECT_FALSE(R.usesTreeRouting());
+}
+
 TEST(Routing, CacheReturnsSameResult) {
   LineFixture F;
   Routing R(F.Topo);
@@ -129,7 +145,7 @@ TEST(Routing, CacheReturnsSameResult) {
   ASSERT_NE(P1, nullptr);
   // A cache hit hands back the same entry, not an equal copy.
   EXPECT_EQ(P1, P2);
-  EXPECT_EQ(P1->Channels, R.path(F.A, F.C)->Channels);
+  EXPECT_EQ(P1->Channels, R.pathRef(F.A, F.C)->Channels);
 }
 
 //===----------------------------------------------------------------------===//
@@ -150,7 +166,7 @@ TEST(TcpModel, LossBoundOnLossyPath) {
   NetPath P;
   P.Rtt = 0.020;
   P.LossRate = 0.01; // Loss bound far below window bound.
-  double Expected = (1460.0 * 8.0 / 0.020) * M.config().MathisC / 0.1;
+  double Expected = (1460.0 * 8.0 / 0.020) * TcpModel::MathisC / 0.1;
   EXPECT_NEAR(M.perStreamCap(P), Expected, 1.0);
   EXPECT_LT(M.perStreamCap(P), 64 * 1024 * 8 / 0.020);
 }

@@ -84,7 +84,7 @@ struct AdmissionFixture : ::testing::Test {
     Mgr->setAdmissionPolicy(A);
   }
 
-  TransferSpec spec(Bytes FileBytes, int Priority = 0,
+  TransferSpec spec(Bytes FileBytes,
                     SimTime Deadline =
                         std::numeric_limits<double>::infinity()) {
     TransferSpec S;
@@ -93,7 +93,6 @@ struct AdmissionFixture : ::testing::Test {
     S.FileBytes = FileBytes;
     S.Protocol = TransferProtocol::GridFtpModeE;
     S.Streams = 2;
-    S.Priority = Priority;
     S.Deadline = Deadline;
     return S;
   }
@@ -185,25 +184,6 @@ TEST_F(AdmissionFixture, ShedOldestDisplacesTheQueueHead) {
   EXPECT_EQ(Mgr->totalShed(), 1u);
 }
 
-TEST_F(AdmissionFixture, ShedLowestPriorityPicksDeterministicVictim) {
-  setAdmission(1, /*Depth=*/2, ShedPolicy::ShedLowestPriority);
-  submit(spec(megabytes(8), /*Priority=*/9), 0); // in flight
-  submit(spec(megabytes(8), /*Priority=*/5), 1); // queued
-  submit(spec(megabytes(8), /*Priority=*/1), 2); // queued
-  // Overflow: #2 holds the lowest priority in Pending ∪ {newcomer}.
-  submit(spec(megabytes(8), /*Priority=*/3), 3);
-  // Overflow again: the newcomer itself is the lowest-priority loser.
-  submit(spec(megabytes(8), /*Priority=*/0), 4);
-  Sim.run();
-
-  EXPECT_EQ(Results[2].Status, TransferStatus::Shed);
-  EXPECT_EQ(Results[4].Status, TransferStatus::Shed);
-  EXPECT_EQ(Results[0].Status, TransferStatus::Completed);
-  EXPECT_EQ(Results[1].Status, TransferStatus::Completed);
-  EXPECT_EQ(Results[3].Status, TransferStatus::Completed);
-  EXPECT_EQ(Mgr->totalShed(), 2u);
-}
-
 TEST_F(AdmissionFixture, QueueDepthZeroShedsInsteadOfQueueing) {
   setAdmission(1, /*Depth=*/0, ShedPolicy::Reject);
   submit(spec(megabytes(8)), 0);
@@ -215,8 +195,8 @@ TEST_F(AdmissionFixture, QueueDepthZeroShedsInsteadOfQueueing) {
 
 TEST_F(AdmissionFixture, DeadlineExpiresWhileQueued) {
   setAdmission(1, /*Depth=*/4, ShedPolicy::Reject);
-  submit(spec(megabytes(64)), 0);                       // ~6 s in flight
-  submit(spec(megabytes(8), 0, /*Deadline=*/2.0), 1);   // dies in queue
+  submit(spec(megabytes(64)), 0);                  // ~6 s in flight
+  submit(spec(megabytes(8), /*Deadline=*/2.0), 1); // dies in queue
   Sim.run();
 
   EXPECT_EQ(Results[1].Status, TransferStatus::DeadlineExpired);
@@ -229,7 +209,7 @@ TEST_F(AdmissionFixture, DeadlineExpiresWhileQueued) {
 }
 
 TEST_F(AdmissionFixture, DeadlineExpiresMidFlight) {
-  submit(spec(megabytes(64), 0, /*Deadline=*/3.0), 0);
+  submit(spec(megabytes(64), /*Deadline=*/3.0), 0);
   Sim.run();
   EXPECT_EQ(Results[0].Status, TransferStatus::DeadlineExpired);
   EXPECT_NEAR(Results[0].EndTime, 3.0, 1e-9);
@@ -239,7 +219,7 @@ TEST_F(AdmissionFixture, DeadlineExpiresMidFlight) {
 }
 
 TEST_F(AdmissionFixture, PastDeadlineExpiresBeforeFirstByte) {
-  submit(spec(megabytes(8), 0, /*Deadline=*/0.0), 0);
+  submit(spec(megabytes(8), /*Deadline=*/0.0), 0);
   Sim.run();
   EXPECT_EQ(Results[0].Status, TransferStatus::DeadlineExpired);
   EXPECT_DOUBLE_EQ(Results[0].DeliveredBytes, 0.0);
@@ -249,7 +229,7 @@ TEST_F(AdmissionFixture, PastDeadlineExpiresBeforeFirstByte) {
 TEST_F(AdmissionFixture, DeadlineEventCancelledOnCompletion) {
   // A generous deadline must not fire after the transfer completed (the
   // event is cancelled in teardown; a stale firing would assert).
-  submit(spec(megabytes(8), 0, /*Deadline=*/500.0), 0);
+  submit(spec(megabytes(8), /*Deadline=*/500.0), 0);
   Sim.run();
   EXPECT_EQ(Results[0].Status, TransferStatus::Completed);
   EXPECT_EQ(Mgr->totalDeadlineExpired(), 0u);

@@ -311,7 +311,7 @@ TEST(TransferLog, UnknownPathForwardsProbeForecast) {
 // InformationService + TransferLog: log-refined queries
 //===----------------------------------------------------------------------===//
 
-struct LogCacheFixture : ::testing::Test {
+struct LogRefinedQueryFixture : ::testing::Test {
   Simulator Sim{17};
   Topology Topo;
   NodeId Client, NodeA, NodeB;
@@ -347,7 +347,7 @@ struct LogCacheFixture : ::testing::Test {
   }
 };
 
-TEST_F(LogCacheFixture, AppendInvalidatesExactlyThatPath) {
+TEST_F(LogRefinedQueryFixture, AppendMovesOnlyThatPathsPrediction) {
   Info->setQueryHint(megabytes(8), 4);
   SystemFactors A0 = Info->query(Client, *HostA);
   SystemFactors B0 = Info->query(Client, *HostB);
@@ -364,7 +364,7 @@ TEST_F(LogCacheFixture, AppendInvalidatesExactlyThatPath) {
   EXPECT_EQ(B1.PredictedBandwidth, B0.PredictedBandwidth);
 }
 
-TEST_F(LogCacheFixture, QueryHintFlipRevalidates) {
+TEST_F(LogRefinedQueryFixture, QueryHintPicksSizeDependentPrediction) {
   // A size-dependent arm wins: throughput exactly linear in file size,
   // probe constantly wrong.  The log-trained predictors condition on the
   // hint, so two prospective transfers get two predictions.
@@ -378,7 +378,7 @@ TEST_F(LogCacheFixture, QueryHintFlipRevalidates) {
   EXPECT_NEAR(Large.PredictedBandwidth, 8e6, 8e6 * 0.01);
 }
 
-TEST_F(LogCacheFixture, NoLogAttachedIgnoresHints) {
+TEST_F(LogRefinedQueryFixture, NoLogAttachedIgnoresHints) {
   // Detached, the service is the historical probe-only pipeline: whatever
   // the hint, a query reads the sensor's forecast, even on a path whose
   // log would have won (bit-identity with the goldens).
@@ -412,7 +412,7 @@ TEST(TransferForecasterDegraded, AllNanProbeStreamNeverScoresArmZero) {
   EXPECT_DOUBLE_EQ(P, 1e8);
 }
 
-TEST_F(LogCacheFixture, BlackoutWithEmptyLogAnswersFromLastKnown) {
+TEST_F(LogRefinedQueryFixture, BlackoutWithEmptyLogAnswersFromLastKnown) {
   // Append gate armed on a log that never sees an append, then a
   // monitoring blackout: queries must keep answering from last-known
   // data with the staleness tagged in BwAgeSeconds — never throw, never
@@ -439,7 +439,7 @@ TEST_F(LogCacheFixture, BlackoutWithEmptyLogAnswersFromLastKnown) {
   EXPECT_LE(After.BwAgeSeconds, 10.0);
 }
 
-TEST_F(LogCacheFixture, PartialPerPathLogsServeMixedPipelines) {
+TEST_F(LogRefinedQueryFixture, PartialPerPathLogsServeMixedPipelines) {
   // Path A trained, path B never appended: one query batch serves A the
   // log-refined prediction and B the raw probe, and repeated queries
   // reproduce both bit for bit (no cross-path bleed).
@@ -459,7 +459,7 @@ TEST_F(LogCacheFixture, PartialPerPathLogsServeMixedPipelines) {
   EXPECT_EQ(FB2.PredictedBandwidth, FB.PredictedBandwidth);
 }
 
-TEST_F(LogCacheFixture, LogRefinementFlowsIntoPredictedBandwidth) {
+TEST_F(LogRefinedQueryFixture, LogRefinementFlowsIntoPredictedBandwidth) {
   // Train the A path on a constant achieved throughput with the probe arm
   // pinned wrong: log_mean's postcast error is 0, the probe's is not, so
   // the meta-selector switches and the query serves the log's number.

@@ -403,16 +403,15 @@ class ProtocolProperty : public ::testing::TestWithParam<ProtocolPoint> {};
 
 TEST_P(ProtocolProperty, WireBytesAndStartupInvariants) {
   ProtocolPoint Pt = GetParam();
-  ProtocolCosts Costs;
   Bytes Payload = megabytes(Pt.SizeMB);
 
   // Wire volume is monotone in payload, zero at zero, and at most a
   // fraction of a percent above the payload (MODE E framing only).
-  Bytes Wire = protocolWireBytes(Pt.Protocol, Costs, Payload);
+  Bytes Wire = protocolWireBytes(Pt.Protocol, Payload);
   EXPECT_GE(Wire, Payload);
   EXPECT_LE(Wire, Payload * 1.001);
-  EXPECT_DOUBLE_EQ(protocolWireBytes(Pt.Protocol, Costs, 0.0), 0.0);
-  EXPECT_GE(protocolWireBytes(Pt.Protocol, Costs, Payload * 2.0),
+  EXPECT_DOUBLE_EQ(protocolWireBytes(Pt.Protocol, 0.0), 0.0);
+  EXPECT_GE(protocolWireBytes(Pt.Protocol, Payload * 2.0),
             Wire * 2.0 * (1.0 - 1e-12));
 
   // Startup is independent of payload, positive, monotone in RTT, and
@@ -421,21 +420,19 @@ TEST_P(ProtocolProperty, WireBytesAndStartupInvariants) {
     NetPath P;
     P.Rtt = RttMs * 1e-3;
     SimTime Connect = 1.5 * P.Rtt;
-    SimTime S = protocolStartupTime(Pt.Protocol, Costs, P, Connect, 1.0);
+    SimTime S = protocolStartupTime(Pt.Protocol, P, Connect, 1.0);
     EXPECT_GT(S, 0.0);
     NetPath Longer;
     Longer.Rtt = P.Rtt * 3.0;
-    EXPECT_GT(protocolStartupTime(Pt.Protocol, Costs, Longer,
-                                  1.5 * Longer.Rtt, 1.0),
+    EXPECT_GT(protocolStartupTime(Pt.Protocol, Longer, 1.5 * Longer.Rtt, 1.0),
               S);
-    EXPECT_LE(protocolStartupTime(TransferProtocol::Ftp, Costs, P,
-                                  Connect, 1.0),
-              protocolStartupTime(TransferProtocol::GridFtpStream, Costs,
-                                  P, Connect, 1.0));
-    EXPECT_LE(protocolStartupTime(TransferProtocol::GridFtpStream, Costs,
-                                  P, Connect, 1.0),
-              protocolStartupTime(TransferProtocol::GridFtpModeE, Costs,
-                                  P, Connect, 1.0));
+    EXPECT_LE(protocolStartupTime(TransferProtocol::Ftp, P, Connect, 1.0),
+              protocolStartupTime(TransferProtocol::GridFtpStream, P, Connect,
+                                  1.0));
+    EXPECT_LE(protocolStartupTime(TransferProtocol::GridFtpStream, P, Connect,
+                                  1.0),
+              protocolStartupTime(TransferProtocol::GridFtpModeE, P, Connect,
+                                  1.0));
   }
 }
 

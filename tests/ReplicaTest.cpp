@@ -108,12 +108,12 @@ TEST(ReplicaCatalog, RegisterLocateRemove) {
   Cat.addReplica("file-a", A);
   Cat.addReplica("file-a", B);
   Cat.addReplica("file-a", A); // Duplicate: ignored.
-  EXPECT_EQ(Cat.locate("file-a").size(), 2u);
+  EXPECT_EQ(Cat.locateRef("file-a").size(), 2u);
 
   EXPECT_TRUE(Cat.removeReplica("file-a", A));
   EXPECT_FALSE(Cat.removeReplica("file-a", A));
-  EXPECT_EQ(Cat.locate("file-a").size(), 1u);
-  EXPECT_EQ(Cat.locate("unknown").size(), 0u);
+  EXPECT_EQ(Cat.locateRef("file-a").size(), 1u);
+  EXPECT_EQ(Cat.locateRef("unknown").size(), 0u);
 }
 
 TEST(ReplicaCatalog, ReplicaAtFindsLocalCopy) {
@@ -213,7 +213,7 @@ struct ReplicaFixture : ::testing::Test {
     Sim.runUntil(30.0); // Warm up the sensors.
   }
 
-  std::vector<Host *> candidates() { return Cat.locate("file-a"); }
+  const std::vector<Host *> &candidates() { return Cat.locateRef("file-a"); }
 };
 
 } // namespace
@@ -408,7 +408,7 @@ TEST_F(ReplicaFixture, BreakerFlipGatesSelection) {
   EXPECT_NE(R.Chosen, nullptr);
 }
 
-TEST(SelectionFastPath, ScoreAllRecreatesEvictedPath) {
+TEST(SelectionPathTtl, ScoreAllRecreatesEvictedPath) {
   Simulator Sim(5);
   Topology Topo;
   NodeId C = Topo.addNode("client");
@@ -455,7 +455,7 @@ TEST_F(ReplicaFixture, PublishRegistersWithoutTransfer) {
   ReplicaManager RM(Cat, Sel, *Mgr);
   RM.publish("file-b", megabytes(10), *Fast);
   EXPECT_TRUE(Cat.hasFile("file-b"));
-  EXPECT_EQ(Cat.locate("file-b").size(), 1u);
+  EXPECT_EQ(Cat.locateRef("file-b").size(), 1u);
   EXPECT_EQ(Mgr->completedTransfers(), 0u);
 }
 
@@ -474,10 +474,10 @@ TEST_F(ReplicaFixture, ReplicateMovesDataAndRegisters) {
                  Done = true;
                });
   // Not yet registered: the data is still moving.
-  EXPECT_EQ(Cat.locate("file-a").size(), 3u);
+  EXPECT_EQ(Cat.locateRef("file-a").size(), 3u);
   Sim.run();
   EXPECT_TRUE(Done);
-  EXPECT_EQ(Cat.locate("file-a").size(), 4u);
+  EXPECT_EQ(Cat.locateRef("file-a").size(), 4u);
   EXPECT_NE(Cat.replicaAt("file-a", ClientNode), nullptr);
   EXPECT_GT(Result.totalSeconds(), 0.0);
   EXPECT_DOUBLE_EQ(Result.FileBytes, megabytes(256));
@@ -506,5 +506,5 @@ TEST_F(ReplicaFixture, RemoveRefusesLastCopy) {
   EXPECT_TRUE(RM.remove("file-a", *Slow));
   EXPECT_TRUE(RM.remove("file-a", *MidH));
   EXPECT_FALSE(RM.remove("file-a", *Fast)); // Last copy: refused.
-  EXPECT_EQ(Cat.locate("file-a").size(), 1u);
+  EXPECT_EQ(Cat.locateRef("file-a").size(), 1u);
 }

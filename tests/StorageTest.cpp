@@ -115,7 +115,7 @@ TEST(StorageManager, EnsureSpaceEvictsAndUnregisters) {
   SM.recordPlacement("f1", A, 1.0);
   ASSERT_TRUE(SM.ensureSpace(A, megabytes(400), 2.0));
   SM.recordPlacement("f2", A, 2.0);
-  EXPECT_EQ(Cat.locate("f1").size(), 2u);
+  EXPECT_EQ(Cat.locateRef("f1").size(), 2u);
 
   // The third placement evicts the LRU file (f1).
   ASSERT_TRUE(SM.ensureSpace(A, megabytes(400), 3.0));
@@ -123,7 +123,7 @@ TEST(StorageManager, EnsureSpaceEvictsAndUnregisters) {
   EXPECT_EQ(SM.evictions(), 1u);
   EXPECT_FALSE(SM.storeOf(A)->contains("f1"));
   EXPECT_EQ(Cat.replicaAt("f1", A.node()), nullptr); // Unregistered.
-  EXPECT_EQ(Cat.locate("f1").size(), 1u);            // B still has it.
+  EXPECT_EQ(Cat.locateRef("f1").size(), 1u);            // B still has it.
 }
 
 TEST(StorageManager, LastCopyIsNeverEvicted) {
@@ -242,8 +242,8 @@ TEST(StorageIntegration, ReplicatorEvictsColdReplicaForHotFile) {
   EXPECT_FALSE(SM.storeOf(T.alpha(1))->contains("cold"));
   EXPECT_EQ(SM.evictions(), 1u);
   // Catalog consistency: the evicted replica is gone, origin remains.
-  EXPECT_EQ(Cat.locate("cold").size(), 1u);
-  EXPECT_EQ(Cat.locate("hot").size(), 2u);
+  EXPECT_EQ(Cat.locateRef("cold").size(), 1u);
+  EXPECT_EQ(Cat.locateRef("hot").size(), 2u);
 }
 
 TEST(StorageIntegration, ReplicatorSkipsWhenNothingEvictable) {
@@ -274,5 +274,5 @@ TEST(StorageIntegration, ReplicatorSkipsWhenNothingEvictable) {
   Rep.onJob(R);
   EXPECT_EQ(Rep.replicationsStarted(), 0u);
   T.sim().run();
-  EXPECT_EQ(Cat.locate("big").size(), 1u);
+  EXPECT_EQ(Cat.locateRef("big").size(), 1u);
 }
