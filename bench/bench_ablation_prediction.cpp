@@ -35,7 +35,7 @@
 ///                 min-MSE meta-selector keeps in stale fits.
 ///
 /// Reported: rank-1 accuracy per predictor (13 NWS battery members, the
-/// adaptive NWS meta-forecast, the 5 log-trained regression arms, and the
+/// adaptive NWS meta-forecast, the 4 log-trained regression arms, and the
 /// probe-vs-log minimum-MSE meta-selector that InformationService
 /// actually serves) per arm.  The headline shape check pins the tentpole
 /// claim: pooled across the logged arms, the min-MSE meta-selector is at
@@ -62,7 +62,7 @@ namespace {
 
 /// The fetch being planned at every decision: 8 parallel streams, the
 /// catalogued file.  Training transfers run the same shape, so the
-/// log-trained predictors condition on exactly the class of transfer the
+/// log-trained predictors learn from exactly the class of transfer the
 /// decisions are about.
 constexpr unsigned DecisionStreams = 8;
 constexpr SimTime DecisionStart = 150.0;
@@ -86,12 +86,12 @@ constexpr Bytes PumpBytes = 96.0 * 1024.0 * 1024.0;
 constexpr SimTime OracleFetchBudget = 600.0;
 
 /// The predictor inventory.  0..12 are the NWS battery in battery order,
-/// 13 the adaptive NWS meta-forecast, 14..18 the log-trained arms 1..5,
-/// 19 the probe-vs-log minimum-MSE meta-selector (what a query serves).
+/// 13 the adaptive NWS meta-forecast, 14..17 the log-trained arms 1..4,
+/// 18 the probe-vs-log minimum-MSE meta-selector (what a query serves).
 constexpr size_t NumNwsMembers = NwsForecaster::memberCount();
 constexpr size_t AdaptiveIdx = NumNwsMembers;
 constexpr size_t FirstLogIdx = AdaptiveIdx + 1;
-constexpr size_t MetaIdx = FirstLogIdx + 5;
+constexpr size_t MetaIdx = FirstLogIdx + TransferForecaster::ArmCount - 1;
 constexpr size_t PredCount = MetaIdx + 1;
 
 /// \returns predictor \p P's name, as the battery and the log arms name
@@ -233,7 +233,7 @@ exp::TrialResult runPrediction(const std::string &Arm, uint64_t Seed,
 
     const std::string &Lfn = Lfns[K % Lfns.size()];
     Bytes FileBytes = G->catalog().fileSize(Lfn);
-    Info.setQueryHint(FileBytes, DecisionStreams);
+    Info.setQueryHint(FileBytes);
 
     // Rank the holders under every predictor: substitute each predictor's
     // bandwidth number into the query's factors and re-score Eq. 1.
@@ -253,9 +253,9 @@ exp::TrialResult runPrediction(const std::string &Arm, uint64_t Seed,
       for (size_t M = 0; M < NumNwsMembers; ++M)
         Preds[M] = Battery.memberPredict(M);
       Preds[AdaptiveIdx] = Probe;
-      for (size_t A = 1; A <= 5; ++A)
+      for (size_t A = 1; A < TransferForecaster::ArmCount; ++A)
         Preds[FirstLogIdx + A - 1] =
-            TF ? TF->armPredict(A, FileBytes, DecisionStreams, Probe) : Probe;
+            TF ? TF->armPredict(A, FileBytes, Probe) : Probe;
       Preds[MetaIdx] = F.PredictedBandwidth; // What the query served.
 
       for (size_t P = 0; P < PredCount; ++P) {

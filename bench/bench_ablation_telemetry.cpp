@@ -246,7 +246,7 @@ exp::TrialResult runTelemetry(const std::string &RegimeName,
 
     const std::string &Lfn = Lfns[K % Lfns.size()];
     Bytes FileBytes = G->catalog().fileSize(Lfn);
-    Info.setQueryHint(FileBytes, DecisionStreams);
+    Info.setQueryHint(FileBytes);
 
     size_t Best = 0;
     double BestScore = -std::numeric_limits<double>::infinity();

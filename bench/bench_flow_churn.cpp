@@ -78,8 +78,7 @@ ChurnResult runChurn(size_t NumFlows, bool SharedCore, size_t Steps,
     }
   }
   Routing Router(Topo);
-  TcpModel Tcp;
-  FlowNetwork Net(Sim, Topo, Router, Tcp);
+  FlowNetwork Net(Sim, Topo, Router);
 
   RandomEngine Rng(Seed * 48271 + NumFlows);
   auto pickPair = [&](NodeId &S, NodeId &D) {

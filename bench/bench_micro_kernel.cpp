@@ -115,7 +115,6 @@ namespace {
 struct ChurnFixture {
   Simulator Sim{11};
   Topology Topo;
-  TcpModel Tcp;
   std::unique_ptr<Routing> Router;
   std::unique_ptr<FlowNetwork> Net;
   std::vector<NodeId> Src, Dst;
@@ -136,7 +135,7 @@ struct ChurnFixture {
       }
     }
     Router = std::make_unique<Routing>(Topo);
-    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
+    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router);
     for (size_t I = 0; I < Flows; ++I)
       Ids.push_back(startOne(I % Pairs));
   }
@@ -214,7 +213,6 @@ namespace {
 struct SelectFixture {
   Simulator Sim{21};
   Topology Topo;
-  TcpModel Tcp;
   std::unique_ptr<Routing> Router;
   std::unique_ptr<FlowNetwork> Net;
   std::unique_ptr<InformationService> Info;
@@ -239,7 +237,7 @@ struct SelectFixture {
       Nodes.push_back(N);
     }
     Router = std::make_unique<Routing>(Topo);
-    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
+    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router);
     for (size_t I = 0; I < Sites; ++I) {
       HostConfig HC;
       HC.Name = "site" + std::to_string(I);

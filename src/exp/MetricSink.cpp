@@ -9,9 +9,8 @@
 #include "support/AllocStats.h"
 #include "support/InlineFunction.h"
 #include "support/Resource.h"
-#include "support/Table.h"
 
-#include <cassert>
+#include <cstdio>
 #include <cstdlib>
 
 using namespace dgsim;
@@ -22,45 +21,6 @@ MetricSink::~MetricSink() = default;
 void MetricSink::begin(const RunInfo &) {}
 
 void MetricSink::end(double) {}
-
-//===----------------------------------------------------------------------===//
-// AsciiTableSink
-//===----------------------------------------------------------------------===//
-
-void AsciiTableSink::begin(const RunInfo &Info) {
-  Scn = Info.Scn;
-  Rows.clear();
-}
-
-void AsciiTableSink::trial(const TrialRecord &Record) {
-  std::vector<std::string> Row;
-  Row.push_back(std::to_string(Record.Point.Index));
-  Row.push_back(std::to_string(Record.Point.Seed));
-  for (const auto &[Axis, Value] : Record.Point.Params)
-    Row.push_back(Value);
-  for (const std::string &M : Scn->Metrics)
-    // Arms of a scenario may report disjoint metric sets; render the gaps.
-    Row.push_back(Record.Result.has(M) ? fmt::fixed(Record.Result.get(M), 3)
-                                       : "-");
-  Rows.push_back(std::move(Row));
-}
-
-void AsciiTableSink::end(double) {
-  Table T;
-  std::vector<std::string> Header = {"trial", "seed"};
-  for (const Axis &A : Scn->Axes)
-    Header.push_back(A.Name);
-  for (const std::string &M : Scn->Metrics)
-    Header.push_back(M);
-  T.setHeader(Header);
-  for (const auto &Row : Rows) {
-    T.beginRow();
-    for (const std::string &Cell : Row)
-      T.add(Cell);
-  }
-  T.print(Out);
-  std::fprintf(Out, "\n");
-}
 
 //===----------------------------------------------------------------------===//
 // JsonSink

@@ -10,10 +10,10 @@
 /// matter how trials were scheduled across workers — sinks need no locking
 /// and their output is deterministic.
 ///
-/// Two implementations ship: an ASCII table of one row per trial (the
-/// human-readable view) and a JSON sink writing the machine-readable
+/// One implementation ships: a JSON sink writing the machine-readable
 /// BENCH_<id>.json document with per-trial provenance (seed, params, spec
-/// hash, wall time, git describe).
+/// hash, wall time, git describe).  Benches print their own paper-style
+/// tables from the returned records.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,6 @@
 #include "exp/Scenario.h"
 #include "support/Json.h"
 
-#include <cstdio>
 #include <functional>
 #include <string>
 
@@ -47,22 +46,6 @@ public:
   /// Called once per trial, in Index order.
   virtual void trial(const TrialRecord &Record) = 0;
   virtual void end(double TotalWallSeconds);
-};
-
-/// Renders one aligned row per trial (params, seed, metrics) to a FILE*.
-/// Columns come from the scenario's axes and declared metrics.
-class AsciiTableSink final : public MetricSink {
-public:
-  explicit AsciiTableSink(std::FILE *Out) : Out(Out) {}
-
-  void begin(const RunInfo &Info) override;
-  void trial(const TrialRecord &Record) override;
-  void end(double TotalWallSeconds) override;
-
-private:
-  std::FILE *Out;
-  const Scenario *Scn = nullptr;
-  std::vector<std::vector<std::string>> Rows;
 };
 
 /// Writes the BENCH_<id>.json document.  With IncludeTimings off, all

@@ -36,7 +36,6 @@ static void usage(const char *Prog, const BenchOptions &Defaults) {
       "  --jobs M        worker threads; results are identical for any M\n"
       "  --json PATH     write results to PATH (default BENCH_%s.json)\n"
       "  --no-json       do not write the JSON document\n"
-      "  --trials        print the per-trial table as well\n"
       "  --quick         reduced matrix (CI smoke mode)\n"
       "  --help          this text\n",
       Prog, static_cast<unsigned long long>(Defaults.BaseSeed),
@@ -80,8 +79,6 @@ BenchOptions exp::parseBenchOptions(int Argc, char **Argv, std::string Id,
       O.WriteJson = true;
     } else if (!std::strcmp(Arg, "--no-json")) {
       O.WriteJson = false;
-    } else if (!std::strcmp(Arg, "--trials")) {
-      O.ShowTrials = true;
     } else if (!std::strcmp(Arg, "--quick")) {
       O.Quick = true;
     } else if (!std::strcmp(Arg, "--help")) {
@@ -100,7 +97,6 @@ std::vector<TrialRecord>
 exp::runScenario(const Scenario &S, const BenchOptions &Options,
                  std::function<void(json::JsonWriter &)> JsonFooter) {
   std::unique_ptr<JsonSink> Json;
-  std::unique_ptr<AsciiTableSink> Ascii;
   RunnerOptions RO;
   RO.Jobs = Options.Jobs;
   std::string Path = Options.jsonPath();
@@ -109,10 +105,6 @@ exp::runScenario(const Scenario &S, const BenchOptions &Options,
     if (JsonFooter)
       Json->setFooter(std::move(JsonFooter));
     RO.Sinks.push_back(Json.get());
-  }
-  if (Options.ShowTrials) {
-    Ascii = std::make_unique<AsciiTableSink>(stdout);
-    RO.Sinks.push_back(Ascii.get());
   }
 
   ExperimentRunner Runner;

@@ -13,7 +13,6 @@
 ///                   for any M)
 ///   --json PATH     write results to PATH (default BENCH_<id>.json)
 ///   --no-json       skip the JSON document
-///   --trials        also print the generic per-trial ASCII table
 ///   --quick         reduced matrix for CI smoke runs (bench-defined)
 ///
 /// parseBenchOptions() handles parsing (and --help); runScenario() wires
@@ -40,7 +39,6 @@ struct BenchOptions {
   unsigned SeedCount = 1;
   unsigned Jobs = 1;
   bool Quick = false;
-  bool ShowTrials = false;
   bool WriteJson = true;
   /// Output path; empty means "BENCH_<Id>.json" in the working directory.
   std::string JsonPath;
@@ -60,8 +58,8 @@ struct BenchOptions {
 BenchOptions parseBenchOptions(int Argc, char **Argv, std::string Id,
                                uint64_t BaseSeed);
 
-/// Runs \p S with the standard sinks for \p Options (JSON file unless
-/// disabled, per-trial table when requested) and returns the records.
+/// Runs \p S with the standard sink for \p Options (the JSON file unless
+/// disabled) and returns the records.
 /// Prints a one-line run summary to stdout.  \p JsonFooter, when given,
 /// is installed on the JSON sink (JsonSink::setFooter) to append
 /// run-level members to the document.

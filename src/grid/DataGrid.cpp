@@ -86,7 +86,7 @@ Site &DataGrid::addSite(const SiteConfig &Config) {
   for (const SiteHostSpec &Spec : Config.Hosts) {
     assert(!findHost(Spec.Name) && "duplicate host name");
     NodeId Node = Topo.addNode(Spec.Name);
-    Topo.addLink(Node, Switch, Config.LanCapacity, Config.LanDelay);
+    Topo.addLink(Node, Switch, Config.LanCapacity, SiteConfig::LanDelay);
     HostConfig HC;
     HC.Name = Spec.Name;
     HC.CpuSpeed = Spec.CpuSpeed;
@@ -165,7 +165,7 @@ void DataGrid::connectBackbones(const std::string &A, const std::string &B,
 void DataGrid::finalize() {
   assert(!finalized() && "finalize() called twice");
   Router = std::make_unique<Routing>(Topo);
-  Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
+  Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router);
   InfoService = std::make_unique<InformationService>(Sim, *Net, InfoConfig);
   Transfers = std::make_unique<TransferManager>(Sim, *Net);
   Transfers->setTrace(&Trace);
@@ -285,7 +285,6 @@ TransferLog &DataGrid::enableTransferLog() {
           return;
         TransferObservation O;
         O.FileBytes = R.FileBytes;
-        O.Streams = R.Streams;
         O.Throughput = R.FileBytes * 8.0 / R.DataSeconds;
         const Sensor *Bw = InfoService->bandwidthSensor(
             S.Destination->node(), S.Source->node());

@@ -186,7 +186,6 @@ public:
 private:
   Simulator Sim;
   Topology Topo;
-  TcpModel Tcp;
   InformationServiceConfig InfoConfig;
   /// Shared tick driver for every host-load OU process when
   /// InfoConfig.BatchHostLoads is set; null otherwise.  Declared before

@@ -224,7 +224,6 @@ std::string GridSpec::canonicalJson() const {
     W.beginObject();
     W.member("name", S.Name);
     W.member("lan_capacity", S.LanCapacity);
-    W.member("lan_delay", S.LanDelay);
     W.key("hosts");
     W.beginArray();
     for (const SiteHostSpec &H : S.Hosts) {

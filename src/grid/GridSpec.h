@@ -57,7 +57,7 @@ struct SiteConfig {
   std::vector<SiteHostSpec> Hosts;
   /// LAN link from each host to the site switch.
   BitRate LanCapacity = 1e9;
-  SimTime LanDelay = 0.0001;
+  static constexpr SimTime LanDelay = 0.0001;
 };
 
 /// A wide-area link between two named endpoints (site or backbone names).

@@ -33,7 +33,6 @@ GridSpec PaperTestbed::spec(const PaperTestbedOptions &Options) {
     SiteConfig S;
     S.Name = SiteName;
     S.LanCapacity = Lan;
-    S.LanDelay = 0.0001;
     for (int I = 0; I < 4; ++I) {
       SiteHostSpec H;
       char Buf[32];

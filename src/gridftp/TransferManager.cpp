@@ -202,7 +202,6 @@ TransferId TransferManager::submit(const TransferSpec &Spec,
   T.Result = TransferResult();
   T.Result.Id = Id;
   T.Result.Protocol = Spec.Protocol;
-  T.Result.Streams = Spec.Streams;
   T.Result.FileBytes = Spec.Range ? Spec.Range->Length : Spec.FileBytes;
   T.Result.StartTime = Sim.now();
 
@@ -216,7 +215,7 @@ TransferId TransferManager::submit(const TransferSpec &Spec,
   double SlowerCpu = std::min(PrimarySource->config().CpuSpeed,
                               Spec.Destination->config().CpuSpeed);
   SimTime Startup = protocolStartupTime(
-      Spec.Protocol, *ControlPath, Net.tcp().connectTime(*ControlPath),
+      Spec.Protocol, *ControlPath, TcpModel::connectTime(*ControlPath),
       SlowerCpu);
   T.Result.StartupSeconds = Startup;
 
@@ -389,7 +388,7 @@ void TransferManager::startStripeFlow(TransferId Id, size_t StripeIdx,
     const NetPath *Path =
         Net.routing().pathRef(S.Source->node(), T.Spec.Destination->node());
     assert(Path && "transfer endpoints became disconnected");
-    SimTime Delay = Net.tcp().connectTime(*Path) + Path->Rtt +
+    SimTime Delay = TcpModel::connectTime(*Path) + Path->Rtt +
                     backoffSeconds(S.ConsecutiveFailures);
     trace("#%llu stripe %zu connect refused (attempt %u); retry in %.3f s",
           static_cast<unsigned long long>(Id), StripeIdx,
@@ -535,7 +534,7 @@ void TransferManager::failStripe(TransferId Id, size_t StripeIdx,
   const NetPath *Path =
       Net.routing().pathRef(S.Source->node(), T.Spec.Destination->node());
   assert(Path && "transfer endpoints became disconnected");
-  SimTime Delay = Net.tcp().connectTime(*Path) + Path->Rtt +
+  SimTime Delay = TcpModel::connectTime(*Path) + Path->Rtt +
                   backoffSeconds(S.ConsecutiveFailures);
   S.RetryEvent = Sim.schedule(Delay, [this, Id, StripeIdx, RetryVolume] {
     // The transfer may have been torn down meanwhile.

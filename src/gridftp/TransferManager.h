@@ -171,7 +171,6 @@ struct TransferResult {
   TransferId Id = InvalidTransferId;
   TransferProtocol Protocol = TransferProtocol::Ftp;
   TransferStatus Status = TransferStatus::Completed;
-  unsigned Streams = 1;
   /// Payload bytes requested (the range length for partial fetches).
   Bytes FileBytes = 0.0;
   /// Payload bytes that landed and count toward the file exactly once.

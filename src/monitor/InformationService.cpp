@@ -151,9 +151,8 @@ SystemFactors InformationService::query(NodeId ClientNode,
   SystemFactors F;
   F.PredictedBandwidth = Bw->forecast();
   if (Log)
-    F.PredictedBandwidth =
-        Log->predict(Candidate.node(), ClientNode, HintBytes, HintStreams,
-                     F.PredictedBandwidth);
+    F.PredictedBandwidth = Log->predict(Candidate.node(), ClientNode,
+                                        HintBytes, F.PredictedBandwidth);
   const NetPath *Path = Net.routing().pathRef(Candidate.node(), ClientNode);
   F.TheoreticalBandwidth = Path ? Path->BottleneckCapacity : 0.0;
 

@@ -239,13 +239,10 @@ public:
   TransferLog *transferLog() { return Log; }
 
   /// Sets the prospective-transfer context the log-trained predictors
-  /// condition on (file size and stream count of the fetch being
-  /// planned).  Sticky until the next call; consulted only while a
-  /// transfer log is attached, by every query() that follows.
-  void setQueryHint(Bytes FileBytes, unsigned Streams) {
-    HintBytes = FileBytes;
-    HintStreams = Streams;
-  }
+  /// condition on (the file size of the fetch being planned).  Sticky
+  /// until the next call; consulted only while a transfer log is
+  /// attached, by every query() that follows.
+  void setQueryHint(Bytes FileBytes) { HintBytes = FileBytes; }
 
 private:
   struct HostSensors {
@@ -323,7 +320,6 @@ private:
   TransferLog *Log = nullptr;
   /// Prospective-transfer context for the log-trained predictors.
   Bytes HintBytes = 0.0;
-  unsigned HintStreams = 0;
   bool Blackout = false;
   /// Telemetry faults currently in force, in begin order (re-applied to
   /// sensors created mid-window).  A handful at most; scanned linearly.

@@ -111,22 +111,14 @@ size_t TransferForecaster::sizeBucket(double Mb) {
   return B;
 }
 
-size_t TransferForecaster::streamBucket(unsigned Streams) {
-  // 0 is unused (Streams >= 1); counts past the table pool at the top.
-  size_t B = Streams;
-  return B < StreamBuckets ? B : StreamBuckets - 1;
-}
-
 const char *TransferForecaster::armName(size_t I) {
   static const char *const Names[ArmCount] = {
-      "probe",        "log_mean",       "log_lin(mb)",
-      "log_quad(mb)", "log_part(size)", "log_part(streams)"};
+      "probe", "log_mean", "log_lin(mb)", "log_quad(mb)", "log_part(size)"};
   assert(I < ArmCount && "arm index out of range");
   return Names[I];
 }
 
 double TransferForecaster::armPredict(size_t I, Bytes FileBytes,
-                                      unsigned Streams,
                                       double ProbeForecast) const {
   assert(I < ArmCount && "arm index out of range");
   double Mb = mbOf(FileBytes);
@@ -148,11 +140,6 @@ double TransferForecaster::armPredict(size_t I, Bytes FileBytes,
     P = B.count() ? B.predict(1, Mb) : Global.mean();
     break;
   }
-  case 5: {
-    const LeastSquaresAccumulator &B = ByStreams[streamBucket(Streams)];
-    P = B.count() ? B.predict(1, Mb) : Global.mean();
-    break;
-  }
   }
   // A fit extrapolated past its sample range can go negative; a negative
   // throughput prediction is meaningless, so clamp.
@@ -170,8 +157,7 @@ void TransferForecaster::observe(const TransferObservation &O,
     for (size_t I = 0; I != ArmCount; ++I) {
       if (I == 0 && !std::isfinite(ProbeForecast))
         continue; // No probe sensor: nothing to score, nothing to poison.
-      double E = armPredict(I, O.FileBytes, O.Streams, ProbeForecast) -
-                 O.Throughput;
+      double E = armPredict(I, O.FileBytes, ProbeForecast) - O.Throughput;
       SquaredError[I] += E * E;
       ++Scored[I];
     }
@@ -179,7 +165,6 @@ void TransferForecaster::observe(const TransferObservation &O,
   double Mb = mbOf(O.FileBytes);
   Global.add(Mb, O.Throughput);
   BySize[sizeBucket(Mb)].add(Mb, O.Throughput);
-  ByStreams[streamBucket(O.Streams)].add(Mb, O.Throughput);
   ++Observations;
 }
 
@@ -205,12 +190,12 @@ size_t TransferForecaster::bestArm() const {
   return Best;
 }
 
-double TransferForecaster::predict(Bytes FileBytes, unsigned Streams,
+double TransferForecaster::predict(Bytes FileBytes,
                                    double ProbeForecast) const {
   size_t Arm = bestArm();
   if (Arm == 0)
     return ProbeForecast;
-  return armPredict(Arm, FileBytes, Streams, ProbeForecast);
+  return armPredict(Arm, FileBytes, ProbeForecast);
 }
 
 double TransferForecaster::armMse(size_t I) const {

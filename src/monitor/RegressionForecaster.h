@@ -9,10 +9,10 @@
 /// Vazhkudai & Schopf ("Using Regression Techniques to Predict Large Data
 /// Transfers"): end-to-end GridFTP throughput is predicted from the log of
 /// past transfers on the same path — linear and polynomial least-squares
-/// fits of throughput against file size, plus set-partitioned variants
-/// (one fit per file-size class, one per stream-count class) — and an
-/// adaptive minimum-MSE meta-selector chooses between the probe-based NWS
-/// forecast and the log-trained battery per path.
+/// fits of throughput against file size, plus a set-partitioned variant
+/// (one fit per file-size class) — and an adaptive minimum-MSE
+/// meta-selector chooses between the probe-based NWS forecast and the
+/// log-trained battery per path.
 ///
 /// Determinism discipline matches Forecaster.h: no global state, no RNG,
 /// no wall clock.  Degenerate fits (singular normal equations: constant x,
@@ -37,8 +37,6 @@ namespace dgsim {
 struct TransferObservation {
   /// Payload bytes requested (the range length for partial fetches).
   Bytes FileBytes = 0.0;
-  /// Parallel TCP streams the transfer ran with.
-  unsigned Streams = 1;
   /// Achieved payload throughput over the data phase, bits/second.
   BitRate Throughput = 0.0;
 };
@@ -92,7 +90,7 @@ private:
 ///
 /// Arm 0 is the probe-based forecast (the NWS bandwidth sensor's adaptive
 /// prediction, passed in by the caller at observe/predict time — this
-/// class holds no sensor reference).  Arms 1..5 are trained on the
+/// class holds no sensor reference).  Arms 1..4 are trained on the
 /// observation stream itself:
 ///
 ///   1  log_mean          mean achieved throughput
@@ -100,8 +98,6 @@ private:
 ///   3  log_quad(mb)      quadratic fit, throughput vs file size (MB)
 ///   4  log_part(size)    per-size-class fit (power-of-two MB buckets),
 ///                        empty/degenerate bucket -> global mean
-///   5  log_part(streams) per-stream-count linear fit vs size, same
-///                        fallback
 ///
 /// Like NwsForecaster, each arm is scored on its postcast error *before*
 /// the observation is ingested (the first observation trains only), and
@@ -112,7 +108,7 @@ private:
 /// its MSE.
 class TransferForecaster {
 public:
-  static constexpr size_t ArmCount = 6;
+  static constexpr size_t ArmCount = 5;
 
   /// Scores every arm against \p O, then trains the log arms on it.
   /// \p ProbeForecast is the path's NWS bandwidth forecast at completion
@@ -123,16 +119,14 @@ public:
   /// arm's throughput prediction, clamped non-negative.  Before any arm
   /// has been scored this is \p ProbeForecast (trust the probe until the
   /// log has evidence).
-  double predict(Bytes FileBytes, unsigned Streams,
-                 double ProbeForecast) const;
+  double predict(Bytes FileBytes, double ProbeForecast) const;
 
   /// \returns the arm bestArm() currently forwards (0 when unscored).
   size_t bestArm() const;
 
   /// \returns arm \p I's prediction for a prospective transfer (arm 0
   /// forwards \p ProbeForecast), clamped non-negative.
-  double armPredict(size_t I, Bytes FileBytes, unsigned Streams,
-                    double ProbeForecast) const;
+  double armPredict(size_t I, Bytes FileBytes, double ProbeForecast) const;
 
   /// \returns a short stable identifier for arm \p I ("log_lin(mb)").
   static const char *armName(size_t I);
@@ -152,15 +146,11 @@ private:
   /// holds (2^(k-1), 2^k] MB.  Everything past 2^15 MB (32 GB) shares the
   /// top bucket so the table stays small.
   static constexpr size_t SizeBuckets = 16;
-  /// Stream-count classes: 1..MaxStreamBucket-1 exact, the rest pooled.
-  static constexpr size_t StreamBuckets = 17;
 
   static size_t sizeBucket(double Mb);
-  static size_t streamBucket(unsigned Streams);
 
   LeastSquaresAccumulator Global;
   LeastSquaresAccumulator BySize[SizeBuckets];
-  LeastSquaresAccumulator ByStreams[StreamBuckets];
   double SquaredError[ArmCount] = {};
   size_t Scored[ArmCount] = {};
   size_t Observations = 0;

@@ -80,9 +80,10 @@ public:
   Sensor(Simulator &Sim, std::string Name, SimTime Period,
          std::function<double()> Measure);
 
-  /// Batch-driven: the sensor is sampled whenever \p Batch ticks (plus the
-  /// registration-time sample the batch takes on add).  It owns no kernel
-  /// event and detaches from the batch on destruction.
+  /// Batch-driven: the sensor is sampled whenever \p Batch ticks, first at
+  /// the batch's next tick (adding it takes no sample; an owner that needs
+  /// one now calls sampleNow()).  It owns no kernel event and detaches
+  /// from the batch on destruction.
   Sensor(Simulator &Sim, std::string Name, SensorBatch &Batch,
          std::function<double()> Measure);
 

@@ -73,11 +73,11 @@ void TransferLog::endCorruptPath(NodeId Server, NodeId Client) {
 }
 
 double TransferLog::predict(NodeId Server, NodeId Client, Bytes FileBytes,
-                            unsigned Streams, double ProbeForecast) const {
+                            double ProbeForecast) const {
   auto It = Paths.find(logKey(Server, Client));
   if (It == Paths.end())
     return ProbeForecast;
-  return It->second.Fc.predict(FileBytes, Streams, ProbeForecast);
+  return It->second.Fc.predict(FileBytes, ProbeForecast);
 }
 
 const TransferForecaster *TransferLog::forecaster(NodeId Server,

@@ -7,13 +7,12 @@
 /// \file
 /// The second data source of the monitoring layer: where sensors *probe*
 /// links on a schedule, the TransferLog *observes* every completed GridFTP
-/// transfer (size, streams, achieved throughput) per (server, client)
-/// path — the end-to-end signal Allcock et al. argue actually predicts
-/// replica fetch time.  Each path keeps a TransferForecaster (the
-/// probe-vs-log minimum-MSE meta-selector, trained on running
-/// least-squares sums) and an optional plausibility gate on appends; each
-/// InformationService query reads the path's current prediction.  No
-/// observation is stored.
+/// transfer (size, achieved throughput) per (server, client) path — the
+/// end-to-end signal Allcock et al. argue actually predicts replica fetch
+/// time.  Each path keeps a TransferForecaster (the probe-vs-log
+/// minimum-MSE meta-selector, trained on running least-squares sums) and
+/// an optional plausibility gate on appends; each InformationService
+/// query reads the path's current prediction.  No observation is stored.
 ///
 /// Appends happen inside transfer-completion callbacks on the simulator's
 /// one thread, so the log needs no synchronisation.
@@ -48,7 +47,7 @@ public:
   /// the path has never been logged (the probe keeps its word until the
   /// log has evidence).
   double predict(NodeId Server, NodeId Client, Bytes FileBytes,
-                 unsigned Streams, double ProbeForecast) const;
+                 double ProbeForecast) const;
 
   /// \returns the path's meta-selector, or nullptr when never appended to
   /// (per-arm introspection for the prediction-accuracy harness).

@@ -63,12 +63,11 @@ constexpr auto EntryLater = [](const auto &A, const auto &B) {
 
 } // namespace
 
-FlowNetwork::FlowNetwork(Simulator &Sim, const Topology &Topo, Routing &Router,
-                         const TcpModel &Tcp)
-    : Sim(Sim), Topo(Topo), Router(Router), Tcp(Tcp) {
+FlowNetwork::FlowNetwork(Simulator &Sim, const Topology &Topo, Routing &Router)
+    : Sim(Sim), Topo(Topo), Router(Router) {
   size_t NumCh = Topo.channelCount();
   ChannelCap.resize(NumCh);
-  double Goodput = Tcp.goodputFactor();
+  double Goodput = TcpModel::goodputFactor();
   for (size_t Ch = 0; Ch != NumCh; ++Ch)
     ChannelCap[Ch] = Topo.channelCapacity(ChannelId(Ch)) * Goodput;
   ChannelUsage.assign(NumCh, 0.0);
@@ -557,7 +556,7 @@ FlowId FlowNetwork::startFlow(NodeId Src, NodeId Dst, Bytes Volume,
   F.StartTime = Sim.now();
   F.RateSince = Sim.now();
   F.Weight = static_cast<double>(Options.Streams);
-  F.TcpCap = Tcp.parallelCap(*Path, Options.Streams);
+  F.TcpCap = TcpModel::parallelCap(*Path, Options.Streams);
   F.EndpointCap = Options.EndpointCap;
   F.Rate = 0.0;
   F.DownOnPath = 0;
@@ -650,7 +649,7 @@ BitRate FlowNetwork::probeBandwidth(NodeId Src, NodeId Dst, unsigned Streams,
   const NetPath *Path = Router.pathRef(Src, Dst);
   if (!Path)
     return 0.0;
-  double Cap = std::min(Tcp.parallelCap(*Path, Streams), EndpointCap);
+  double Cap = std::min(TcpModel::parallelCap(*Path, Streams), EndpointCap);
   if (DownLinkCount > 0)
     for (ChannelId Ch : Path->Channels)
       if (LinkDown[Ch / 2])

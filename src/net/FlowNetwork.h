@@ -78,16 +78,15 @@ struct FlowStats {
   }
 };
 
-/// Event-driven fluid network.  Owns no topology; the topology, router and
-/// TCP model must outlive it.
+/// Event-driven fluid network.  Owns no topology; the topology and router
+/// must outlive it.
 class FlowNetwork {
 public:
   /// Inline-buffered callback: per-stripe completion closures fit the
   /// 48-byte buffer, so flow churn allocates no closure storage.
   using CompletionFn = InlineFunction<void(const FlowStats &), 48>;
 
-  FlowNetwork(Simulator &Sim, const Topology &Topo, Routing &Router,
-              const TcpModel &Tcp);
+  FlowNetwork(Simulator &Sim, const Topology &Topo, Routing &Router);
 
   /// Starts a flow of \p Volume payload bytes from \p Src to \p Dst.
   /// \p OnComplete fires (once) when the last byte is delivered.  The nodes
@@ -141,9 +140,6 @@ public:
   BitRate probeBandwidth(NodeId Src, NodeId Dst, unsigned Streams = 1,
                          BitRate EndpointCap =
                              std::numeric_limits<double>::infinity());
-
-  /// \returns the TCP model in use (protocol layers need path arithmetic).
-  const TcpModel &tcp() const { return Tcp; }
 
   /// \returns the topology flows run over.
   const Topology &topology() const { return Topo; }
@@ -283,7 +279,6 @@ private:
   Simulator &Sim;
   const Topology &Topo;
   Routing &Router;
-  const TcpModel &Tcp;
 
   // Flow store: pooled slots + id lookup.  Iteration goes through slots
   // (deterministic order); lookups through the map.

@@ -13,7 +13,7 @@
 
 using namespace dgsim;
 
-BitRate TcpModel::perStreamCap(const NetPath &Path) const {
+BitRate TcpModel::perStreamCap(const NetPath &Path) {
   const double Inf = std::numeric_limits<double>::infinity();
   if (Path.Rtt <= 0.0) {
     // Same-host or zero-delay path: neither window nor loss binds.
@@ -27,7 +27,7 @@ BitRate TcpModel::perStreamCap(const NetPath &Path) const {
   return std::min(WindowBound, LossBound);
 }
 
-BitRate TcpModel::parallelCap(const NetPath &Path, unsigned Streams) const {
+BitRate TcpModel::parallelCap(const NetPath &Path, unsigned Streams) {
   assert(Streams >= 1 && "need at least one stream");
   BitRate One = perStreamCap(Path);
   if (std::isinf(One))

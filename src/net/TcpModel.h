@@ -30,7 +30,7 @@
 
 namespace dgsim {
 
-/// Stateless throughput calculator shared by all flows.
+/// Stateless throughput calculator: class constants and static methods.
 class TcpModel {
 public:
   /// Maximum segment size, bytes (Ethernet default).
@@ -50,19 +50,19 @@ public:
   /// \returns the payload rate one stream can sustain on \p Path, before any
   /// competition for link capacity: min(window bound, loss bound).
   /// Local (zero-RTT) paths are unbounded by the window term.
-  BitRate perStreamCap(const NetPath &Path) const;
+  static BitRate perStreamCap(const NetPath &Path);
 
   /// \returns the aggregate cap for \p Streams parallel streams.
-  BitRate parallelCap(const NetPath &Path, unsigned Streams) const;
+  static BitRate parallelCap(const NetPath &Path, unsigned Streams);
 
   /// \returns the usable payload fraction of raw link capacity.
-  double goodputFactor() const { return 1.0 / (1.0 + HeaderOverhead); }
+  static double goodputFactor() { return 1.0 / (1.0 + HeaderOverhead); }
 
   /// \returns the time to open \p Connections TCP connections in series
   /// batches (GridFTP opens the parallel data connections concurrently, so
   /// this is one connect time regardless of N, plus per-connection setup
   /// charged by the protocol layer).
-  SimTime connectTime(const NetPath &Path) const {
+  static SimTime connectTime(const NetPath &Path) {
     return ConnectRtts * Path.Rtt;
   }
 };

@@ -122,9 +122,6 @@ void ReplicaManager::startFetchAttempt(uint32_t Slot) {
     finishFetch(Slot, /*Succeeded=*/false);
     return;
   }
-  // Selection conditions any log-trained predictors on the transfer this
-  // attempt will actually run (stream count; the selector adds the size).
-  Selector.setTransferHintStreams(St.Options.Streams);
   const SelectionResult &Sel =
       Selector.selectRef(St.Target->node(), Lfn, St.Tried);
   if (!Sel.Chosen) {

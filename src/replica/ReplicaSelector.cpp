@@ -135,5 +135,5 @@ void ReplicaSelector::hintQueries(const std::string &Lfn) {
   // conditions on the fetch being planned.  Without a log the hint is
   // never consulted, so this stays off the probe-only fast path entirely.
   if (Info.transferLog())
-    Info.setQueryHint(Catalog.fileSize(Lfn), HintStreams);
+    Info.setQueryHint(Catalog.fileSize(Lfn));
 }

@@ -109,14 +109,9 @@ public:
   /// Attaches a trace log (TraceCategory::Selection events).
   void setTrace(TraceLog *Log) { Trace = Log; }
 
-  /// Stream count of the transfer being planned, forwarded as the
-  /// information service's query hint (with the file's size) by select()
-  /// and scoreAll() whenever a transfer log is attached, so log-trained
-  /// predictors condition on the fetch actually about to run.
-  /// ReplicaManager::fetch sets it per attempt; the default matches
-  /// FetchOptions::Streams.
-  void setTransferHintStreams(unsigned S) { HintStreams = S; }
-  unsigned transferHintStreams() const { return HintStreams; }
+  /// A no-op (the log-trained predictors condition on file size alone);
+  /// kept only because dgbench calls it.
+  void setTransferHintStreams(unsigned) {}
 
   /// Attaches a site-health tracker: breaker-gated candidate filtering
   /// here, health-blended scoring in the policy.  Pass nullptr to detach.
@@ -138,7 +133,6 @@ private:
   SelectionResult Result;
   std::vector<Host *> CandScratch;
   std::vector<Host *> AdmitScratch;
-  unsigned HintStreams = 4;
 };
 
 } // namespace dgsim

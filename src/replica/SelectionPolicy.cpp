@@ -78,12 +78,8 @@ Host *LeastLoadedCpuPolicy::choose(NodeId Client,
   return Best;
 }
 
-TwoChoicePolicy::TwoChoicePolicy(SelectionPolicy &Inner, RandomEngine Rng,
-                                 unsigned Choices)
-    : Inner(Inner), Rng(Rng), Choices(Choices) {
-  assert(Choices >= 1 && "need at least one choice");
-  Name = std::to_string(Choices) + "-choice(" + Inner.name() + ")";
-}
+TwoChoicePolicy::TwoChoicePolicy(SelectionPolicy &Inner, RandomEngine Rng)
+    : Name("2-choice(" + Inner.name() + ")"), Inner(Inner), Rng(Rng) {}
 
 void TwoChoicePolicy::setHealthTracker(HealthTracker *T) {
   Inner.setHealthTracker(T);

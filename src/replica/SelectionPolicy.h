@@ -17,8 +17,8 @@
 ///     model with W = (1, 0, 0);
 ///   * LeastLoadedCpuPolicy -- CPU-greedy, bandwidth-blind.
 ///
-/// TwoChoicePolicy is a combinator rather than a strategy: it samples a
-/// few random candidates and lets any inner policy rank only the sample,
+/// TwoChoicePolicy is a combinator rather than a strategy: it samples two
+/// random candidates and lets any inner policy rank only the pair,
 /// trading a little selection quality for herd immunity when the inner
 /// policy's measurements are stale.
 ///
@@ -115,9 +115,9 @@ private:
   std::string Name;
 };
 
-/// Mitzenmacher's power-of-d-choices, as a combinator: sample \p Choices
+/// Mitzenmacher's power-of-two-choices, as a combinator: sample two
 /// distinct candidates uniformly and let the inner policy rank only the
-/// sample.
+/// pair.
 ///
 /// This is the classic antidote to stale-information herding.  A
 /// measurement-driven policy ranks every client's candidates from the
@@ -126,15 +126,13 @@ private:
 /// long before the next sample shows it.  Ranking a random pair spreads
 /// the load across holders almost as evenly as fresh information would,
 /// while still strongly preferring good replicas ("How Useful Is Old
-/// Information?", Mitzenmacher 2000).  With Choices >= the candidate
-/// count the combinator is transparent and the inner policy sees the
-/// full list.
+/// Information?", Mitzenmacher 2000).  With two candidates or fewer the
+/// combinator is transparent and the inner policy sees the full list.
 class TwoChoicePolicy final : public SelectionPolicy {
 public:
   /// \p Inner ranks the sample (not owned); \p Rng drives the sampling
   /// (pass a forked engine for deterministic runs).
-  TwoChoicePolicy(SelectionPolicy &Inner, RandomEngine Rng,
-                  unsigned Choices = 2);
+  TwoChoicePolicy(SelectionPolicy &Inner, RandomEngine Rng);
   const std::string &name() const override { return Name; }
   Host *choose(NodeId Client, const std::vector<Host *> &Candidates,
                InformationService &Info) override;
@@ -146,7 +144,8 @@ private:
   std::string Name;
   SelectionPolicy &Inner;
   RandomEngine Rng;
-  unsigned Choices;
+  /// Candidates sampled per choose() call.
+  static constexpr unsigned Choices = 2;
   std::vector<Host *> Sample; // Scratch, reused across calls.
 };
 

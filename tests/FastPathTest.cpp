@@ -105,11 +105,12 @@ namespace {
 // re-pinned after the latency and memory sensors, then the host memory-load
 // process, all of which self-schedule on the paper testbed, were deleted;
 // the grid journals' spec hash (h=) was re-pinned when the host memory
-// knobs left GridSpec and again when the protocol costs and the LAN loss
-// did, and their mean sojourn (sj=) and end time (end=)
-// when selection stopped querying every holder before the policy ranked
-// its own candidates (the chaos grid's first-fetch monitors, and so its
-// forecasts, changed).  Every other field is as captured.
+// knobs left GridSpec, again when the protocol costs and the LAN loss
+// did and again when the LAN delay did, and their mean sojourn (sj=) and
+// end time (end=) when selection stopped querying every holder before the
+// policy ranked its own candidates (the chaos grid's first-fetch
+// monitors, and so its forecasts, changed).  Every other field is as
+// captured.
 constexpr const char *Fig3Journal =
     "st=0 d=75.366399999999999 tot=76.012164705882356 "
     "thr=28251841.745454364 e=3442";
@@ -119,11 +120,11 @@ constexpr const char *Fig4Journal =
 constexpr const char *GridJournal =
     "a=478 c=478 f=0 s=0 lh=94 gp=1304908254.0784802 "
     "sj=3526.8371000986081 e=1490 end=73.364265940490057 lg=0 "
-    "h=2020a0184b9376fe";
+    "h=a8c7a3c9d7dda6f6";
 constexpr const char *GridLogFeedbackJournal =
     "a=478 c=478 f=0 s=0 lh=94 gp=1304908254.0784802 "
     "sj=3535.0381931861089 e=1490 end=73.364265940490057 lg=384 "
-    "h=2020a0184b9376fe";
+    "h=a8c7a3c9d7dda6f6";
 
 //===----------------------------------------------------------------------===//
 // Whole runs: paper-testbed transfers (the fig3/fig4 scenarios)

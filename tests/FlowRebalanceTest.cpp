@@ -43,7 +43,6 @@ struct ChurnFixture {
   std::vector<LinkId> StarLink;
   Topology Topo;
   Routing Router;
-  TcpModel Tcp;
   FlowNetwork Net;
 
   static Topology buildTopo(size_t NumPairs, size_t NumStar,
@@ -68,7 +67,7 @@ struct ChurnFixture {
   explicit ChurnFixture(size_t NumPairs = 6, size_t NumStar = 6)
       : Topo(buildTopo(NumPairs, NumStar, PairSrc, PairDst, StarSite,
                        StarLink)),
-        Router(Topo), Tcp(), Net(Sim, Topo, Router, Tcp) {}
+        Router(Topo), Net(Sim, Topo, Router) {}
 };
 
 } // namespace
@@ -231,7 +230,7 @@ TEST(FlowRebalance, ProbeDoesNotDisturbStandingRates) {
   // The probe shares the saturated uplink: it sees its fair share of the
   // hypothetical three-way contention, and commits nothing.
   double Probe = F.Net.probeBandwidth(F.StarSite[0], F.StarSite[1]);
-  double Goodput = F.Tcp.goodputFactor();
+  double Goodput = TcpModel::goodputFactor();
   EXPECT_NEAR(Probe, (mbps(50) * Goodput - mbps(5)) / 2.0, mbps(50) * 1e-9);
   EXPECT_EQ(F.Net.rebalanceEvents(), Events0);
   EXPECT_DOUBLE_EQ(F.Net.currentRate(Greedy), RateBefore);

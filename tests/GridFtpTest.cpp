@@ -85,7 +85,6 @@ struct TransferFixture : ::testing::Test {
   Topology Topo;
   NodeId SrcNode, DstNode, Mid;
   std::unique_ptr<Routing> Router;
-  TcpModel Tcp;
   std::unique_ptr<FlowNetwork> Net;
   std::unique_ptr<Host> Src, Src2, Dst;
   std::unique_ptr<TransferManager> Mgr;
@@ -113,7 +112,7 @@ struct TransferFixture : ::testing::Test {
     Topo.addLink(Topo.findNode("src1"), Mid, gbps(1), milliseconds(1));
     Topo.addLink(Mid, DstNode, mbps(100), milliseconds(9), 0.0005);
     Router = std::make_unique<Routing>(Topo);
-    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
+    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router);
     Src = std::make_unique<Host>(Sim, quietHost("src", 1.0),
                                  Topo.findNode("src"));
     Src2 = std::make_unique<Host>(Sim, quietHost("src1", 1.0),

@@ -121,8 +121,7 @@ TEST(PaperTestbed, ThuHitPathIsWindowLimited) {
   const NetPath *Path = T.grid().network().routing().pathRef(
       T.alpha(1).node(), T.hit(3).node());
   ASSERT_NE(Path, nullptr);
-  const TcpModel &Tcp = T.grid().network().tcp();
-  double OneStream = Tcp.perStreamCap(*Path);
+  double OneStream = TcpModel::perStreamCap(*Path);
   // Window bound binds well below the gigabit path.
   EXPECT_LT(OneStream, mbps(200));
   EXPECT_GT(OneStream, mbps(20));
@@ -137,8 +136,7 @@ TEST(PaperTestbed, LiZenPathIsLossLimited) {
   const NetPath *Path = T.grid().network().routing().pathRef(
       T.alpha(2).node(), T.lz(4).node());
   ASSERT_NE(Path, nullptr);
-  const TcpModel &Tcp = T.grid().network().tcp();
-  double OneStream = Tcp.perStreamCap(*Path);
+  double OneStream = TcpModel::perStreamCap(*Path);
   // One stream gets well under half the 30 Mb/s access link, so 2 and 4
   // streams have room to scale: the Fig 4 precondition.
   EXPECT_LT(OneStream, mbps(14));

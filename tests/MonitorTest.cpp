@@ -203,7 +203,6 @@ struct InfoFixture : ::testing::Test {
   Topology Topo;
   NodeId Client, Server;
   std::unique_ptr<Routing> Router;
-  TcpModel Tcp;
   std::unique_ptr<FlowNetwork> Net;
   std::unique_ptr<Host> ServerHost;
   std::unique_ptr<InformationService> Info;
@@ -213,7 +212,7 @@ struct InfoFixture : ::testing::Test {
     Server = Topo.addNode("server");
     Topo.addLink(Client, Server, mbps(100), milliseconds(5), 0.0001);
     Router = std::make_unique<Routing>(Topo);
-    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
+    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router);
 
     HostConfig HC;
     HC.Name = "server";
@@ -272,7 +271,7 @@ TEST_F(InfoFixture, PerPathNormalizationInflatesSlowLinks) {
   // Gigabit path a 4-stream 64 KiB-window probe cannot fill at this RTT.
   Topo.addLink(Client, FastNode, gbps(1), milliseconds(5));
   Routing Router2(Topo);
-  FlowNetwork Net2(Sim, Topo, Router2, Tcp);
+  FlowNetwork Net2(Sim, Topo, Router2);
   HostConfig HC;
   HC.Name = "slow-server";
   HC.Cpu.Volatility = 0.0;

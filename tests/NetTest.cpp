@@ -153,51 +153,45 @@ TEST(Routing, CacheReturnsSameResult) {
 //===----------------------------------------------------------------------===//
 
 TEST(TcpModel, WindowBoundOnCleanPath) {
-  TcpModel M;
   NetPath P;
   P.Rtt = 0.020; // 20 ms, no loss.
   P.LossRate = 0.0;
   // 64 KiB window / 20 ms = 26.2144 Mb/s.
-  EXPECT_NEAR(M.perStreamCap(P), 64 * 1024 * 8 / 0.020, 1.0);
+  EXPECT_NEAR(TcpModel::perStreamCap(P), 64 * 1024 * 8 / 0.020, 1.0);
 }
 
 TEST(TcpModel, LossBoundOnLossyPath) {
-  TcpModel M;
   NetPath P;
   P.Rtt = 0.020;
   P.LossRate = 0.01; // Loss bound far below window bound.
   double Expected = (1460.0 * 8.0 / 0.020) * TcpModel::MathisC / 0.1;
-  EXPECT_NEAR(M.perStreamCap(P), Expected, 1.0);
-  EXPECT_LT(M.perStreamCap(P), 64 * 1024 * 8 / 0.020);
+  EXPECT_NEAR(TcpModel::perStreamCap(P), Expected, 1.0);
+  EXPECT_LT(TcpModel::perStreamCap(P), 64 * 1024 * 8 / 0.020);
 }
 
 TEST(TcpModel, ZeroRttIsUnbounded) {
-  TcpModel M;
   NetPath P; // Rtt = 0.
-  EXPECT_TRUE(std::isinf(M.perStreamCap(P)));
+  EXPECT_TRUE(std::isinf(TcpModel::perStreamCap(P)));
 }
 
 TEST(TcpModel, ParallelCapScalesLinearly) {
-  TcpModel M;
   NetPath P;
   P.Rtt = 0.020;
   P.LossRate = 0.005;
-  double One = M.perStreamCap(P);
-  EXPECT_NEAR(M.parallelCap(P, 4), 4.0 * One, 1e-6);
-  EXPECT_NEAR(M.parallelCap(P, 16), 16.0 * One, 1e-6);
+  double One = TcpModel::perStreamCap(P);
+  EXPECT_NEAR(TcpModel::parallelCap(P, 4), 4.0 * One, 1e-6);
+  EXPECT_NEAR(TcpModel::parallelCap(P, 16), 16.0 * One, 1e-6);
 }
 
 TEST(TcpModel, GoodputFactorBelowOne) {
-  TcpModel M;
-  EXPECT_LT(M.goodputFactor(), 1.0);
-  EXPECT_GT(M.goodputFactor(), 0.9);
+  EXPECT_LT(TcpModel::goodputFactor(), 1.0);
+  EXPECT_GT(TcpModel::goodputFactor(), 0.9);
 }
 
 TEST(TcpModel, ConnectTimeScalesWithRtt) {
-  TcpModel M;
   NetPath P;
   P.Rtt = 0.010;
-  EXPECT_DOUBLE_EQ(M.connectTime(P), 0.015);
+  EXPECT_DOUBLE_EQ(TcpModel::connectTime(P), 0.015);
 }
 
 //===----------------------------------------------------------------------===//
@@ -407,8 +401,7 @@ struct NetFixture : ::testing::Test {
   Simulator Sim{7};
   LineFixture L;
   Routing Router{L.Topo};
-  TcpModel Tcp;
-  FlowNetwork Net{Sim, L.Topo, Router, Tcp};
+  FlowNetwork Net{Sim, L.Topo, Router};
 };
 
 } // namespace
@@ -427,8 +420,8 @@ TEST_F(NetFixture, SingleFlowIsTcpBoundBelowLink) {
   ASSERT_TRUE(Completed);
   const NetPath *Path = Router.pathRef(L.A, L.C);
   ASSERT_NE(Path, nullptr);
-  double Cap = Tcp.perStreamCap(*Path);
-  EXPECT_LT(Cap, mbps(100) * Tcp.goodputFactor());
+  double Cap = TcpModel::perStreamCap(*Path);
+  EXPECT_LT(Cap, mbps(100) * TcpModel::goodputFactor());
   EXPECT_NEAR(Done.meanRate(), Cap, Cap * 0.01);
 }
 
@@ -439,7 +432,7 @@ TEST_F(NetFixture, ParallelStreamsSaturateBottleneck) {
   Net.startFlow(L.A, L.C, megabytes(100), Opt,
                 [&](const FlowStats &S) { Done = S; });
   Sim.run();
-  double LinkGoodput = mbps(100) * Tcp.goodputFactor();
+  double LinkGoodput = mbps(100) * TcpModel::goodputFactor();
   EXPECT_NEAR(Done.meanRate(), LinkGoodput, LinkGoodput * 0.02);
 }
 
@@ -454,7 +447,7 @@ TEST_F(NetFixture, TwoFlowsShareFairly) {
   ASSERT_EQ(Done.size(), 2u);
   // Same size, same start: they finish together at half rate each.
   EXPECT_NEAR(Done[0].EndTime, Done[1].EndTime, 1e-6);
-  double LinkGoodput = mbps(100) * Tcp.goodputFactor();
+  double LinkGoodput = mbps(100) * TcpModel::goodputFactor();
   EXPECT_NEAR(Done[0].meanRate(), LinkGoodput / 2.0, LinkGoodput * 0.02);
 }
 
@@ -469,7 +462,7 @@ TEST_F(NetFixture, OppositeDirectionsDoNotContend) {
   Sim.run();
   ASSERT_EQ(Done.size(), 2u);
   // Full-duplex: both get the full link goodput.
-  double LinkGoodput = mbps(100) * Tcp.goodputFactor();
+  double LinkGoodput = mbps(100) * TcpModel::goodputFactor();
   EXPECT_NEAR(Done[0].meanRate(), LinkGoodput, LinkGoodput * 0.02);
   EXPECT_NEAR(Done[1].meanRate(), LinkGoodput, LinkGoodput * 0.02);
 }
@@ -580,7 +573,7 @@ TEST_F(NetFixture, ZeroByteFlowCompletesImmediately) {
 
 TEST_F(NetFixture, ProbeSeesResidualBandwidth) {
   double Quiet = Net.probeBandwidth(L.A, L.C, 8);
-  double LinkGoodput = mbps(100) * Tcp.goodputFactor();
+  double LinkGoodput = mbps(100) * TcpModel::goodputFactor();
   EXPECT_NEAR(Quiet, LinkGoodput, LinkGoodput * 0.01);
 
   // Fill the link with an 8-stream flow, then probe again: fair share halves.
@@ -637,7 +630,7 @@ TEST_F(NetFixture, ThreeFlowContentionIsExactlyMaxMin) {
   });
   Sim.run();
   ASSERT_EQ(Done, 3);
-  double Goodput = mbps(100) * Tcp.goodputFactor();
+  double Goodput = mbps(100) * TcpModel::goodputFactor();
   EXPECT_NEAR(Rate[0], Goodput / 2.0, Goodput * 0.02);
   EXPECT_NEAR(Rate[1], Goodput / 2.0, Goodput * 0.02);
   EXPECT_NEAR(Rate[2], Goodput, Goodput * 0.02);
@@ -662,7 +655,7 @@ TEST_F(NetFixture, ProbeDisconnectedReturnsZero) {
   T.addNode("y");
   T.addLink(A, T.addNode("z"), gbps(1), milliseconds(1));
   Routing R(T);
-  FlowNetwork N(Sim, T, R, Tcp);
+  FlowNetwork N(Sim, T, R);
   EXPECT_DOUBLE_EQ(N.probeBandwidth(A, T.findNode("y")), 0.0);
 }
 
@@ -670,7 +663,7 @@ TEST_F(NetFixture, DeterministicAcrossRuns) {
   auto RunOnce = [this]() {
     Simulator S(42);
     Routing R(L.Topo);
-    FlowNetwork N(S, L.Topo, R, Tcp);
+    FlowNetwork N(S, L.Topo, R);
     CrossTrafficConfig C;
     C.Src = L.A;
     C.Dst = L.C;
@@ -708,7 +701,7 @@ TEST_F(NetFixture, CrossTrafficInjectsAndSlowsTransfers) {
   EXPECT_GT(CT.flowsInjected(), 50u);
   // The probe should now see less than the full link on average.
   double Probe = Net.probeBandwidth(L.A, L.C, 8);
-  EXPECT_LT(Probe, mbps(100) * Tcp.goodputFactor());
+  EXPECT_LT(Probe, mbps(100) * TcpModel::goodputFactor());
   CT.stop();
 }
 

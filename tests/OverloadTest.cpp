@@ -55,7 +55,6 @@ struct AdmissionFixture : ::testing::Test {
   Topology Topo;
   NodeId Mid;
   std::unique_ptr<Routing> Router;
-  TcpModel Tcp;
   std::unique_ptr<FlowNetwork> Net;
   std::unique_ptr<Host> Src, Src2, Dst;
   std::unique_ptr<TransferManager> Mgr;
@@ -69,7 +68,7 @@ struct AdmissionFixture : ::testing::Test {
     Topo.addLink(Src2Node, Mid, gbps(1), milliseconds(1));
     Topo.addLink(Mid, DstNode, mbps(100), milliseconds(5));
     Router = std::make_unique<Routing>(Topo);
-    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
+    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router);
     Src = std::make_unique<Host>(Sim, quietHost("src"), SrcNode);
     Src2 = std::make_unique<Host>(Sim, quietHost("src2"), Src2Node);
     Dst = std::make_unique<Host>(Sim, quietHost("dst"), DstNode);
@@ -410,7 +409,6 @@ struct GateFixture : ::testing::Test {
   Topology Topo;
   NodeId ClientNode;
   std::unique_ptr<Routing> Router;
-  TcpModel Tcp;
   std::unique_ptr<FlowNetwork> Net;
   std::unique_ptr<Host> Client, HolderA, HolderB;
   std::unique_ptr<InformationService> Info;
@@ -423,7 +421,7 @@ struct GateFixture : ::testing::Test {
     Topo.addLink(ClientNode, NA, gbps(1), milliseconds(2));
     Topo.addLink(ClientNode, NB, gbps(1), milliseconds(2));
     Router = std::make_unique<Routing>(Topo);
-    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
+    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router);
     Client = std::make_unique<Host>(Sim, quietHost("client"), ClientNode);
     HolderA = std::make_unique<Host>(Sim, quietHost("ha"), NA);
     HolderB = std::make_unique<Host>(Sim, quietHost("hb"), NB);

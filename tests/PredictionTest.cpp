@@ -40,7 +40,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <utility>
 
 using namespace dgsim;
 using namespace dgsim::units;
@@ -168,22 +167,21 @@ TEST(LeastSquares, OverflowedSumsNeverLeakNonFinite) {
 // TransferForecaster: scoring, tie-breaks, partitions
 //===----------------------------------------------------------------------===//
 
-TransferObservation obs(double Mb, unsigned Streams, double Throughput) {
+TransferObservation obs(double Mb, double Throughput) {
   TransferObservation O;
   O.FileBytes = Mb * 1024.0 * 1024.0;
-  O.Streams = Streams;
   O.Throughput = Throughput;
   return O;
 }
 
 TEST(TransferForecaster, FirstObservationTrainsOnly) {
   TransferForecaster F;
-  F.observe(obs(4.0, 4, 1e8), 9e7);
+  F.observe(obs(4.0, 1e8), 9e7);
   for (size_t I = 0; I != TransferForecaster::ArmCount; ++I)
     EXPECT_EQ(F.armScored(I), 0u) << TransferForecaster::armName(I);
   EXPECT_EQ(F.bestArm(), 0u);
   // Unscored meta trusts the probe verbatim.
-  EXPECT_DOUBLE_EQ(F.predict(megabytes(4), 4, 1.25e8), 1.25e8);
+  EXPECT_DOUBLE_EQ(F.predict(megabytes(4), 1.25e8), 1.25e8);
 }
 
 TEST(TransferForecaster, ExactTieResolvesToLowestArmId) {
@@ -193,7 +191,7 @@ TEST(TransferForecaster, ExactTieResolvesToLowestArmId) {
   // is exactly 0 and the strict < scan keeps arm 0.
   TransferForecaster F;
   for (int I = 0; I < 5; ++I)
-    F.observe(obs(4.0, 4, 1e8), 1e8);
+    F.observe(obs(4.0, 1e8), 1e8);
   for (size_t I = 0; I != TransferForecaster::ArmCount; ++I) {
     EXPECT_EQ(F.armScored(I), 4u);
     EXPECT_DOUBLE_EQ(F.armMse(I), 0.0);
@@ -206,14 +204,14 @@ TEST(TransferForecaster, NanProbeSkipsArmZeroScoring) {
   // tie among the (all-perfect) log arms goes to the lowest id, log_mean.
   TransferForecaster F;
   for (int I = 0; I < 5; ++I)
-    F.observe(obs(4.0, 4, 1e8), NaN);
+    F.observe(obs(4.0, 1e8), NaN);
   EXPECT_EQ(F.armScored(0), 0u);
   EXPECT_DOUBLE_EQ(F.armMse(0), 0.0);
   for (size_t I = 1; I != TransferForecaster::ArmCount; ++I)
     EXPECT_EQ(F.armScored(I), 4u);
   EXPECT_EQ(F.bestArm(), 1u);
   // The meta-prediction now ignores the probe entirely.
-  EXPECT_DOUBLE_EQ(F.predict(megabytes(4), 4, NaN), 1e8);
+  EXPECT_DOUBLE_EQ(F.predict(megabytes(4), NaN), 1e8);
 }
 
 TEST(TransferForecaster, LinearTrendBeatsMisleadingProbe) {
@@ -221,62 +219,40 @@ TEST(TransferForecaster, LinearTrendBeatsMisleadingProbe) {
   // regression arm must win the meta-selection and extrapolate the line.
   TransferForecaster F;
   for (double Mb : {1.0, 2.0, 3.0, 4.0, 5.0})
-    F.observe(obs(Mb, 4, 1e6 * Mb), 1e7);
+    F.observe(obs(Mb, 1e6 * Mb), 1e7);
   EXPECT_GE(F.bestArm(), 1u); // Not the probe.
   EXPECT_GT(F.armMse(0), F.armMse(2));
   EXPECT_GT(F.armMse(1), F.armMse(2)); // The mean cannot track a trend.
-  EXPECT_NEAR(F.predict(megabytes(8), 4, 1e7), 8e6, 8e6 * 0.01);
+  EXPECT_NEAR(F.predict(megabytes(8), 1e7), 8e6, 8e6 * 0.01);
 }
 
 TEST(TransferForecaster, SizePartitionConditionsOnSizeClass) {
   // Two well-separated size classes with different constant throughputs.
   TransferForecaster F;
   for (int I = 0; I < 3; ++I) {
-    F.observe(obs(0.5, 4, 1e8), NaN); // Bucket (0, 1] MB.
-    F.observe(obs(3.0, 4, 4e8), NaN); // Bucket (2, 4] MB.
+    F.observe(obs(0.5, 1e8), NaN); // Bucket (0, 1] MB.
+    F.observe(obs(3.0, 4e8), NaN); // Bucket (2, 4] MB.
   }
   // Within a class the x values are constant, so the per-bucket fit falls
   // back to the bucket mean — the class's throughput, not the global mix.
-  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(0.5), 4, NaN), 1e8);
-  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(3.5), 4, NaN), 4e8);
+  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(0.5), NaN), 1e8);
+  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(3.5), NaN), 4e8);
   // Bucket edges are inclusive on the right: exactly 1 MB is still the
   // small class; a hair above crosses into (1, 2] MB, which is empty and
   // falls back to the global mean.
-  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(1.0), 4, NaN), 1e8);
-  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(1.0) * 1.01, 4, NaN), 2.5e8);
+  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(1.0), NaN), 1e8);
+  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(1.0) * 1.01, NaN), 2.5e8);
   // A far-away empty bucket falls back to the global mean too.
-  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(20.0), 4, NaN), 2.5e8);
-}
-
-TEST(TransferForecaster, StreamPartitionConditionsOnStreamCount) {
-  TransferForecaster F;
-  for (int I = 0; I < 3; ++I) {
-    F.observe(obs(2.0, 1, 5e7), NaN);
-    F.observe(obs(2.0, 8, 3e8), NaN);
-  }
-  EXPECT_DOUBLE_EQ(F.armPredict(5, megabytes(2), 1, NaN), 5e7);
-  EXPECT_DOUBLE_EQ(F.armPredict(5, megabytes(2), 8, NaN), 3e8);
-  // An untrained stream count falls back to the global mean.
-  EXPECT_DOUBLE_EQ(F.armPredict(5, megabytes(2), 4, NaN), 1.75e8);
-}
-
-TEST(TransferForecaster, HighStreamCountsPoolInTopBucket) {
-  TransferForecaster F;
-  F.observe(obs(2.0, 20, 9e7), NaN);
-  F.observe(obs(2.0, 40, 9e7), NaN);
-  // Everything past the table shares one class, so any big count reads
-  // the pooled fit rather than an empty bucket.
-  EXPECT_DOUBLE_EQ(F.armPredict(5, megabytes(2), 16, NaN), 9e7);
-  EXPECT_DOUBLE_EQ(F.armPredict(5, megabytes(2), 99, NaN), 9e7);
+  EXPECT_DOUBLE_EQ(F.armPredict(4, megabytes(20.0), NaN), 2.5e8);
 }
 
 TEST(TransferForecaster, NegativeExtrapolationClampsToZero) {
   // A steeply falling line goes negative past the sample range; a
   // negative throughput prediction is meaningless and must clamp.
   TransferForecaster F;
-  F.observe(obs(1.0, 4, 2e6), NaN);
-  F.observe(obs(2.0, 4, 1e6), NaN);
-  EXPECT_DOUBLE_EQ(F.armPredict(2, megabytes(100), 4, NaN), 0.0);
+  F.observe(obs(1.0, 2e6), NaN);
+  F.observe(obs(2.0, 1e6), NaN);
+  EXPECT_DOUBLE_EQ(F.armPredict(2, megabytes(100), NaN), 0.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -287,12 +263,12 @@ TEST(TransferLog, ObservationsCountPerPathIndependently) {
   TransferLog Log;
   EXPECT_EQ(Log.forecaster(1, 2), nullptr); // Never appended.
   for (int I = 0; I < 3; ++I)
-    Log.append(1, 2, obs(4.0, 4, 1e8), NaN);
+    Log.append(1, 2, obs(4.0, 1e8), NaN);
   ASSERT_NE(Log.forecaster(1, 2), nullptr);
   EXPECT_EQ(Log.forecaster(1, 2)->observationCount(), 3u);
   EXPECT_EQ(Log.forecaster(2, 1), nullptr); // Directional: the reverse path.
   EXPECT_EQ(Log.forecaster(3, 4), nullptr);
-  Log.append(3, 4, obs(4.0, 4, 1e8), NaN);
+  Log.append(3, 4, obs(4.0, 1e8), NaN);
   ASSERT_NE(Log.forecaster(3, 4), nullptr);
   EXPECT_EQ(Log.forecaster(3, 4)->observationCount(), 1u);
   // Untouched by the other path.
@@ -303,7 +279,7 @@ TEST(TransferLog, ObservationsCountPerPathIndependently) {
 
 TEST(TransferLog, UnknownPathForwardsProbeForecast) {
   TransferLog Log;
-  EXPECT_DOUBLE_EQ(Log.predict(5, 6, megabytes(16), 4, 1.25e8), 1.25e8);
+  EXPECT_DOUBLE_EQ(Log.predict(5, 6, megabytes(16), 1.25e8), 1.25e8);
   EXPECT_EQ(Log.forecaster(5, 6), nullptr);
 }
 
@@ -316,7 +292,6 @@ struct LogRefinedQueryFixture : ::testing::Test {
   Topology Topo;
   NodeId Client, NodeA, NodeB;
   std::unique_ptr<Routing> Router;
-  TcpModel Tcp;
   std::unique_ptr<FlowNetwork> Net;
   std::unique_ptr<Host> HostA, HostB;
   TransferLog Log;
@@ -329,7 +304,7 @@ struct LogRefinedQueryFixture : ::testing::Test {
     Topo.addLink(Client, NodeA, mbps(100), milliseconds(5), 0.0001);
     Topo.addLink(Client, NodeB, mbps(100), milliseconds(5), 0.0001);
     Router = std::make_unique<Routing>(Topo);
-    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
+    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router);
 
     HostConfig HC;
     HC.Name = "server-a";
@@ -348,7 +323,7 @@ struct LogRefinedQueryFixture : ::testing::Test {
 };
 
 TEST_F(LogRefinedQueryFixture, AppendMovesOnlyThatPathsPrediction) {
-  Info->setQueryHint(megabytes(8), 4);
+  Info->setQueryHint(megabytes(8));
   SystemFactors A0 = Info->query(Client, *HostA);
   SystemFactors B0 = Info->query(Client, *HostB);
 
@@ -356,7 +331,7 @@ TEST_F(LogRefinedQueryFixture, AppendMovesOnlyThatPathsPrediction) {
   // postcast error is 0, so a log arm wins A's meta-selection.  Only the
   // A path's prediction moves; B's reads bit for bit as before.
   for (int I = 0; I < 4; ++I)
-    Log.append(NodeA, Client, obs(8.0, 4, 2e7), 9e7);
+    Log.append(NodeA, Client, obs(8.0, 2e7), 9e7);
   SystemFactors A1 = Info->query(Client, *HostA);
   SystemFactors B1 = Info->query(Client, *HostB);
   EXPECT_NE(A1.PredictedBandwidth, A0.PredictedBandwidth);
@@ -369,10 +344,10 @@ TEST_F(LogRefinedQueryFixture, QueryHintPicksSizeDependentPrediction) {
   // probe constantly wrong.  The log-trained predictors condition on the
   // hint, so two prospective transfers get two predictions.
   for (double Mb : {1.0, 2.0, 3.0, 4.0, 5.0})
-    Log.append(NodeA, Client, obs(Mb, 4, 1e6 * Mb), 1e7);
-  Info->setQueryHint(megabytes(2), 4);
+    Log.append(NodeA, Client, obs(Mb, 1e6 * Mb), 1e7);
+  Info->setQueryHint(megabytes(2));
   SystemFactors Small = Info->query(Client, *HostA);
-  Info->setQueryHint(megabytes(8), 4);
+  Info->setQueryHint(megabytes(8));
   SystemFactors Large = Info->query(Client, *HostA);
   EXPECT_NEAR(Small.PredictedBandwidth, 2e6, 2e6 * 0.01);
   EXPECT_NEAR(Large.PredictedBandwidth, 8e6, 8e6 * 0.01);
@@ -383,11 +358,10 @@ TEST_F(LogRefinedQueryFixture, NoLogAttachedIgnoresHints) {
   // the hint, a query reads the sensor's forecast, even on a path whose
   // log would have won (bit-identity with the goldens).
   for (int I = 0; I < 4; ++I)
-    Log.append(NodeA, Client, obs(8.0, 4, 2e7), 9e7);
+    Log.append(NodeA, Client, obs(8.0, 2e7), 9e7);
   Info->setTransferLog(nullptr);
-  const std::pair<double, unsigned> Hints[] = {{8.0, 4}, {16.0, 8}, {32.0, 2}};
-  for (auto [Mb, Streams] : Hints) {
-    Info->setQueryHint(megabytes(Mb), Streams);
+  for (double Mb : {8.0, 16.0, 32.0}) {
+    Info->setQueryHint(megabytes(Mb));
     SystemFactors F = Info->query(Client, *HostA);
     EXPECT_EQ(F.PredictedBandwidth,
               Info->bandwidthSensor(Client, NodeA)->forecast());
@@ -404,10 +378,10 @@ TEST(TransferForecasterDegraded, AllNanProbeStreamNeverScoresArmZero) {
   // arms take over, and the meta-prediction stays finite.
   TransferForecaster F;
   for (int I = 0; I != 6; ++I)
-    F.observe(obs(8.0, 4, 1e8), NaN);
+    F.observe(obs(8.0, 1e8), NaN);
   EXPECT_EQ(F.armScored(0), 0u);
   EXPECT_NE(F.bestArm(), 0u);
-  double P = F.predict(megabytes(8), 4, NaN);
+  double P = F.predict(megabytes(8), NaN);
   EXPECT_TRUE(std::isfinite(P));
   EXPECT_DOUBLE_EQ(P, 1e8);
 }
@@ -418,7 +392,7 @@ TEST_F(LogRefinedQueryFixture, BlackoutWithEmptyLogAnswersFromLastKnown) {
   // data with the staleness tagged in BwAgeSeconds — never throw, never
   // serve NaN.
   Log.setAppendGate(true);
-  Info->setQueryHint(megabytes(8), 4);
+  Info->setQueryHint(megabytes(8));
   (void)Info->query(Client, *HostA);
 
   Sim.runUntil(30.0);
@@ -445,8 +419,8 @@ TEST_F(LogRefinedQueryFixture, PartialPerPathLogsServeMixedPipelines) {
   // reproduce both bit for bit (no cross-path bleed).
   Log.setAppendGate(true);
   for (int I = 0; I != 4; ++I)
-    Log.append(NodeA, Client, obs(8.0, 4, 2e7), 9e7);
-  Info->setQueryHint(megabytes(8), 4);
+    Log.append(NodeA, Client, obs(8.0, 2e7), 9e7);
+  Info->setQueryHint(megabytes(8));
   SystemFactors FA = Info->query(Client, *HostA);
   SystemFactors FB = Info->query(Client, *HostB);
   EXPECT_DOUBLE_EQ(FA.PredictedBandwidth, 2e7);
@@ -464,8 +438,8 @@ TEST_F(LogRefinedQueryFixture, LogRefinementFlowsIntoPredictedBandwidth) {
   // pinned wrong: log_mean's postcast error is 0, the probe's is not, so
   // the meta-selector switches and the query serves the log's number.
   for (int I = 0; I < 4; ++I)
-    Log.append(NodeA, Client, obs(8.0, 4, 2e7), 9e7);
-  Info->setQueryHint(megabytes(8), 4);
+    Log.append(NodeA, Client, obs(8.0, 2e7), 9e7);
+  Info->setQueryHint(megabytes(8));
   SystemFactors F = Info->query(Client, *HostA);
   EXPECT_DOUBLE_EQ(F.PredictedBandwidth, 2e7);
   // ClientAccess denominator: the client's fastest access link.

@@ -212,19 +212,18 @@ NetPath pathWith(double RttMs, double Loss) {
 } // namespace
 
 TEST_P(TcpModelProperty, CapPositiveAndMonotone) {
-  TcpModel M;
   TcpPoint Pt = GetParam();
-  double Cap = M.perStreamCap(pathWith(Pt.RttMs, Pt.Loss));
+  double Cap = TcpModel::perStreamCap(pathWith(Pt.RttMs, Pt.Loss));
   EXPECT_GT(Cap, 0.0);
   // Longer RTT can only hurt.
-  EXPECT_LE(M.perStreamCap(pathWith(Pt.RttMs * 2.0, Pt.Loss)),
+  EXPECT_LE(TcpModel::perStreamCap(pathWith(Pt.RttMs * 2.0, Pt.Loss)),
             Cap * (1.0 + 1e-12));
   // More loss can only hurt.
-  EXPECT_LE(M.perStreamCap(pathWith(Pt.RttMs, Pt.Loss * 4.0 + 1e-4)),
+  EXPECT_LE(TcpModel::perStreamCap(pathWith(Pt.RttMs, Pt.Loss * 4.0 + 1e-4)),
             Cap * (1.0 + 1e-12));
   // Parallel caps scale exactly linearly in the stream count.
   for (unsigned S : {2u, 4u, 16u})
-    EXPECT_NEAR(M.parallelCap(pathWith(Pt.RttMs, Pt.Loss), S),
+    EXPECT_NEAR(TcpModel::parallelCap(pathWith(Pt.RttMs, Pt.Loss), S),
                 Cap * static_cast<double>(S), Cap * 1e-9);
 }
 
@@ -463,8 +462,7 @@ double transferSeconds(Bytes Size, unsigned Streams) {
   NodeId A = Topo.addNode("a"), B = Topo.addNode("b");
   Topo.addLink(A, B, mbps(100), milliseconds(10), 0.002);
   Routing Router(Topo);
-  TcpModel Tcp;
-  FlowNetwork Net(Sim, Topo, Router, Tcp);
+  FlowNetwork Net(Sim, Topo, Router);
   FlowOptions Opt;
   Opt.Streams = Streams;
   double End = 0.0;

@@ -175,7 +175,6 @@ struct ReplicaFixture : ::testing::Test {
   Topology Topo;
   NodeId ClientNode;
   std::unique_ptr<Routing> Router;
-  TcpModel Tcp;
   std::unique_ptr<FlowNetwork> Net;
   std::unique_ptr<Host> ClientHost, Fast, MidH, Slow;
   std::unique_ptr<InformationService> Info;
@@ -191,7 +190,7 @@ struct ReplicaFixture : ::testing::Test {
     Topo.addLink(ClientNode, M, mbps(100), milliseconds(5), 0.0005);
     Topo.addLink(ClientNode, S, mbps(30), milliseconds(10), 0.002);
     Router = std::make_unique<Routing>(Topo);
-    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router, Tcp);
+    Net = std::make_unique<FlowNetwork>(Sim, Topo, *Router);
 
     // The fast host is moderately busy, the slow host fully idle: the
     // interesting trade-off for weight experiments.
@@ -279,11 +278,12 @@ TEST_F(ReplicaFixture, TwoChoiceSpreadsWhileInnerRanks) {
   EXPECT_GT(Wins[1], 50);  // ~100 expected.
   EXPECT_EQ(Wins[2], 0) << "slow loses both pairings under paper weights";
 
-  // With the sample as wide as the candidate list the combinator is
-  // transparent: every draw is the inner policy's pick.
-  TwoChoicePolicy Wide(Cost, Sim.forkRng(), 3);
+  // On a two-holder list the sample is the whole list, so the combinator
+  // is transparent: every draw is the inner policy's pick.
+  const std::vector<Host *> Pair = {Slow.get(), MidH.get()};
+  ASSERT_EQ(Cost.choose(ClientNode, Pair, *Info), MidH.get());
   for (int I = 0; I < 10; ++I)
-    EXPECT_EQ(Wide.choose(ClientNode, candidates(), *Info), Fast.get());
+    EXPECT_EQ(P.choose(ClientNode, Pair, *Info), MidH.get());
 }
 
 TEST_F(ReplicaFixture, SelectorReportsAllCandidates) {
@@ -415,8 +415,7 @@ TEST(SelectionPathTtl, ScoreAllRecreatesEvictedPath) {
   NodeId S = Topo.addNode("server");
   Topo.addLink(C, S, gbps(1), milliseconds(1));
   Routing Router(Topo);
-  TcpModel Tcp;
-  FlowNetwork Net(Sim, Topo, Router, Tcp);
+  FlowNetwork Net(Sim, Topo, Router);
   Host Client(Sim, mkHost("client"), C);
   Host Server(Sim, mkHost("server"), S);
   InformationServiceConfig IC;

@@ -238,15 +238,13 @@ TEST(SensorFaultTest, ClockSkewLiesAboutSampleAgeReadSideOnly) {
 TransferObservation obsOf(double Mb, double Throughput) {
   TransferObservation O;
   O.FileBytes = megabytes(Mb);
-  O.Streams = 4;
   O.Throughput = Throughput;
   return O;
 }
 
 /// The path's log_mean arm: the mean throughput it was trained on.
 double logMean(const TransferLog &Log, NodeId Server, NodeId Client) {
-  return Log.forecaster(Server, Client)->armPredict(1, megabytes(64.0), 4,
-                                                    1e8);
+  return Log.forecaster(Server, Client)->armPredict(1, megabytes(64.0), 1e8);
 }
 
 TEST(TransferLogCorruptTest, GlobalWindowPoisonsAppendsDeterministically) {
