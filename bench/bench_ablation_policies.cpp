@@ -85,7 +85,7 @@ exp::TrialResult runPolicy(const std::string &Which, uint64_t Seed) {
   const ExperimentStats &S = Load.stats();
   std::vector<double> Transfers;
   for (const JobRecord &R : S.Records)
-    if (!R.LocalHit)
+    if (!R.Fetch.LocalHit)
       Transfers.push_back(R.transferSeconds());
 
   exp::TrialResult Result;

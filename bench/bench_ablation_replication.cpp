@@ -75,7 +75,7 @@ RunResult run(bool Replicate) {
   const auto &Records = Load.stats().Records;
   RunningStats First, Second, All;
   for (size_t I = 0; I < Records.size(); ++I) {
-    if (Records[I].LocalHit)
+    if (Records[I].Fetch.LocalHit)
       continue;
     double S = Records[I].transferSeconds();
     All.add(S);

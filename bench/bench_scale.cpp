@@ -230,11 +230,13 @@ struct PerfFigures {
   double CallbackHeapFallbacks = 0.0;
 };
 
-/// Reads the "perf" figures out of a committed document.  Hand-rolled
-/// scan: the repo carries a JSON writer, not a parser, and a six-key
-/// probe does not justify growing one.  \returns false, after saying why,
-/// when the file or any key is missing.
-bool readBaseline(const std::string &Path, PerfFigures &Out) {
+/// Reads the "perf" figures, and every trial's "spec_hash" comma-separated
+/// in trial order, out of a committed document.  Hand-rolled scan: the
+/// repo carries a JSON writer, not a parser, and a seven-key probe does
+/// not justify growing one.  \returns false, after saying why, when the
+/// file or any key is missing.
+bool readBaseline(const std::string &Path, PerfFigures &Out,
+                  std::string &SpecHashes) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F) {
     std::fprintf(stderr, "baseline: cannot open %s\n", Path.c_str());
@@ -263,7 +265,32 @@ bool readBaseline(const std::string &Path, PerfFigures &Out) {
   Ok = Read("demands_solved", Out.DemandsSolved) && Ok;
   Ok = Read("events_per_s", Out.EventsPerS) && Ok;
   Ok = Read("callback_heap_fallbacks", Out.CallbackHeapFallbacks) && Ok;
+  const std::string HashKey = "\"spec_hash\":\"";
+  for (size_t At = Doc.find(HashKey); At != std::string::npos;
+       At = Doc.find(HashKey, At + 1)) {
+    size_t Begin = At + HashKey.size();
+    SpecHashes += (SpecHashes.empty() ? "" : ",") +
+                  Doc.substr(Begin, Doc.find('"', Begin) - Begin);
+  }
+  if (SpecHashes.empty()) {
+    std::fprintf(stderr, "baseline: no trial spec_hash in %s\n",
+                 Path.c_str());
+    Ok = false;
+  }
   return Ok && Out.EventsPerS > 0.0;
+}
+
+/// The run's trial spec hashes, comma-separated in trial order, formatted
+/// as the JSON document writes them.
+std::string joinSpecHashes(const std::vector<exp::TrialRecord> &Records) {
+  std::string Out;
+  for (const exp::TrialRecord &R : Records) {
+    char Buf[17];
+    std::snprintf(Buf, sizeof(Buf), "%016llx",
+                  static_cast<unsigned long long>(R.Result.SpecHash));
+    Out += (Out.empty() ? "" : ",") + std::string(Buf);
+  }
+  return Out;
 }
 
 } // namespace
@@ -385,10 +412,19 @@ int main(int argc, char **argv) {
     // back-to-back quick runs (EXPERIMENTS.md), so only a real hot-path
     // regression trips it.
     PerfFigures Base;
-    bool Readable = readBaseline(BaselinePath, Base);
+    std::string BaseHashes;
+    bool Readable = readBaseline(BaselinePath, Base, BaseHashes);
     bench::shapeCheck(Readable, "the committed baseline is readable and "
                                 "names every gated figure");
     if (Readable) {
+      // Counters captured on another grid say nothing about this one: a
+      // changed GridSpec (or seed list) must come with a re-capture.
+      std::string RunHashes = joinSpecHashes(Records);
+      std::printf("baseline: spec_hash %s vs %s committed\n",
+                  RunHashes.c_str(), BaseHashes.c_str());
+      bench::shapeCheck(RunHashes == BaseHashes,
+                        "the committed baseline was captured on this run's "
+                        "grid (same spec_hash)");
       std::printf("baseline: %.0f events, %.0f probe solves, %.0f "
                   "rebalances, %.0f demands solved, %.0f callback heap "
                   "fallbacks, %.0f events/s vs %.0f, %.0f, %.0f, %.0f, "

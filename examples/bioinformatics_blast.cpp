@@ -104,7 +104,7 @@ int main() {
        {"nr-protein", "est-human", "swissprot", "pdb-structures"}) {
     RunningStats S;
     for (const JobRecord &R : Cost.Records)
-      if (R.Lfn == Name && !R.LocalHit)
+      if (R.Fetch.Lfn == Name && !R.Fetch.LocalHit)
         S.add(R.transferSeconds());
     D.beginRow();
     D.add(std::string(Name));

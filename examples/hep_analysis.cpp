@@ -12,7 +12,7 @@
 /// each copy); then analysts fetch and process the events, benefiting from
 /// the replicas that now sit close to them.
 ///
-/// Demonstrates ReplicaManager (publish / replicate / remove), NWS
+/// Demonstrates ReplicaManager (publish / fetch / remove), NWS
 /// forecasting introspection, and the before/after effect of replication
 /// on fetch time.
 ///
@@ -30,21 +30,17 @@ using namespace dgsim::units;
 
 namespace {
 
-/// Fetches \p Lfn to \p Client once and returns the transfer seconds.
-double fetchOnce(PaperTestbed &T, ReplicaSelector &Sel, Host &Client,
+/// Fetches \p Lfn to \p Client once, without registering the copy, and
+/// returns the transfer seconds.
+double fetchOnce(PaperTestbed &T, ReplicaManager &Manager, Host &Client,
                  const std::string &Lfn) {
-  SelectionResult R = Sel.select(Client.node(), Lfn);
-  if (R.LocalHit)
-    return 0.0;
-  TransferSpec Spec;
-  Spec.Source = R.Chosen;
-  Spec.Destination = &Client;
-  Spec.FileBytes = T.grid().catalog().fileSize(Lfn);
-  Spec.Protocol = TransferProtocol::GridFtpModeE;
-  Spec.Streams = 8;
+  FetchOptions Options;
+  Options.Streams = 8;
+  Options.Register = false;
   double Seconds = 0.0;
-  T.grid().transfers().submit(
-      Spec, [&](const TransferResult &Res) { Seconds = Res.totalSeconds(); });
+  Manager.fetch(Lfn, Client, Options, [&](const FetchResult &R) {
+    Seconds = R.EndTime - R.StartTime;
+  });
   T.sim().run();
   return Seconds;
 }
@@ -64,25 +60,24 @@ int main() {
   T.sim().runUntil(30.0);
 
   // Before replication: a THU analyst has to pull from HIT over the WAN.
-  double Before = fetchOnce(T, Selector, T.alpha(2),
-                            "run-2005-07/events");
+  double Before = fetchOnce(T, Manager, T.alpha(2), "run-2005-07/events");
   std::printf("fetch before replication (hit0 -> alpha2): %s\n",
               fmt::seconds(Before).c_str());
 
   // The management service replicates to THU's storage node.
   std::printf("replicating run to alpha4...\n");
-  Manager.replicate("run-2005-07/events", T.alpha(4), /*Streams=*/8,
-                    [](const std::string &Lfn, Host &Where,
-                       const TransferResult &R) {
-                      std::printf("  replica of %s registered at %s after "
-                                  "%s\n",
-                                  Lfn.c_str(), Where.name().c_str(),
-                                  fmt::seconds(R.totalSeconds()).c_str());
-                    });
+  FetchOptions Replicate;
+  Replicate.Streams = 8;
+  Manager.fetch("run-2005-07/events", T.alpha(4), Replicate,
+                [&T](const FetchResult &R) {
+                  std::printf("  replica of %s registered at %s after %s\n",
+                              R.Lfn.c_str(), T.alpha(4).name().c_str(),
+                              fmt::seconds(R.EndTime - R.StartTime).c_str());
+                });
   T.sim().run();
 
   // After replication: the same fetch now comes from the campus LAN.
-  double After = fetchOnce(T, Selector, T.alpha(2), "run-2005-07/events");
+  double After = fetchOnce(T, Manager, T.alpha(2), "run-2005-07/events");
   std::printf("fetch after replication  (alpha4 -> alpha2): %s\n\n",
               fmt::seconds(After).c_str());
 

@@ -14,47 +14,31 @@ using namespace dgsim;
 
 Application::Application(DataGrid &Grid, ReplicaSelector &Selector,
                          ApplicationConfig Config)
-    : Grid(Grid), Selector(Selector), Config(Config) {
+    : Grid(Grid), Manager(Grid.catalog(), Selector, Grid.transfers()),
+      Config(Config) {
   assert(Config.Streams >= 1 && "need at least one stream");
   assert(Config.ComputeSecondsPerGB >= 0.0 && "negative compute cost");
 }
 
 void Application::runJob(Host &Client, const std::string &Lfn,
                          JobDoneFn OnDone) {
-  assert(Grid.catalog().hasFile(Lfn) && "job for an unregistered file");
-
-  JobRecord Record;
-  Record.Lfn = Lfn;
-  Record.Client = &Client;
-  Record.SubmitTime = Grid.sim().now();
-
-  SelectionResult Sel = Selector.select(Client.node(), Lfn);
-  Record.Source = Sel.Chosen;
-  Record.LocalHit = Sel.LocalHit;
-
-  if (Sel.LocalHit) {
-    // Fig 1 step 1: local data, no transfer.
-    computePhase(std::move(Record), std::move(OnDone));
-    return;
-  }
-
-  TransferSpec Spec;
-  Spec.Source = Sel.Chosen;
-  Spec.Destination = &Client;
-  Spec.FileBytes = Grid.catalog().fileSize(Lfn);
-  Spec.Protocol = Config.Protocol;
-  Spec.Streams =
+  FetchOptions Options;
+  Options.Protocol = Config.Protocol;
+  Options.Streams =
       Config.Protocol == TransferProtocol::GridFtpModeE ? Config.Streams : 1;
-  Grid.transfers().submit(
-      Spec, [this, Record = std::move(Record),
-             OnDone = std::move(OnDone)](const TransferResult &R) mutable {
-        Record.Transfer = R;
-        computePhase(std::move(Record), std::move(OnDone));
-      });
+  Options.Register = false;
+  Manager.fetch(Lfn, Client, Options,
+                [this, &Client,
+                 OnDone = std::move(OnDone)](const FetchResult &R) mutable {
+                  JobRecord Record;
+                  Record.Client = &Client;
+                  Record.Fetch = R;
+                  computePhase(std::move(Record), std::move(OnDone));
+                });
 }
 
 void Application::computePhase(JobRecord Record, JobDoneFn OnDone) {
-  double GB = Grid.catalog().fileSize(Record.Lfn) / units::GB;
+  double GB = Record.Fetch.FileBytes / units::GB;
   SimTime Work =
       Record.Client->computeTime(Config.ComputeSecondsPerGB * GB);
   Record.ComputeSeconds = Work;

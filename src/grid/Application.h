@@ -14,6 +14,9 @@
 ///   5. compute over the data and return the result to the user.
 ///
 /// runJob() executes one such job asynchronously and reports a JobRecord.
+/// Steps 2–4 are ReplicaManager::fetch(), so a job's fetch fails over to
+/// the next live replica like every other fetch; the destination is not
+/// registered as a new holder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +24,7 @@
 #define DGSIM_GRID_APPLICATION_H
 
 #include "grid/DataGrid.h"
-#include "replica/ReplicaSelector.h"
+#include "replica/ReplicaManager.h"
 
 #include <functional>
 #include <string>
@@ -30,18 +33,15 @@ namespace dgsim {
 
 /// One completed job.
 struct JobRecord {
-  std::string Lfn;
   Host *Client = nullptr;
-  Host *Source = nullptr;
-  bool LocalHit = false;
-  SimTime SubmitTime = 0.0;
-  /// Zero-duration result when the replica was local.
-  TransferResult Transfer;
+  /// The job's fetch: file, source, local hit and submit time (StartTime).
+  /// Zero-duration when the replica was local.
+  FetchResult Fetch;
   SimTime ComputeSeconds = 0.0;
   SimTime FinishTime = 0.0;
 
-  SimTime totalSeconds() const { return FinishTime - SubmitTime; }
-  SimTime transferSeconds() const { return Transfer.totalSeconds(); }
+  SimTime totalSeconds() const { return FinishTime - Fetch.StartTime; }
+  SimTime transferSeconds() const { return Fetch.EndTime - Fetch.StartTime; }
 };
 
 /// Application-level configuration.
@@ -64,13 +64,11 @@ public:
   /// Starts one job: fetch \p Lfn to \p Client (if remote), then compute.
   void runJob(Host &Client, const std::string &Lfn, JobDoneFn OnDone);
 
-  const ApplicationConfig &config() const { return Config; }
-
 private:
   void computePhase(JobRecord Record, JobDoneFn OnDone);
 
   DataGrid &Grid;
-  ReplicaSelector &Selector;
+  ReplicaManager Manager;
   ApplicationConfig Config;
 };
 

@@ -32,20 +32,21 @@ Host &DynamicReplicator::storageHostFor(Site &S) {
 }
 
 void DynamicReplicator::onJob(const JobRecord &Record) {
+  const std::string &Lfn = Record.Fetch.Lfn;
+  Host *Source = Record.Fetch.FinalSource;
   // Keep the source store's recency/frequency state fresh.
-  if (Storage && Record.Source)
-    Storage->recordAccess(Record.Lfn, *Record.Source,
-                          Grid.sim().now());
-  if (Record.LocalHit)
+  if (Storage && Source)
+    Storage->recordAccess(Lfn, *Source, Grid.sim().now());
+  if (Record.Fetch.LocalHit)
     return; // Local data: no pressure to replicate.
   Site *ClientSite = Grid.siteOf(*Record.Client);
   if (!ClientSite)
     return;
-  Site *SourceSite = Record.Source ? Grid.siteOf(*Record.Source) : nullptr;
+  Site *SourceSite = Source ? Grid.siteOf(*Source) : nullptr;
   if (SourceSite == ClientSite)
     return; // Fetched over the campus LAN already.
 
-  auto Key = std::make_pair(ClientSite->name(), Record.Lfn);
+  auto Key = std::make_pair(ClientSite->name(), Lfn);
   SimTime Now = Grid.sim().now();
   auto &Times = Accesses[Key];
   Times.push_back(Now);
@@ -55,12 +56,11 @@ void DynamicReplicator::onJob(const JobRecord &Record) {
     return;
   if (InFlight.count(Key))
     return;
-  if (Grid.catalog().locateRef(Record.Lfn).size() >=
-      Config.MaxReplicasPerFile)
+  if (Grid.catalog().locateRef(Lfn).size() >= Config.MaxReplicasPerFile)
     return;
 
   Host &Target = storageHostFor(*ClientSite);
-  if (Grid.catalog().replicaAt(Record.Lfn, Target.node()))
+  if (Grid.catalog().replicaAt(Lfn, Target.node()))
     return; // The site already holds a copy.
 
   // Under constrained storage, make room first; a reservation (pinned
@@ -69,18 +69,18 @@ void DynamicReplicator::onJob(const JobRecord &Record) {
   if (Storage) {
     StorageElement *SE = Storage->storeOf(Target);
     assert(SE && "replication target has no attached store");
-    Bytes Size = Grid.catalog().fileSize(Record.Lfn);
+    Bytes Size = Grid.catalog().fileSize(Lfn);
     uint64_t Hotness =
         Config.HotnessAdmission ? Times.size() : ~0ULL;
     if (!Storage->ensureSpace(Target, Size, Now, Hotness)) {
       if (Trace)
         Trace->record(Now, TraceCategory::Replication,
-                      Record.Lfn + ": no space at " + Target.name() +
+                      Lfn + ": no space at " + Target.name() +
                           ", replication skipped");
       return;
     }
-    SE->add(Record.Lfn, Size, Now);
-    SE->setPinned(Record.Lfn, true);
+    SE->add(Lfn, Size, Now);
+    SE->setPinned(Lfn, true);
     Reserved = true;
   }
 
@@ -88,21 +88,24 @@ void DynamicReplicator::onJob(const JobRecord &Record) {
   ++Started;
   if (Trace)
     Trace->record(Now, TraceCategory::Replication,
-                  Record.Lfn + ": " + std::to_string(Times.size()) +
+                  Lfn + ": " + std::to_string(Times.size()) +
                       " remote fetches by site " + ClientSite->name() +
                       ", replicating to " + Target.name());
-  Manager.replicate(Record.Lfn, Target, Config.Streams,
-                    [this, Key, Reserved](const std::string &Lfn,
-                                          Host &Where,
-                                          const TransferResult &) {
-                      InFlight.erase(Key);
-                      ++Completed;
-                      if (Reserved)
-                        Storage->storeOf(Where)->setPinned(Lfn, false);
-                      if (Trace)
-                        Trace->record(Grid.sim().now(),
-                                      TraceCategory::Replication,
-                                      Lfn + ": replica live at " +
-                                          Where.name());
-                    });
+  FetchOptions Options;
+  Options.Streams = Config.Streams;
+  Manager.fetch(Lfn, Target, Options,
+                [this, Key, Reserved, &Target](const FetchResult &R) {
+                  InFlight.erase(Key);
+                  if (Reserved)
+                    Storage->storeOf(Target)->setPinned(R.Lfn, false);
+                  // A failed fetch registered nothing: no replica went live.
+                  if (!R.Succeeded)
+                    return;
+                  ++Completed;
+                  if (Trace)
+                    Trace->record(Grid.sim().now(),
+                                  TraceCategory::Replication,
+                                  R.Lfn + ": replica live at " +
+                                      Target.name());
+                });
 }

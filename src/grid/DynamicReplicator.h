@@ -11,10 +11,11 @@
 ///
 /// The replicator observes completed jobs.  When a site keeps fetching the
 /// same logical file over the WAN — at least AccessThreshold remote
-/// fetches within Window seconds — it replicates the file onto that
-/// site's designated storage host (by default the site's first host), so
-/// subsequent fetches stay on the campus LAN.  This is the classic
-/// threshold strategy of the OptorSim-era Data Grid literature.
+/// fetches within Window seconds — it fetches the file onto that site's
+/// designated storage host (by default the site's first host) through
+/// ReplicaManager::fetch, which registers the copy once the last byte
+/// lands, so subsequent fetches stay on the campus LAN.  This is the
+/// classic threshold strategy of the OptorSim-era Data Grid literature.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,10 +62,10 @@ public:
   /// Feed one completed job.  Hook this into Workload::setJobObserver().
   void onJob(const JobRecord &Record);
 
-  /// \returns how many replication transfers this replicator started.
+  /// \returns how many replication fetches this replicator started.
   uint64_t replicationsStarted() const { return Started; }
 
-  /// \returns how many completed and were registered.
+  /// \returns how many of them succeeded and were registered.
   uint64_t replicationsCompleted() const { return Completed; }
 
   /// Attaches a trace log (TraceCategory::Replication events).

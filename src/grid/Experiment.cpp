@@ -13,7 +13,7 @@ using namespace dgsim;
 void ExperimentStats::add(const JobRecord &R) {
   Records.push_back(R);
   TotalSeconds.add(R.totalSeconds());
-  if (R.LocalHit)
+  if (R.Fetch.LocalHit)
     ++LocalHits;
   else
     TransferSeconds.add(R.transferSeconds());

@@ -16,32 +16,6 @@
 
 using namespace dgsim;
 
-const char *dgsim::transferStatusName(TransferStatus S) {
-  switch (S) {
-  case TransferStatus::Completed:
-    return "completed";
-  case TransferStatus::Failed:
-    return "failed";
-  case TransferStatus::Shed:
-    return "shed";
-  case TransferStatus::DeadlineExpired:
-    return "deadline-expired";
-  }
-  assert(false && "unknown transfer status");
-  return "?";
-}
-
-const char *dgsim::shedPolicyName(ShedPolicy P) {
-  switch (P) {
-  case ShedPolicy::Reject:
-    return "reject";
-  case ShedPolicy::ShedOldest:
-    return "shed-oldest";
-  }
-  assert(false && "unknown shed policy");
-  return "?";
-}
-
 void TransferManager::trace(const char *Fmt, ...) const {
   if (!Trace || !Trace->enabled(TraceCategory::Transfer))
     return;

@@ -113,9 +113,6 @@ enum class TransferStatus : uint8_t {
   DeadlineExpired,
 };
 
-/// \returns "completed", "failed", "shed" or "deadline-expired".
-const char *transferStatusName(TransferStatus S);
-
 /// What to do when a destination's pending queue is full and another
 /// transfer arrives.  Every policy is deterministic: the victim depends
 /// only on the queue contents and the newcomer, never on wall clock,
@@ -128,9 +125,6 @@ enum class ShedPolicy : uint8_t {
   /// newcomer at the tail.
   ShedOldest,
 };
-
-/// \returns "reject" or "shed-oldest".
-const char *shedPolicyName(ShedPolicy P);
 
 /// Per-destination-host admission control.  Disabled by default — with
 /// MaxActivePerDestination == 0 submissions start immediately and the
@@ -283,7 +277,6 @@ public:
     Policy = P;
     armWatchdog();
   }
-  const RetryPolicy &retryPolicy() const { return Policy; }
 
   /// Scale mode for the periodic cap refresh: update every stripe's
   /// endpoint cap first and rebalance the network once, instead of
@@ -299,7 +292,6 @@ public:
   /// is submitted — the per-destination active counts are only maintained
   /// while a policy is in force.
   void setAdmissionPolicy(const AdmissionPolicy &A);
-  const AdmissionPolicy &admissionPolicy() const { return Admission; }
 
   /// The kernel this manager schedules on (recovery layers need delays).
   Simulator &sim() { return Sim; }
@@ -385,9 +377,6 @@ private:
   /// fails the transfer when the retry budget is gone).  \p Timeout marks
   /// stall-watchdog detections for the counters.
   void failStripe(TransferId Id, size_t StripeIdx, bool Timeout);
-  /// Reconnect attempt: restarts the stripe flow, or burns another attempt
-  /// when the endpoints are still unreachable.
-  void retryStripe(TransferId Id, size_t StripeIdx);
   /// Gives up: releases everything and fires the callback with \p St
   /// (Failed, or DeadlineExpired for deadline aborts).  Works on queued
   /// transfers too — they simply have no flows to tear down.

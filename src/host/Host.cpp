@@ -27,8 +27,6 @@ Host::Host(Simulator &Sim, HostConfig Config, NodeId Node,
   assert(!Config.Name.empty() && "hosts need a name");
   assert(Config.CpuSpeed > 0.0 && "non-positive CPU speed");
   assert(Config.NicRate > 0.0 && "non-positive NIC rate");
-  assert(Config.CpuTransferPenalty >= 0.0 && Config.CpuTransferPenalty <= 1.0 &&
-         "CPU transfer penalty outside [0, 1]");
 }
 
 BitRate Host::sourceCap(unsigned ConcurrentReaders) const {

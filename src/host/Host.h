@@ -37,7 +37,7 @@ struct HostConfig {
   BitRate NicRate = 1e9;
   /// Fraction of transfer throughput lost per unit CPU load; about 20%
   /// at full load matches the "slight effect" observation.
-  double CpuTransferPenalty = 0.2;
+  static constexpr double CpuTransferPenalty = 0.2;
   CpuLoadConfig Cpu;
   DiskConfig DiskCfg;
 };
@@ -103,7 +103,7 @@ public:
 
 private:
   double cpuDerate() const {
-    return 1.0 - Config.CpuTransferPenalty * Cpu.load();
+    return 1.0 - HostConfig::CpuTransferPenalty * Cpu.load();
   }
 
   HostConfig Config;

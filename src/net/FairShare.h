@@ -87,7 +87,6 @@ public:
   /// Appends one resource listing to the most recently opened demand.
   void demandUses(uint32_t Res);
 
-  size_t resourceCount() const { return ResCapacity.size(); }
   size_t demandCount() const { return DemandCap.size(); }
 
   /// Solves the assembled problem.

@@ -151,7 +151,6 @@ public:
   /// against a full from-scratch solve (assert on divergence > 1e-9).
   /// Defaults to on in -DDGSIM_CHECK_REBALANCE builds.
   void setCheckRebalance(bool Enabled) { CheckRebalance = Enabled; }
-  bool checkRebalance() const { return CheckRebalance; }
 
   /// Debug/verification: \returns the largest relative difference between
   /// the standing incremental rates and a full from-scratch solve.

@@ -14,23 +14,9 @@
 
 using namespace dgsim;
 
-const char *dgsim::breakerStateName(BreakerState S) {
-  switch (S) {
-  case BreakerState::Closed:
-    return "closed";
-  case BreakerState::Open:
-    return "open";
-  case BreakerState::HalfOpen:
-    return "half-open";
-  }
-  assert(false && "unknown breaker state");
-  return "?";
-}
-
 HealthTracker::HealthTracker(Simulator &Sim, HealthConfig Config)
     : Sim(Sim), Config(Config), Rng(Sim.forkRng()) {
-  assert(Config.Alpha > 0.0 && Config.Alpha <= 1.0 && "alpha in (0, 1]");
-  assert(Config.CloseThreshold < Config.TripThreshold &&
+  assert(HealthConfig::CloseThreshold < Config.TripThreshold &&
          "hysteresis band inverted: close threshold must sit below trip");
   assert(Config.ProbeJitter >= 0.0 && Config.ProbeJitter < 1.0 &&
          "probe jitter is a fraction of the open window");
@@ -82,15 +68,15 @@ void HealthTracker::recordSuccess(const Host &Site, Bytes PayloadBytes,
   SiteState &S = refresh(Site);
   double Tput =
       DataSeconds > 0.0 ? PayloadBytes * 8.0 / DataSeconds : 0.0;
-  S.TputEwma = S.Samples == 0
-                   ? Tput
-                   : Config.Alpha * Tput + (1.0 - Config.Alpha) * S.TputEwma;
+  constexpr double Alpha = HealthConfig::Alpha;
+  S.TputEwma =
+      S.Samples == 0 ? Tput : Alpha * Tput + (1.0 - Alpha) * S.TputEwma;
   S.PeakTput = std::max(S.PeakTput, S.TputEwma);
-  S.FailEwma *= 1.0 - Config.Alpha;
+  S.FailEwma *= 1.0 - Alpha;
   ++S.Samples;
   if (S.State == BreakerState::HalfOpen) {
     S.ProbeInFlight = false;
-    if (S.FailEwma <= Config.CloseThreshold) {
+    if (S.FailEwma <= HealthConfig::CloseThreshold) {
       S.State = BreakerState::Closed;
       S.ConsecutiveTrips = 0;
       trace(Site, "breaker closed (failure ewma %.3f)", S.FailEwma);
@@ -101,7 +87,8 @@ void HealthTracker::recordSuccess(const Host &Site, Bytes PayloadBytes,
 
 void HealthTracker::recordFailure(const Host &Site) {
   SiteState &S = refresh(Site);
-  S.FailEwma = Config.Alpha + (1.0 - Config.Alpha) * S.FailEwma;
+  constexpr double Alpha = HealthConfig::Alpha;
+  S.FailEwma = Alpha + (1.0 - Alpha) * S.FailEwma;
   ++S.Samples;
   switch (S.State) {
   case BreakerState::HalfOpen:
@@ -148,11 +135,11 @@ double HealthTracker::healthScore(const Host &Site) {
   SiteState &S = refresh(Site);
   if (S.Samples == 0)
     return 1.0;
+  constexpr double Floor = HealthConfig::HealthFloor;
   double TputFactor =
-      S.PeakTput > 0.0
-          ? std::clamp(S.TputEwma / S.PeakTput, Config.HealthFloor, 1.0)
-          : 1.0;
-  return std::max(Config.HealthFloor, (1.0 - S.FailEwma) * TputFactor);
+      S.PeakTput > 0.0 ? std::clamp(S.TputEwma / S.PeakTput, Floor, 1.0)
+                       : 1.0;
+  return std::max(Floor, (1.0 - S.FailEwma) * TputFactor);
 }
 
 double HealthTracker::failureRate(const Host &Site) const {

@@ -52,20 +52,17 @@ enum class BreakerState : uint8_t {
   HalfOpen,
 };
 
-/// \returns "closed", "open" or "half-open".
-const char *breakerStateName(BreakerState S);
-
 /// EWMA and breaker knobs.  The defaults trip after a sustained burst of
 /// failures (not one blip) and re-admit cautiously.
 struct HealthConfig {
   /// EWMA smoothing factor for both throughput and failure rate.
-  double Alpha = 0.3;
+  static constexpr double Alpha = 0.3;
   /// Failure-rate EWMA at or above which a Closed breaker trips.
   double TripThreshold = 0.5;
   /// Failure-rate EWMA at or below which a successful probe closes the
   /// breaker.  Must be < TripThreshold: the gap is the hysteresis band
   /// that stops a site flapping between states on every sample.
-  double CloseThreshold = 0.25;
+  static constexpr double CloseThreshold = 0.25;
   /// Samples required before the breaker may trip (cold sites get the
   /// benefit of the doubt).
   unsigned MinSamples = 4;
@@ -80,7 +77,7 @@ struct HealthConfig {
   double ProbeJitter = 0.25;
   /// Smallest health score a known-bad site reports: keeps scores
   /// positive so demotion never turns into division blow-ups upstream.
-  double HealthFloor = 0.05;
+  static constexpr double HealthFloor = 0.05;
 };
 
 /// Observes transfer outcomes per source site and answers health queries

@@ -74,8 +74,6 @@ public:
   /// \returns all logical file names, sorted.
   std::vector<std::string> listFiles() const;
 
-  size_t fileCount() const { return Files.size(); }
-
 private:
   const LogicalFile *findFile(std::string_view Lfn) const;
   LogicalFile *findFile(std::string_view Lfn);

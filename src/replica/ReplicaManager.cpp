@@ -27,37 +27,6 @@ void ReplicaManager::publish(const std::string &Lfn, Bytes Size,
   Catalog.addReplica(Lfn, Location);
 }
 
-TransferId ReplicaManager::replicate(const std::string &Lfn, Host &Target,
-                                     unsigned Streams,
-                                     ReplicatedFn OnReplicated) {
-  assert(Catalog.hasFile(Lfn) && "replicating an unregistered file");
-  if (Catalog.replicaAt(Lfn, Target.node())) {
-    if (OnReplicated)
-      OnReplicated(Lfn, Target, TransferResult());
-    return InvalidTransferId;
-  }
-
-  SelectionResult Sel = Selector.select(Target.node(), Lfn);
-  assert(Sel.Chosen && "no source replica available");
-
-  TransferSpec Spec;
-  Spec.Source = Sel.Chosen;
-  Spec.Destination = &Target;
-  Spec.FileBytes = Catalog.fileSize(Lfn);
-  Spec.Protocol = TransferProtocol::GridFtpModeE;
-  Spec.Streams = Streams;
-  return Transfers.submit(
-      Spec, [this, Lfn, &Target,
-             Done = std::move(OnReplicated)](const TransferResult &R) {
-        // A transfer the retry machinery gave up on must not register a
-        // phantom replica: the destination holds a partial file at best.
-        if (R.succeeded())
-          Catalog.addReplica(Lfn, Target);
-        if (Done)
-          Done(Lfn, Target, R);
-      });
-}
-
 uint32_t ReplicaManager::acquireFetchSlot() {
   if (!FreeFetchSlots.empty()) {
     uint32_t Slot = FreeFetchSlots.back();
@@ -69,8 +38,8 @@ uint32_t ReplicaManager::acquireFetchSlot() {
   return static_cast<uint32_t>(FetchSlots.size() - 1);
 }
 
-TransferId ReplicaManager::fetch(const std::string &Lfn, Host &Target,
-                                 FetchOptions Options, FetchFn OnDone) {
+void ReplicaManager::fetch(const std::string &Lfn, Host &Target,
+                           FetchOptions Options, FetchFn OnDone) {
   assert(Catalog.hasFile(Lfn) && "fetching an unregistered file");
   uint32_t Slot = acquireFetchSlot();
   FetchState &St = FetchSlots[Slot];
@@ -106,11 +75,10 @@ TransferId ReplicaManager::fetch(const std::string &Lfn, Host &Target,
     Res.FinalSource = Local;
     Res.DeliveredBytes = Res.FileBytes;
     finishFetch(Slot, /*Succeeded=*/true);
-    return InvalidTransferId;
+    return;
   }
 
   startFetchAttempt(Slot);
-  return InvalidTransferId;
 }
 
 void ReplicaManager::startFetchAttempt(uint32_t Slot) {

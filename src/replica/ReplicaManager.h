@@ -9,18 +9,17 @@
 /// basic service" (Allcock et al.): creation, registration, location and
 /// management of data replicas, with GridFTP as the transport.
 ///
-/// replicate() picks the best existing source via a ReplicaSelector, moves
-/// the bytes with the TransferManager, and registers the new location in
-/// the catalog only after the last byte lands — a failed or cancelled
-/// transfer never yields a phantom replica.
-///
-/// fetch() is the fault-tolerant variant: when a transfer is reported
-/// Failed (retry budget exhausted, source host crashed for good), it
-/// re-runs selection over the *surviving* replicas — excluding every
-/// source already tried — and resumes from the next-best site.  GridFTP
-/// fetches resume with a partial-file byte range starting at the bytes the
-/// destination already holds, so delivered bytes are never moved twice
-/// even across a failover; plain FTP starts over.
+/// fetch() is the one select → transfer → register path: the Fig 1 job,
+/// demand replication and the open-loop workloads all run it.  Selection
+/// picks the best live replica, the TransferManager moves the bytes, and
+/// with Register set the destination is added to the catalog only after
+/// the last byte lands — a failed transfer never yields a phantom replica.
+/// When a transfer is reported Failed (retry budget exhausted, source host
+/// crashed for good), fetch() re-runs selection over the *surviving*
+/// replicas — excluding every source already tried — and resumes from the
+/// next-best site.  GridFTP fetches resume with a partial-file byte range
+/// starting at the bytes the destination already holds, so delivered bytes
+/// are never moved twice even across a failover; plain FTP starts over.
 ///
 /// When the selector carries a HealthTracker, every attempt's outcome is
 /// fed back to it (success with observed throughput, failure, timeout),
@@ -101,9 +100,6 @@ struct FetchResult {
 /// Orchestrates replica creation and deletion.
 class ReplicaManager {
 public:
-  using ReplicatedFn =
-      std::function<void(const std::string &Lfn, Host &NewLocation,
-                         const TransferResult &)>;
   using FetchFn = std::function<void(const FetchResult &)>;
 
   ReplicaManager(ReplicaCatalog &Catalog, ReplicaSelector &Selector,
@@ -113,23 +109,14 @@ public:
   /// location, with no data movement (the data was produced there).
   void publish(const std::string &Lfn, Bytes Size, Host &Location);
 
-  /// Copies \p Lfn to \p Target from the best current replica, with
-  /// \p Streams parallel GridFTP streams.  No-op (immediate callback with
-  /// a zero-length result) when Target already holds the file.
-  /// \returns the transfer id, or InvalidTransferId for the no-op case.
-  TransferId replicate(const std::string &Lfn, Host &Target,
-                       unsigned Streams = 4,
-                       ReplicatedFn OnReplicated = nullptr);
-
   /// Fetches \p Lfn to \p Target with failover: selection picks the best
   /// live replica, and every time a transfer is reported Failed the fetch
   /// re-selects among the surviving holders (sources already tried are
   /// excluded) and resumes from the bytes already delivered.  \p OnDone
   /// fires exactly once, synchronously for the local-hit and
-  /// no-live-replica cases.  \returns the first attempt's transfer id, or
-  /// InvalidTransferId when no transfer was started.
-  TransferId fetch(const std::string &Lfn, Host &Target,
-                   FetchOptions Options = {}, FetchFn OnDone = nullptr);
+  /// no-live-replica cases.
+  void fetch(const std::string &Lfn, Host &Target, FetchOptions Options = {},
+             FetchFn OnDone = nullptr);
 
   /// Unregisters the replica at \p Location.  \returns true on removal.
   /// Removing the last replica of a file is refused (data loss guard).

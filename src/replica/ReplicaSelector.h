@@ -104,7 +104,6 @@ public:
   uint64_t rankingRebinds() const { return 0; }
 
   SelectionPolicy &policy() { return Policy; }
-  const CostModel &reportModel() const { return ReportModel; }
 
   /// Attaches a trace log (TraceCategory::Selection events).
   void setTrace(TraceLog *Log) { Trace = Log; }

@@ -55,7 +55,6 @@ public:
   Bytes capacity() const { return Capacity; }
   Bytes usedBytes() const { return Used; }
   Bytes freeBytes() const { return Capacity - Used; }
-  size_t fileCount() const { return LiveCount; }
 
   /// \returns true when \p Lfn is stored here.
   bool contains(std::string_view Lfn) const;

@@ -39,10 +39,10 @@ struct ReplicatorFixture : ::testing::Test {
 
   JobRecord remoteJob(Host &Client, const char *Lfn = "hot-file") {
     JobRecord R;
-    R.Lfn = Lfn;
     R.Client = &Client;
-    R.Source = &T->hit(0);
-    R.LocalHit = false;
+    R.Fetch.Lfn = Lfn;
+    R.Fetch.FinalSource = &T->hit(0);
+    R.Fetch.LocalHit = false;
     return R;
   }
 };
@@ -70,7 +70,7 @@ TEST_F(ReplicatorFixture, LocalHitsDoNotCount) {
   C.AccessThreshold = 2;
   DynamicReplicator Rep(T->grid(), *Manager, C);
   JobRecord Local = remoteJob(T->alpha(1));
-  Local.LocalHit = true;
+  Local.Fetch.LocalHit = true;
   for (int I = 0; I < 5; ++I)
     Rep.onJob(Local);
   EXPECT_EQ(Rep.replicationsStarted(), 0u);
@@ -111,6 +111,29 @@ TEST_F(ReplicatorFixture, NoDuplicateInFlightReplication) {
   EXPECT_EQ(Rep.replicationsStarted(), 1u);
   T->sim().run();
   EXPECT_EQ(Rep.replicationsCompleted(), 1u);
+}
+
+TEST_F(ReplicatorFixture, FailedReplicationIsNotCompleted) {
+  // One attempt per stripe, and hit0 holds the only copy: when its
+  // storage goes offline mid-copy the fetch has nowhere to fail over to.
+  RetryPolicy OneAttempt;
+  OneAttempt.MaxAttempts = 1;
+  T->grid().transfers().setRetryPolicy(OneAttempt);
+  DynamicReplicationConfig C;
+  C.AccessThreshold = 1;
+  DynamicReplicator Rep(T->grid(), *Manager, C);
+  Rep.onJob(remoteJob(T->alpha(2)));
+  ASSERT_EQ(Rep.replicationsStarted(), 1u);
+  T->sim().schedule(5.0, [this] {
+    T->hit(0).setStorageUp(false);
+    T->grid().transfers().failHost(T->hit(0), /*MachineDown=*/false);
+  });
+  T->sim().run();
+  EXPECT_EQ(Manager->failedFetches(), 1u);
+  EXPECT_EQ(Rep.replicationsStarted(), 1u);
+  EXPECT_EQ(Rep.replicationsCompleted(), 0u);
+  EXPECT_EQ(T->grid().catalog().replicaAt("hot-file", T->alpha(1).node()),
+            nullptr);
 }
 
 TEST_F(ReplicatorFixture, RespectsReplicaCap) {
@@ -167,7 +190,7 @@ TEST_F(ReplicatorFixture, EndToEndWorkloadGetsFasterWithReplication) {
     RunningStats Tail;
     const auto &Records = Load.stats().Records;
     for (size_t I = Records.size() / 2; I < Records.size(); ++I)
-      if (!Records[I].LocalHit)
+      if (!Records[I].Fetch.LocalHit)
         Tail.add(Records[I].transferSeconds());
     return Tail.mean();
   };

@@ -259,8 +259,9 @@ TEST_F(AppFixture, RemoteJobFetchesThenComputes) {
   });
   T->sim().run();
   ASSERT_TRUE(Finished);
-  EXPECT_FALSE(Done.LocalHit);
-  EXPECT_EQ(Done.Source, &T->alpha(4)); // Same-site replica wins.
+  EXPECT_TRUE(Done.Fetch.Succeeded);
+  EXPECT_FALSE(Done.Fetch.LocalHit);
+  EXPECT_EQ(Done.Fetch.FinalSource, &T->alpha(4)); // Same-site replica wins.
   EXPECT_GT(Done.transferSeconds(), 0.0);
   EXPECT_GT(Done.ComputeSeconds, 0.0);
   EXPECT_NEAR(Done.totalSeconds(),
@@ -274,7 +275,7 @@ TEST_F(AppFixture, LocalJobSkipsTransfer) {
   App.runJob(T->alpha(1), PaperTestbed::FileA,
              [&](const JobRecord &R) { Done = R; });
   T->sim().run();
-  EXPECT_TRUE(Done.LocalHit);
+  EXPECT_TRUE(Done.Fetch.LocalHit);
   EXPECT_DOUBLE_EQ(Done.transferSeconds(), 0.0);
   EXPECT_GT(Done.ComputeSeconds, 0.0);
 }
@@ -323,7 +324,7 @@ TEST_F(AppFixture, WorkloadHonoursExplicitPopularityList) {
   T->sim().run();
   ASSERT_TRUE(Load.finished());
   for (const JobRecord &R : Load.stats().Records)
-    EXPECT_EQ(R.Lfn, "rare");
+    EXPECT_EQ(R.Fetch.Lfn, "rare");
 }
 
 TEST_F(AppFixture, WorkloadObserverSeesEveryJob) {
@@ -333,8 +334,8 @@ TEST_F(AppFixture, WorkloadObserverSeesEveryJob) {
   Workload Load(T->grid(), *Sel, {&T->alpha(1)}, W);
   size_t Observed = 0;
   Load.setJobObserver([&](const JobRecord &R) {
-    EXPECT_FALSE(R.Lfn.empty());
-    EXPECT_GE(R.FinishTime, R.SubmitTime);
+    EXPECT_FALSE(R.Fetch.Lfn.empty());
+    EXPECT_GE(R.FinishTime, R.Fetch.StartTime);
     ++Observed;
   });
   Load.start();
@@ -361,13 +362,12 @@ TEST(DataGrid, SiteOfResolvesMembership) {
 TEST_F(AppFixture, ExperimentStatsAggregation) {
   ExperimentStats S;
   JobRecord R;
-  R.SubmitTime = 0.0;
+  R.Fetch.StartTime = 0.0;
   R.FinishTime = 10.0;
-  R.LocalHit = true;
+  R.Fetch.LocalHit = true;
   S.add(R);
-  R.LocalHit = false;
-  R.Transfer.StartTime = 0.0;
-  R.Transfer.EndTime = 4.0;
+  R.Fetch.LocalHit = false;
+  R.Fetch.EndTime = 4.0;
   S.add(R);
   EXPECT_EQ(S.jobCount(), 2u);
   EXPECT_DOUBLE_EQ(S.localHitRate(), 0.5);

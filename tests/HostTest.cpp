@@ -159,7 +159,6 @@ TEST(Host, CpuLoadDeratesTransfers) {
   Simulator Sim(11);
   HostConfig C = quietHostConfig("h");
   C.Cpu.MeanLoad = 1.0; // Fully busy.
-  C.CpuTransferPenalty = 0.2;
   Host H(Sim, C, 0);
   EXPECT_NEAR(H.sourceCap(), mbps(400) * 0.8, mbps(1));
 }

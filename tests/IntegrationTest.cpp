@@ -81,9 +81,10 @@ TEST(Integration, ReplicationThenCoAllocationCompound) {
 
   // Replicate to a second THU host to enable dual-source fetching.
   bool Replicated = false;
-  Manager.replicate("data", T.alpha(3), 8,
-                    [&](const std::string &, Host &,
-                        const TransferResult &) { Replicated = true; });
+  FetchOptions FO;
+  FO.Streams = 8;
+  Manager.fetch("data", T.alpha(3), FO,
+                [&](const FetchResult &R) { Replicated = R.Succeeded; });
   T.sim().run();
   ASSERT_TRUE(Replicated);
   ASSERT_EQ(Cat.locateRef("data").size(), 2u);
@@ -180,8 +181,8 @@ TEST(Integration, Fig1ScenarioEndToEnd) {
   });
   T.sim().run();
   ASSERT_TRUE(Finished);
-  EXPECT_EQ(Done.Source, &T.alpha(4)); // Best score = same-campus copy.
-  EXPECT_GT(Done.Transfer.meanThroughput(), mbps(50));
+  EXPECT_EQ(Done.Fetch.FinalSource, &T.alpha(4)); // Same-campus copy.
+  EXPECT_GT(Done.Fetch.FileBytes * 8.0 / Done.transferSeconds(), mbps(50));
   EXPECT_GT(Done.ComputeSeconds, 0.0);
-  EXPECT_DOUBLE_EQ(Done.Transfer.FileBytes, megabytes(1024));
+  EXPECT_DOUBLE_EQ(Done.Fetch.FileBytes, megabytes(1024));
 }

@@ -458,44 +458,45 @@ TEST_F(ReplicaFixture, PublishRegistersWithoutTransfer) {
   EXPECT_EQ(Mgr->completedTransfers(), 0u);
 }
 
-TEST_F(ReplicaFixture, ReplicateMovesDataAndRegisters) {
+TEST_F(ReplicaFixture, FetchRegistersOnlyAfterLastByte) {
   CostModelPolicy P;
   ReplicaSelector Sel(Cat, *Info, P);
   ReplicaManager RM(Cat, Sel, *Mgr);
   bool Done = false;
-  TransferResult Result;
-  RM.replicate("file-a", *ClientHost, 4,
-               [&](const std::string &Lfn, Host &Where,
-                   const TransferResult &R) {
-                 EXPECT_EQ(Lfn, "file-a");
-                 EXPECT_EQ(&Where, ClientHost.get());
-                 Result = R;
-                 Done = true;
-               });
+  FetchResult Result;
+  RM.fetch("file-a", *ClientHost, {}, [&](const FetchResult &R) {
+    Result = R;
+    Done = true;
+  });
   // Not yet registered: the data is still moving.
   EXPECT_EQ(Cat.locateRef("file-a").size(), 3u);
   Sim.run();
   EXPECT_TRUE(Done);
+  EXPECT_TRUE(Result.Succeeded);
+  EXPECT_EQ(Result.Lfn, "file-a");
   EXPECT_EQ(Cat.locateRef("file-a").size(), 4u);
-  EXPECT_NE(Cat.replicaAt("file-a", ClientNode), nullptr);
-  EXPECT_GT(Result.totalSeconds(), 0.0);
+  EXPECT_EQ(Cat.replicaAt("file-a", ClientNode), ClientHost.get());
+  EXPECT_GT(Result.EndTime - Result.StartTime, 0.0);
   EXPECT_DOUBLE_EQ(Result.FileBytes, megabytes(256));
 }
 
-TEST_F(ReplicaFixture, ReplicateToExistingLocationIsNoop) {
+TEST_F(ReplicaFixture, FetchAtAHolderIsALocalHit) {
   CostModelPolicy P;
   ReplicaSelector Sel(Cat, *Info, P);
   ReplicaManager RM(Cat, Sel, *Mgr);
   bool Done = false;
-  TransferId Id = RM.replicate("file-a", *Fast, 4,
-                               [&](const std::string &, Host &,
-                                   const TransferResult &R) {
-                                 EXPECT_DOUBLE_EQ(R.FileBytes, 0.0);
-                                 Done = true;
-                               });
-  EXPECT_EQ(Id, InvalidTransferId);
+  RM.fetch("file-a", *Fast, {}, [&](const FetchResult &R) {
+    EXPECT_TRUE(R.Succeeded);
+    EXPECT_TRUE(R.LocalHit);
+    EXPECT_EQ(R.FinalSource, Fast.get());
+    EXPECT_DOUBLE_EQ(R.EndTime - R.StartTime, 0.0);
+    Done = true;
+  });
+  // The callback fired synchronously, and no data moved.
   EXPECT_TRUE(Done);
   EXPECT_EQ(Mgr->activeTransfers(), 0u);
+  EXPECT_EQ(Mgr->completedTransfers(), 0u);
+  EXPECT_EQ(Cat.locateRef("file-a").size(), 3u);
 }
 
 TEST_F(ReplicaFixture, RemoveRefusesLastCopy) {

@@ -225,9 +225,9 @@ TEST(StorageIntegration, ReplicatorEvictsColdReplicaForHotFile) {
 
   auto Remote = [&](const char *Lfn, Host &Src) {
     JobRecord R;
-    R.Lfn = Lfn;
     R.Client = &T.alpha(2);
-    R.Source = &Src;
+    R.Fetch.Lfn = Lfn;
+    R.Fetch.FinalSource = &Src;
     return R;
   };
   // "cold" gets replicated first and fills the store.
@@ -268,9 +268,9 @@ TEST(StorageIntegration, ReplicatorSkipsWhenNothingEvictable) {
   Rep.setStorageHost("thu", T.alpha(1));
 
   JobRecord R;
-  R.Lfn = "big";
   R.Client = &T.alpha(2);
-  R.Source = &T.hit(0);
+  R.Fetch.Lfn = "big";
+  R.Fetch.FinalSource = &T.hit(0);
   Rep.onJob(R);
   EXPECT_EQ(Rep.replicationsStarted(), 0u);
   T.sim().run();

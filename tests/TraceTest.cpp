@@ -125,9 +125,9 @@ TEST(TraceWiring, ReplicatorRecordsTriggers) {
   DynamicReplicator Rep(T.grid(), Mgr, C);
   Rep.setTrace(&T.grid().trace());
   JobRecord R;
-  R.Lfn = "hot";
   R.Client = &T.alpha(2);
-  R.Source = &T.hit(0);
+  R.Fetch.Lfn = "hot";
+  R.Fetch.FinalSource = &T.hit(0);
   Rep.onJob(R);
   T.sim().run();
   auto Events = T.grid().trace().byCategory(TraceCategory::Replication);
