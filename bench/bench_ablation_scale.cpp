@@ -42,14 +42,15 @@ namespace {
 /// the live (dynamic) grid and fetches sequentially.
 exp::TrialResult runScale(size_t NumSites, const std::string &Which,
                           uint64_t Seed) {
-  DataGrid G(Seed);
+  GridSpec Spec;
+  Spec.Seed = Seed;
   RandomEngine Topology(Seed * 7919 + NumSites);
 
   SiteConfig Client;
   Client.Name = "client-site";
   Client.Hosts.resize(1);
   Client.Hosts[0].Name = "client";
-  G.addSite(Client);
+  Spec.Sites.push_back(Client);
 
   for (size_t I = 0; I < NumSites; ++I) {
     SiteConfig S;
@@ -60,27 +61,28 @@ exp::TrialResult runScale(size_t NumSites, const std::string &Which,
     H.CpuSpeed = Topology.uniform(0.3, 1.2);
     H.CpuMeanLoad = Topology.uniform(0.05, 0.6);
     H.IoMeanLoad = Topology.uniform(0.05, 0.4);
-    G.addSite(S);
+    Spec.Sites.push_back(S);
   }
 
-  NodeId Core = G.addBackboneNode("core");
-  G.connectToBackbone("client-site", Core, gbps(1), 0.002, 1e-5);
+  Spec.Backbones.push_back("core");
+  Spec.Links.push_back({"client-site", "core", gbps(1), 0.002, 1e-5});
   for (size_t I = 0; I < NumSites; ++I) {
     // Heterogeneous access links: a few fast, many mediocre, some awful.
     double Tier = Topology.uniform();
     BitRate Cap = Tier > 0.7 ? gbps(1) : Tier > 0.3 ? mbps(100) : mbps(20);
     SimTime Delay = Topology.uniform(0.002, 0.02);
     double Loss = Topology.uniform(1e-5, 3e-3);
-    G.connectToBackbone("site" + std::to_string(I), Core, Cap, Delay, Loss);
+    Spec.Links.push_back({"site" + std::to_string(I), "core", Cap, Delay,
+                          Loss});
   }
-  G.finalize();
+  std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
 
-  G.catalog().registerFile("big-file", megabytes(512));
+  G->catalog().registerFile("big-file", megabytes(512));
   size_t Replicas = std::max<size_t>(2, NumSites / 3);
   for (size_t I = 0; I < Replicas; ++I) {
     size_t Pick = (I * NumSites) / Replicas;
-    G.catalog().addReplica("big-file",
-                           *G.findHost("server" + std::to_string(Pick)));
+    G->catalog().addReplica("big-file",
+                            *G->findHost("server" + std::to_string(Pick)));
   }
 
   std::unique_ptr<SelectionPolicy> Policy;
@@ -88,31 +90,31 @@ exp::TrialResult runScale(size_t NumSites, const std::string &Which,
     Policy = std::make_unique<CostModelPolicy>();
   else
     Policy = std::make_unique<RandomPolicy>(RandomEngine(Seed + 1));
-  ReplicaSelector Sel(G.catalog(), G.info(), *Policy);
+  ReplicaSelector Sel(G->catalog(), G->info(), *Policy);
 
-  Host *ClientHost = G.findHost("client");
-  G.sim().runUntil(bench::WarmupSeconds);
+  Host *ClientHost = G->findHost("client");
+  G->sim().runUntil(bench::WarmupSeconds);
 
   double TotalSeconds = 0.0;
   constexpr int Trials = 5;
   for (int Trial = 0; Trial < Trials; ++Trial) {
     SelectionResult R = Sel.select(ClientHost->node(), "big-file");
-    TransferSpec Spec;
-    Spec.Source = R.Chosen;
-    Spec.Destination = ClientHost;
-    Spec.FileBytes = megabytes(512);
-    Spec.Protocol = TransferProtocol::GridFtpModeE;
-    Spec.Streams = 8;
+    TransferSpec Fetch;
+    Fetch.Source = R.Chosen;
+    Fetch.Destination = ClientHost;
+    Fetch.FileBytes = megabytes(512);
+    Fetch.Protocol = TransferProtocol::GridFtpModeE;
+    Fetch.Streams = 8;
     double Seconds = 0.0;
-    G.transfers().submit(
-        Spec, [&](const TransferResult &T) { Seconds = T.totalSeconds(); });
-    G.sim().run();
+    G->transfers().submit(
+        Fetch, [&](const TransferResult &T) { Seconds = T.totalSeconds(); });
+    G->sim().run();
     TotalSeconds += Seconds;
   }
   exp::TrialResult Result;
   Result.set("mean_fetch_s", TotalSeconds / Trials);
-  Result.SpecHash = G.spec().hash();
-  Result.EventsExecuted = G.sim().eventsExecuted();
+  Result.SpecHash = G->spec().hash();
+  Result.EventsExecuted = G->sim().eventsExecuted();
   return Result;
 }
 

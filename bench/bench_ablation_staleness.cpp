@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 
 using namespace dgsim;
 using namespace dgsim::units;
@@ -36,17 +37,17 @@ using namespace dgsim::units;
 namespace {
 
 exp::TrialResult run(SimTime Period, uint64_t Seed) {
-  InformationServiceConfig Info;
-  Info.BandwidthPeriod = Period;
-  Info.HostPeriod = Period;
-  DataGrid G(Seed, Info);
+  GridSpec Spec;
+  Spec.Seed = Seed;
+  Spec.Info.BandwidthPeriod = Period;
+  Spec.Info.HostPeriod = Period;
 
   SiteConfig Client;
   Client.Name = "client-site";
   Client.Hosts.resize(1);
   Client.Hosts[0].Name = "client";
   Client.Hosts[0].DiskWriteRate = mbps(400);
-  G.addSite(Client);
+  Spec.Sites.push_back(Client);
 
   for (const char *Name : {"mirror-a", "mirror-b"}) {
     SiteConfig S;
@@ -56,19 +57,18 @@ exp::TrialResult run(SimTime Period, uint64_t Seed) {
     H.Name = std::string(Name) + "-srv";
     H.DiskReadRate = mbps(400);
     H.IoMeanLoad = 0.05;
-    G.addSite(S);
+    Spec.Sites.push_back(S);
   }
-  NodeId Core = G.addBackboneNode("core");
-  G.connectToBackbone("client-site", Core, gbps(1), 0.003, 1e-5);
-  G.connectToBackbone("mirror-a", Core, gbps(1), 0.003, 1e-5);
-  G.connectToBackbone("mirror-b", Core, gbps(1), 0.003, 1e-5);
-  G.finalize();
+  Spec.Backbones.push_back("core");
+  for (const char *Name : {"client-site", "mirror-a", "mirror-b"})
+    Spec.Links.push_back({Name, "core", gbps(1), 0.003, 1e-5});
+  std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
 
   // Backup-job bursts pin each mirror's disk at ~80% busy for minutes.
-  Host *MirrorA = G.findHost("mirror-a-srv");
-  Host *MirrorB = G.findHost("mirror-b-srv");
-  Host *ClientHost = G.findHost("client");
-  RandomEngine Bursts = G.sim().forkRng();
+  Host *MirrorA = G->findHost("mirror-a-srv");
+  Host *MirrorB = G->findHost("mirror-b-srv");
+  Host *ClientHost = G->findHost("client");
+  RandomEngine Bursts = G->sim().forkRng();
   // Alternating busy phases: every ~240 s one mirror starts a ~150 s
   // backup that consumes 300 Mb/s of its disk.
   for (int Phase = 0; Phase < 40; ++Phase) {
@@ -76,27 +76,27 @@ exp::TrialResult run(SimTime Period, uint64_t Seed) {
     SimTime Start = 60.0 + 240.0 * Phase + Bursts.uniform(0, 30);
     SimTime Duration = 120.0 + Bursts.uniform(0, 60);
     // Daemon events: the burst schedule must not keep run() alive.
-    G.sim().scheduleDaemonAt(Start, [Victim] {
+    G->sim().scheduleDaemonAt(Start, [Victim] {
       Victim->disk().addLocalLoad(mbps(300));
     });
-    G.sim().scheduleDaemonAt(Start + Duration, [Victim] {
+    G->sim().scheduleDaemonAt(Start + Duration, [Victim] {
       Victim->disk().removeLocalLoad(mbps(300));
     });
   }
 
-  G.catalog().registerFile("mirrored", megabytes(512));
-  G.catalog().addReplica("mirrored", *MirrorA);
-  G.catalog().addReplica("mirrored", *MirrorB);
+  G->catalog().registerFile("mirrored", megabytes(512));
+  G->catalog().addReplica("mirrored", *MirrorA);
+  G->catalog().addReplica("mirrored", *MirrorB);
 
   CostModelPolicy Policy; // Paper weights; the I/O term breaks the tie.
-  ReplicaSelector Sel(G.catalog(), G.info(), Policy);
+  ReplicaSelector Sel(G->catalog(), G->info(), Policy);
 
   // Serial fetches every 240 s; oracle = busy-ness at decision time.
   size_t Wrong = 0;
   RunningStats Times;
   constexpr int Fetches = 30;
   for (int I = 0; I < Fetches; ++I) {
-    G.sim().runUntil(120.0 + 240.0 * I);
+    G->sim().runUntil(120.0 + 240.0 * I);
     SelectionResult R = Sel.select(ClientHost->node(), "mirrored");
     Host *Oracle =
         MirrorA->disk().busyFraction() <= MirrorB->disk().busyFraction()
@@ -104,21 +104,21 @@ exp::TrialResult run(SimTime Period, uint64_t Seed) {
             : MirrorB;
     if (R.Chosen != Oracle)
       ++Wrong;
-    TransferSpec Spec;
-    Spec.Source = R.Chosen;
-    Spec.Destination = ClientHost;
-    Spec.FileBytes = megabytes(512);
-    Spec.Streams = 8;
+    TransferSpec Fetch;
+    Fetch.Source = R.Chosen;
+    Fetch.Destination = ClientHost;
+    Fetch.FileBytes = megabytes(512);
+    Fetch.Streams = 8;
     double Seconds = 0.0;
-    G.transfers().submit(
-        Spec, [&](const TransferResult &T) { Seconds = T.totalSeconds(); });
-    G.sim().run();
+    G->transfers().submit(
+        Fetch, [&](const TransferResult &T) { Seconds = T.totalSeconds(); });
+    G->sim().run();
     Times.add(Seconds);
   }
   exp::TrialResult Result;
   Result.set("wrong_rate", static_cast<double>(Wrong) / Fetches);
   Result.set("mean_transfer_s", Times.mean());
-  Result.SpecHash = G.spec().hash();
+  Result.SpecHash = G->spec().hash();
   return Result;
 }
 

@@ -49,6 +49,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 using namespace dgsim;
@@ -73,6 +74,8 @@ struct SolveCounts {
   uint64_t ProbeSolves = 0;
   uint64_t Rebalances = 0;
   uint64_t DemandsSolved = 0;
+
+  bool operator==(const SolveCounts &) const = default;
 };
 
 /// Builds the tiered grid for \p Sites sites and runs the open-loop
@@ -202,12 +205,18 @@ exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
   return Result;
 }
 
-/// Floor on events/s relative to the committed baseline.  Host time on a
-/// shared machine: twenty back-to-back quick runs on a 4-core x86-64 host
-/// spread from 0.64x to 1.30x of their median, and a run inside an
-/// oversubscribed ctest -j8 read 0.51x of the capture, so the floor sits
-/// below both (EXPERIMENTS.md).
-constexpr double EventsPerSFloor = 0.4;
+/// Timed repeats of every trial in a --baseline run.  Load from other
+/// processes only ever adds wall time, so the fastest repeat tracks the
+/// code rather than the host, the way dgbench takes each step's fastest
+/// time over rounds.
+constexpr int BaselineRepeats = 5;
+
+/// Floor on events/s relative to the committed baseline.  Timed as the
+/// fastest of BaselineRepeats, twenty back-to-back quick runs on a 4-core
+/// x86-64 host spread from 0.93x to 1.17x of their median, runs inside
+/// ctest -j4 read 1.04x-1.56x, and runs beside three busy cores 0.78x at
+/// worst, so the floor sits below all of them (EXPERIMENTS.md).
+constexpr double EventsPerSFloor = 0.6;
 
 /// Whether host time is comparable with the committed capture, which was
 /// taken in an optimized build.  Rebalance check mode, sanitizers and
@@ -319,12 +328,15 @@ int main(int argc, char **argv) {
   const uint64_t Transfers = Opt.Quick ? 10000 : 1000000;
 
   // Host-side figures for the footer and the baseline gate, summed over
-  // trials.  The heap-fallback counter is process-wide, so it is read
-  // around the whole sweep.
+  // trials; a trial's wall time is its fastest repeat.  The heap-fallback
+  // counter is process-wide, so it is read around the whole sweep, every
+  // repeat included.
+  const int Repeats = BaselinePath.empty() ? 1 : BaselineRepeats;
   std::mutex PerfMutex;
   double TrialWall = 0.0;
   uint64_t TrialEvents = 0;
   SolveCounts TrialSolves;
+  bool RepeatsAgree = true;
   const uint64_t Sbo0 = InlineFunctionStats::heapFallbacks();
   auto CurrentPerf = [&] {
     PerfFigures P;
@@ -345,22 +357,38 @@ int main(int argc, char **argv) {
   S.Seeds = Opt.seeds();
   S.Metrics = {"arrivals",   "completed",  "failed",
                "local_hits", "goodput_gb", "mean_sojourn_s"};
-  S.Run = [Transfers, &PerfMutex, &TrialWall, &TrialEvents,
-           &TrialSolves](const exp::TrialPoint &P) {
-    auto A0 = std::chrono::steady_clock::now();
+  S.Run = [Transfers, Repeats, &PerfMutex, &TrialWall, &TrialEvents,
+           &TrialSolves, &RepeatsAgree](const exp::TrialPoint &P) {
+    const size_t Sites = std::strtoull(P.param("sites").c_str(), nullptr, 10);
+    exp::TrialResult R;
     SolveCounts Solves;
-    exp::TrialResult R = runTier(
-        std::strtoull(P.param("sites").c_str(), nullptr, 10), Transfers,
-        P.Seed, Solves);
-    double Wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - A0)
-            .count();
+    double Wall = 0.0;
+    bool Agree = true;
+    for (int Rep = 0; Rep != Repeats; ++Rep) {
+      auto A0 = std::chrono::steady_clock::now();
+      SolveCounts RepSolves;
+      exp::TrialResult RepResult =
+          runTier(Sites, Transfers, P.Seed, RepSolves);
+      double RepWall =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - A0)
+              .count();
+      if (Rep == 0) {
+        R = std::move(RepResult);
+        Solves = RepSolves;
+        Wall = RepWall;
+        continue;
+      }
+      Agree = Agree && RepResult.EventsExecuted == R.EventsExecuted &&
+              RepSolves == Solves;
+      Wall = std::min(Wall, RepWall);
+    }
     std::lock_guard<std::mutex> Lock(PerfMutex);
     TrialWall += Wall;
     TrialEvents += R.EventsExecuted;
     TrialSolves.ProbeSolves += Solves.ProbeSolves;
     TrialSolves.Rebalances += Solves.Rebalances;
     TrialSolves.DemandsSolved += Solves.DemandsSolved;
+    RepeatsAgree = RepeatsAgree && Agree;
     return R;
   };
   auto Footer = [&](json::JsonWriter &W) {
@@ -408,9 +436,14 @@ int main(int argc, char **argv) {
     // configuration, so they are gated tightly: a run may not execute more
     // kernel events, probe solves, committed rebalances or solved
     // demands, or spill more callbacks to the heap, than the capture.
-    // Events/s is host time and noisy; its floor sits below the spread of
-    // back-to-back quick runs (EXPERIMENTS.md), so only a real hot-path
-    // regression trips it.
+    // Events/s is host time and noisy: each trial is timed over
+    // BaselineRepeats repeats and counts its fastest, and the floor sits
+    // below the spread of such runs (EXPERIMENTS.md), so only a real
+    // hot-path regression trips it.  The repeats must reproduce the
+    // trial's work counters exactly, or their timings measure different
+    // work.
+    bench::shapeCheck(RepeatsAgree, "every timed repeat of a trial "
+                                    "reproduces its work counters exactly");
     PerfFigures Base;
     std::string BaseHashes;
     bool Readable = readBaseline(BaselinePath, Base, BaseHashes);
@@ -427,12 +460,12 @@ int main(int argc, char **argv) {
                         "grid (same spec_hash)");
       std::printf("baseline: %.0f events, %.0f probe solves, %.0f "
                   "rebalances, %.0f demands solved, %.0f callback heap "
-                  "fallbacks, %.0f events/s vs %.0f, %.0f, %.0f, %.0f, "
-                  "%.0f, %.0f committed (%.2fx)\n",
+                  "fallbacks, %.0f events/s (fastest of %d repeats) vs "
+                  "%.0f, %.0f, %.0f, %.0f, %.0f, %.0f committed (%.2fx)\n",
                   Perf.EventsExecuted, Perf.ProbeSolves, Perf.Rebalances,
                   Perf.DemandsSolved, Perf.CallbackHeapFallbacks,
-                  Perf.EventsPerS, Base.EventsExecuted, Base.ProbeSolves,
-                  Base.Rebalances, Base.DemandsSolved,
+                  Perf.EventsPerS, Repeats, Base.EventsExecuted,
+                  Base.ProbeSolves, Base.Rebalances, Base.DemandsSolved,
                   Base.CallbackHeapFallbacks, Base.EventsPerS,
                   Perf.EventsPerS / Base.EventsPerS);
       bench::shapeCheckLe(Perf.EventsExecuted, Base.EventsExecuted,

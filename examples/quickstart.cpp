@@ -20,6 +20,7 @@
 #include "support/Units.h"
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 using namespace dgsim;
@@ -27,14 +28,15 @@ using namespace dgsim::units;
 
 int main() {
   // 1. Describe the grid: two sites, one WAN link.
-  DataGrid Grid(/*Seed=*/42);
+  GridSpec Spec;
+  Spec.Seed = 42;
 
   SiteConfig Lab;
   Lab.Name = "lab";
   Lab.Hosts.resize(2);
   Lab.Hosts[0].Name = "lab0";
   Lab.Hosts[1].Name = "lab1";
-  Grid.addSite(Lab);
+  Spec.Sites.push_back(Lab);
 
   SiteConfig Campus;
   Campus.Name = "campus";
@@ -42,22 +44,22 @@ int main() {
   Campus.Hosts[0].Name = "campus0";
   Campus.Hosts[1].Name = "campus1";
   Campus.Hosts[1].CpuMeanLoad = 0.7; // One busy server.
-  Grid.addSite(Campus);
+  Spec.Sites.push_back(Campus);
 
-  Grid.connectSites("lab", "campus", mbps(100), units::milliseconds(8),
-                    /*Loss=*/0.0002);
-  Grid.finalize();
+  Spec.Links.push_back({"lab", "campus", mbps(100), units::milliseconds(8),
+                        /*Loss=*/0.0002});
+  std::unique_ptr<DataGrid> Grid = DataGrid::buildFrom(Spec);
 
   // 2. Publish a 512 MB dataset with replicas on both campus hosts.
-  Grid.catalog().registerFile("dataset", megabytes(512));
-  Grid.catalog().addReplica("dataset", *Grid.findHost("campus0"));
-  Grid.catalog().addReplica("dataset", *Grid.findHost("campus1"));
+  Grid->catalog().registerFile("dataset", megabytes(512));
+  Grid->catalog().addReplica("dataset", *Grid->findHost("campus0"));
+  Grid->catalog().addReplica("dataset", *Grid->findHost("campus1"));
 
   // 3. Let the monitoring settle, then pick the best replica for lab0.
-  Grid.sim().runUntil(30.0);
+  Grid->sim().runUntil(30.0);
   CostModelPolicy Policy; // The paper's 80/10/10 weights.
-  ReplicaSelector Selector(Grid.catalog(), Grid.info(), Policy);
-  Host *Client = Grid.findHost("lab0");
+  ReplicaSelector Selector(Grid->catalog(), Grid->info(), Policy);
+  Host *Client = Grid->findHost("lab0");
   std::vector<CandidateReport> Reports =
       Selector.scoreAll(Client->node(), "dataset");
   SelectionResult Sel = Selector.select(Client->node(), "dataset");
@@ -76,18 +78,18 @@ int main() {
   std::printf("\nselected replica: %s\n\n", Sel.Chosen->name().c_str());
 
   // 4. Fetch it with 4-stream GridFTP and report.
-  TransferSpec Spec;
-  Spec.Source = Sel.Chosen;
-  Spec.Destination = Client;
-  Spec.FileBytes = Grid.catalog().fileSize("dataset");
-  Spec.Protocol = TransferProtocol::GridFtpModeE;
-  Spec.Streams = 4;
-  Grid.transfers().submit(Spec, [](const TransferResult &R) {
+  TransferSpec Fetch;
+  Fetch.Source = Sel.Chosen;
+  Fetch.Destination = Client;
+  Fetch.FileBytes = Grid->catalog().fileSize("dataset");
+  Fetch.Protocol = TransferProtocol::GridFtpModeE;
+  Fetch.Streams = 4;
+  Grid->transfers().submit(Fetch, [](const TransferResult &R) {
     std::printf("transfer finished: %s in %s (startup %.2f s, mean %s)\n",
                 fmt::bytes(R.FileBytes).c_str(),
                 fmt::seconds(R.totalSeconds()).c_str(), R.StartupSeconds,
                 fmt::rate(R.meanThroughput()).c_str());
   });
-  Grid.sim().run();
+  Grid->sim().run();
   return 0;
 }

@@ -39,7 +39,7 @@ void FaultInjector::trace(const char *Fmt, ...) const {
 
 NodeId FaultInjector::resolveEndpoint(const std::string &Name) const {
   // Link endpoints are spec-level names: a site resolves to its switch
-  // (addSite names it "<site>-sw"), anything else must be a topology node
+  // (DataGrid names it "<site>-sw"), anything else must be a topology node
   // (backbone routers keep their plain name).
   NodeId N = Topo.findNode(Name + "-sw");
   if (N == InvalidNodeId)

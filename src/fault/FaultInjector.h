@@ -80,15 +80,15 @@ struct FaultCounters {
 };
 
 /// Replays one plan.  Construct after the grid's services exist (DataGrid
-/// does this in setFaultPlan()); arm() expands and schedules everything.
+/// does this last in buildFrom()); arm() expands and schedules everything.
 class FaultInjector {
 public:
   /// \p Hosts must cover every host a plan window can name; the injector
   /// resolves targets against it and against \p Topo's node names.
   /// \p LogAccessor resolves the grid's TransferLog at window-fire time
-  /// (not construction time — owners typically enable the log after
-  /// setFaultPlan()); LogCorrupt windows are counted but otherwise no-ops
-  /// while it returns null.
+  /// (not construction time — owners enable the log after the grid is
+  /// built); LogCorrupt windows are counted but otherwise no-ops while it
+  /// returns null.
   FaultInjector(Simulator &Sim, const Topology &Topo, FlowNetwork &Net,
                 TransferManager &Transfers, InformationService &Info,
                 std::vector<Host *> Hosts, TraceLog *Trace = nullptr,

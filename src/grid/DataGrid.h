@@ -7,20 +7,21 @@
 /// \file
 /// One object owning a complete simulated Data Grid: the event kernel, the
 /// network, sites of hosts, the monitoring services, the replica catalog
-/// and the transfer service.  Typical use:
+/// and the transfer service.  A grid is built from a GridSpec and nothing
+/// else.  Typical use:
 ///
 /// \code
-///   DataGrid Grid(Seed);
-///   Site &Thu = Grid.addSite({"thu", ...});
-///   Grid.connectSites("thu", "hit", units::gbps(1), 0.002, 5e-5);
-///   Grid.finalize();
-///   Grid.catalog().registerFile("file-a", units::megabytes(1024));
+///   GridSpec Spec;
+///   Spec.Seed = Seed;
+///   Spec.Sites = {Thu, Hit};   // SiteConfig values: name, hosts, LAN
+///   Spec.Links.push_back({"thu", "hit", units::gbps(1), 0.002, 5e-5});
+///   std::unique_ptr<DataGrid> Grid = DataGrid::buildFrom(Spec);
+///   Grid->catalog().registerFile("file-a", units::megabytes(1024));
 ///   ...
-///   Grid.sim().run();
+///   Grid->sim().run();
 /// \endcode
 ///
-/// Build methods (addSite / connect*) must all happen before finalize();
-/// services are available only after.
+/// A built grid is complete: every service exists once buildFrom returns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,65 +65,32 @@ private:
 /// The facade.
 class DataGrid {
 public:
-  explicit DataGrid(uint64_t Seed = 1,
-                    InformationServiceConfig InfoConfig = {});
   ~DataGrid();
 
   DataGrid(const DataGrid &) = delete;
   DataGrid &operator=(const DataGrid &) = delete;
 
-  /// Builds a complete grid from a declarative spec: sites, backbone
-  /// nodes, links, then finalize(), then cross-traffic and catalog
-  /// contents — the same canonical order as the imperative API, so a
-  /// spec-built grid is bit-identical to the equivalent hand-built one.
+  /// Builds the grid \p Spec describes, in canonical order: sites,
+  /// backbone nodes, links, the services, cross-traffic, catalog files,
+  /// workloads, then the fault plan.  The order fixes where every random
+  /// fork lands, so two grids built from one spec simulate bit-identically.
+  /// A spec that fails GridSpec::validate() aborts with its messages.
   static std::unique_ptr<DataGrid> buildFrom(const GridSpec &Spec);
 
-  /// The declarative record of everything built so far.  Imperative build
-  /// calls (addSite, connect*, addCrossTraffic, registerCatalogFile)
-  /// append to it, so spec().hash() identifies the grid either way.
+  /// The spec the grid was built from, plus the files registerCatalogFile
+  /// added since, so spec().hash() identifies the grid.
   const GridSpec &spec() const { return Spec; }
 
-  //===--------------------------------------------------------------------===//
-  // Build phase
-  //===--------------------------------------------------------------------===//
-
-  /// Creates a site with its switch, hosts and LAN links.
-  Site &addSite(const SiteConfig &Config);
-
-  /// Adds a named interior node (e.g. a WAN backbone router).
-  NodeId addBackboneNode(const std::string &Name);
-
-  /// Joins two sites' switches directly.
-  void connectSites(const std::string &A, const std::string &B,
-                    BitRate Capacity, SimTime Delay, double Loss = 0.0);
-
-  /// Joins a site's switch to a backbone node.
-  void connectToBackbone(const std::string &SiteName, NodeId Backbone,
-                         BitRate Capacity, SimTime Delay, double Loss = 0.0);
-
-  /// Joins two backbone nodes (both from addBackboneNode) by name.
-  void connectBackbones(const std::string &A, const std::string &B,
-                        BitRate Capacity, SimTime Delay, double Loss = 0.0);
-
-  /// Freezes the topology and brings the services up.
-  void finalize();
-
-  //===--------------------------------------------------------------------===//
-  // Run phase
-  //===--------------------------------------------------------------------===//
-
-  bool finalized() const { return Net != nullptr; }
-
   Simulator &sim() { return Sim; }
-  Topology &topology() { return Topo; }
+  const Topology &topology() const { return Topo; }
 
   /// The grid-wide trace log.  Enable categories before running; the
-  /// transfer manager is wired to it automatically at finalize().
+  /// transfer manager is wired to it at build time.
   TraceLog &trace() { return Trace; }
-  FlowNetwork &network();
-  InformationService &info();
+  FlowNetwork &network() { return *Net; }
+  InformationService &info() { return *InfoService; }
   ReplicaCatalog &catalog() { return Catalog; }
-  TransferManager &transfers();
+  TransferManager &transfers() { return *Transfers; }
 
   /// \returns the site named \p Name, or nullptr.
   Site *findSite(const std::string &Name);
@@ -136,38 +104,19 @@ public:
   /// All hosts of all sites, site order then host order.
   std::vector<Host *> allHosts();
 
-  /// Starts background traffic between two sites' switches; the generator
-  /// lives as long as the grid.  Must be called after finalize().
-  CrossTraffic &addCrossTraffic(const std::string &FromSite,
-                                const std::string &ToSite,
-                                SimTime MeanInterarrival, Bytes MinFlowBytes,
-                                unsigned Streams = 1);
-
   /// Registers a logical file and its replicas (by host name) in the
-  /// catalog, recording it in spec().  Must be called after finalize().
+  /// catalog, recording it in spec().
   void registerCatalogFile(const CatalogFileSpec &File);
 
-  /// Declares an open-loop workload: records it in spec() and expands its
-  /// arrival stream through a RandomEngine forked off the kernel (one
-  /// child per workload, declaration order — the FaultPlan convention).
-  /// Must be called after finalize() and before setFaultPlan(), so the
-  /// injector's fork always lands after every workload's.  Expansion only
-  /// — nothing runs until a WorkloadDriver starts it.
-  /// \returns the workload's index (for workloadArrivals / driver start).
-  size_t addWorkload(const WorkloadSpec &W);
-
-  /// The expanded arrival stream of workload \p Index (addWorkload order).
+  /// The expanded arrival stream of workload \p Index (spec().Workloads
+  /// order).  Expansion only: nothing runs until a WorkloadDriver starts
+  /// it.
   const std::vector<WorkloadArrival> &workloadArrivals(size_t Index) const {
     return WorkloadArrivalLists.at(Index);
   }
 
-  /// Arms \p Plan on the grid: records it in spec() and constructs the
-  /// FaultInjector that replays it.  Must be called after finalize(), at
-  /// most once, and — for bit-identical spec replay — after every other
-  /// build call (buildFrom arms it last).  An empty plan is a no-op.
-  void setFaultPlan(const FaultPlan &Plan);
-
-  /// \returns the armed injector, or nullptr when no plan was set.
+  /// \returns the injector replaying spec().Faults, or nullptr when the
+  /// plan is empty.
   FaultInjector *faults() { return Injector.get(); }
 
   /// Turns on completed-transfer feedback: a TransferLog fed by every
@@ -176,7 +125,7 @@ public:
   /// then flow through each path's probe-vs-log minimum-MSE
   /// meta-selector.  Runtime configuration like setRetryPolicy — not part
   /// of spec(); a grid without this call is bit-identical to one built
-  /// before the log existed.  Must be called after finalize(); idempotent.
+  /// before the log existed.  Idempotent.
   /// \returns the log (also reachable via transferLog()).
   TransferLog &enableTransferLog();
 
@@ -184,11 +133,22 @@ public:
   TransferLog *transferLog() { return Log.get(); }
 
 private:
+  explicit DataGrid(const GridSpec &Spec);
+
+  /// Creates a site with its switch, hosts and LAN links.
+  void buildSite(const SiteConfig &Config);
+
+  /// Resolves a link endpoint by GridSpec's rule: a site name to the
+  /// site's switch, any other name to the backbone node of that name.
+  NodeId endpoint(const std::string &Name) const;
+
+  /// Puts \p File and its replicas in the catalog.
+  void addToCatalog(const CatalogFileSpec &File);
+
   Simulator Sim;
   Topology Topo;
-  InformationServiceConfig InfoConfig;
   /// Shared tick driver for every host-load OU process when
-  /// InfoConfig.BatchHostLoads is set; null otherwise.  Declared before
+  /// spec().Info.BatchHostLoads is set; null otherwise.  Declared before
   /// Sites so it outlives the member models that detach on destruction.
   std::unique_ptr<CpuLoadBatch> HostLoadBatch;
   std::vector<std::unique_ptr<Site>> Sites;
@@ -205,12 +165,11 @@ private:
   ReplicaCatalog Catalog;
   TraceLog Trace;
   GridSpec Spec;
-  // Name -> object indexes, maintained by addSite/addBackboneNode so every
-  // lookup is O(1) (findHost sits on the per-job hot path).
+  // Name -> object indexes, filled as sites are built so every lookup is
+  // O(1) (findHost sits on the per-job hot path).
   std::unordered_map<std::string, Site *> SiteByName;
   std::unordered_map<std::string, Host *> HostByName;
   std::unordered_map<const Host *, Site *> SiteOfHost;
-  std::unordered_map<std::string, NodeId> BackboneByName;
 };
 
 } // namespace dgsim

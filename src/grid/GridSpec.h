@@ -7,11 +7,10 @@
 /// \file
 /// A GridSpec is a pure value describing everything a DataGrid builds:
 /// sites (with per-host knobs), backbone nodes, wide-area links,
-/// background cross-traffic and replica-catalog contents, plus the seed
-/// and service configurations.  It is the declarative counterpart of the
-/// imperative DataGrid build API — `DataGrid::buildFrom(Spec)` replays a
-/// spec through that API in a canonical order, so a spec-built grid is
-/// bit-identical to the equivalent hand-built one.
+/// background cross-traffic, replica-catalog contents, workloads and the
+/// fault plan, plus the seed and service configurations.  It is the only
+/// way to make a grid: `DataGrid::buildFrom(Spec)` builds a spec in a
+/// canonical order, so two grids built from one spec are bit-identical.
 ///
 /// Specs are hashable: canonicalJson() serializes every field in a fixed
 /// order and hash() folds that string with FNV-1a.  The experiment layer
@@ -95,13 +94,13 @@ struct GridSpec {
   std::vector<CrossTrafficSpec> Traffic;
   std::vector<CatalogFileSpec> Files;
   /// Open-loop request streams driven against the grid (empty = no
-  /// synthetic load).  Recorded by DataGrid::addWorkload and replayed by
-  /// buildFrom in declaration order, so a spec's hash covers its offered
-  /// load and a rebuilt grid replays the same arrival stream.
+  /// synthetic load).  buildFrom expands them in declaration order, so a
+  /// spec's hash covers its offered load and every grid built from the
+  /// spec replays the same arrival stream.
   std::vector<WorkloadSpec> Workloads;
   /// The fault schedule the grid replays (empty = nothing ever breaks).
-  /// Recorded by DataGrid::setFaultPlan and replayed by buildFrom, so a
-  /// spec's hash covers its disasters too.
+  /// buildFrom arms it after everything else, so a spec's hash covers its
+  /// disasters too.
   FaultPlan Faults;
 
   /// Serializes every field, in declaration order, to a canonical JSON

@@ -17,11 +17,12 @@
 /// saturation.
 ///
 /// Workloads ride inside GridSpec (serialized into the canonical JSON and
-/// hash) and expand through a RandomEngine forked off the kernel in
-/// declaration order, so DataGrid::buildFrom replays them bit-
-/// identically.  The WorkloadDriver schedules the expanded arrivals as
-/// non-daemon kernel events and runs each fetch through a ReplicaManager,
-/// aggregating the counters the overload benches report.
+/// hash) and DataGrid::buildFrom expands them through a RandomEngine
+/// forked off the kernel in declaration order, so every grid built from
+/// one spec replays them bit-identically.  The WorkloadDriver schedules
+/// the expanded arrivals as non-daemon kernel events and runs each fetch
+/// through a ReplicaManager, aggregating the counters the overload
+/// benches report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,8 +111,8 @@ public:
   /// outlive the driver.
   WorkloadDriver(DataGrid &Grid, ReplicaManager &Mgr);
 
-  /// Starts the grid's workload \p Index (order of DataGrid::addWorkload
-  /// calls): each arrival is a non-daemon event that runs one fetch with
+  /// Starts the grid's workload \p Index (GridSpec::Workloads order):
+  /// each arrival is a non-daemon event that runs one fetch with
   /// \p FetchOpts (per-request deadlines ride in there) and schedules its
   /// successor, so a million-arrival stream keeps exactly one pending
   /// event instead of a million.  Call once per workload, before
@@ -135,12 +136,11 @@ private:
   };
 
   /// One started workload: what every arrival of the stream reads.  The
-  /// spec is a snapshot (later addWorkload calls may reallocate the
-  /// grid's spec vector).  Arrival events capture only [this, stream,
-  /// position], which fits EventCallback's inline buffer, so a driven
-  /// stream schedules without allocating.
+  /// spec is the grid's own, fixed once the grid is built.  Arrival events
+  /// capture only [this, stream, position], which fits EventCallback's
+  /// inline buffer, so a driven stream schedules without allocating.
   struct ArrivalStream {
-    WorkloadSpec Spec;
+    const WorkloadSpec &Spec;
     size_t Index = 0;
     FetchOptions Fetch;
   };

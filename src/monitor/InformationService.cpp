@@ -59,18 +59,24 @@ SensorBatch *InformationService::pathBatch() {
 void InformationService::registerHost(const Host &H) {
   assert(HostIds.find(H.name()) == StringInterner::InvalidId &&
          "host already registered");
+  // query() reads a host's last CPU and I/O samples, never a forecast, so
+  // host sensors keep the last sample only.
   HostSensors S;
   if (SensorBatch *B = hostBatch()) {
     S.Cpu = std::make_unique<Sensor>(Sim, "cpu/" + H.name(), *B,
-                                     [&H] { return H.cpuIdle(); });
+                                     [&H] { return H.cpuIdle(); },
+                                     /*Forecasts=*/false);
     S.Io = std::make_unique<Sensor>(Sim, "io/" + H.name(), *B,
-                                    [&H] { return H.ioIdle(); });
+                                    [&H] { return H.ioIdle(); },
+                                    /*Forecasts=*/false);
   } else {
     S.Cpu = std::make_unique<Sensor>(Sim, "cpu/" + H.name(),
                                      Config.HostPeriod,
-                                     [&H] { return H.cpuIdle(); });
+                                     [&H] { return H.cpuIdle(); },
+                                     /*Forecasts=*/false);
     S.Io = std::make_unique<Sensor>(Sim, "io/" + H.name(), Config.HostPeriod,
-                                    [&H] { return H.ioIdle(); });
+                                    [&H] { return H.ioIdle(); },
+                                    /*Forecasts=*/false);
   }
   if (GateEnabled) {
     S.Cpu->setGateConfig(&Gate);

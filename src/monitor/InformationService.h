@@ -22,9 +22,10 @@
 ///
 /// The service is also the sensor registry (the NWS nameserver's role):
 /// its host table and (client, server) path table index every sensor it
-/// owns, and their keys keep sensor names unique.  No series is stored
-/// beyond each sensor's last sample and its forecaster's 40-value window
-/// (the NWS memory's role).
+/// owns, and their keys keep sensor names unique.  A host's CPU and I/O
+/// sensors store their last sample only; a path's bandwidth sensor stores
+/// its last sample and its forecaster's 40-value window (the NWS memory's
+/// role).  No other series is stored.
 ///
 //===----------------------------------------------------------------------===//
 

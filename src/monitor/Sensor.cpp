@@ -13,20 +13,23 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 using namespace dgsim;
 
 Sensor::Sensor(Simulator &Sim, std::string Name, SimTime Period,
-               std::function<double()> Measure)
-    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)) {
+               std::function<double()> Measure, bool Forecasts)
+    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)),
+      Forecasts(Forecasts) {
   assert(Period > 0.0 && "sensors need a positive period");
   assert(this->Measure && "sensors need a measurement closure");
   Periodic = Sim.schedulePeriodic(Period, [this] { sampleNow(); });
 }
 
 Sensor::Sensor(Simulator &Sim, std::string Name, SensorBatch &Batch,
-               std::function<double()> Measure)
-    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)) {
+               std::function<double()> Measure, bool Forecasts)
+    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)),
+      Forecasts(Forecasts) {
   assert(this->Measure && "sensors need a measurement closure");
   Batch.add(*this);
 }
@@ -120,7 +123,7 @@ void Sensor::recordSlow(SimTime Now, double Value) {
       return;
     }
     if (F.StuckDepth) {
-      if (Fc.observationCount() == 0)
+      if (Last.Time == -std::numeric_limits<double>::infinity())
         return; // Nothing to freeze at yet: stuck-from-birth stays mute.
       Value = Last.Value;
     } else {
@@ -134,6 +137,5 @@ void Sensor::recordSlow(SimTime Now, double Value) {
   }
   if (GateCfg && !Gate.admit(Value, *GateCfg))
     return; // Rejected: counted by the gate, surfaced by the service.
-  Last = {Now, Value};
-  Fc.observe(Value);
+  ingest(Now, Value);
 }

@@ -6,11 +6,14 @@
 ///
 /// \file
 /// The nws_sensor analogue: a process that periodically measures one scalar
-/// (available bandwidth, CPU idle %, I/O idle %), keeps its last sample,
-/// and feeds an NwsForecaster so consumers can ask for a prediction instead
-/// of a stale last reading.  The forecaster's 40-value window is the only
-/// stored series (the nws_memory analogue).  A sensor holds only its own
-/// state; the InformationService that owns it indexes it by host or path.
+/// (available bandwidth, CPU idle %, I/O idle %) and keeps its last sample.
+/// A forecasting sensor also feeds an NwsForecaster so consumers can ask
+/// for a prediction instead of a stale last reading; the forecaster's
+/// 40-value window is the only stored series (the nws_memory analogue).
+/// The InformationService makes its bandwidth sensors forecast and keeps
+/// only the last sample of host CPU and I/O, which the paper read from MDS
+/// and sysstat rather than from a forecaster.  A sensor holds only its own
+/// state; the service that owns it indexes it by host or path.
 ///
 /// Sensors come in two scheduling modes.  A self-scheduled sensor owns one
 /// periodic kernel event (the historical behaviour, and still the default).
@@ -77,15 +80,17 @@ public:
   /// \param Name unique sensor name, e.g. "bw/alpha1->hit0".
   /// \param Period sampling period, seconds.
   /// \param Measure closure producing the current value of the resource.
+  /// \param Forecasts whether samples also feed the forecaster; when
+  ///        false only the last sample is kept.
   Sensor(Simulator &Sim, std::string Name, SimTime Period,
-         std::function<double()> Measure);
+         std::function<double()> Measure, bool Forecasts = true);
 
   /// Batch-driven: the sensor is sampled whenever \p Batch ticks, first at
   /// the batch's next tick (adding it takes no sample; an owner that needs
   /// one now calls sampleNow()).  It owns no kernel event and detaches
   /// from the batch on destruction.
   Sensor(Simulator &Sim, std::string Name, SensorBatch &Batch,
-         std::function<double()> Measure);
+         std::function<double()> Measure, bool Forecasts = true);
 
   ~Sensor();
 
@@ -102,11 +107,13 @@ public:
   /// truthful, and the reported one snaps back when the fault lifts.
   SimTime lastSampleTime() const { return Last.Time + clockSkew(); }
 
-  /// \returns the NWS forecast of the next value.
+  /// \returns the NWS forecast of the next value; 0 for a sensor that
+  /// does not forecast.
   double forecast() const { return Fc.predict(); }
 
   /// \returns the adaptive forecaster (for error introspection; its
-  /// observationCount() is the number of samples ingested).
+  /// observationCount() is the number of samples a forecasting sensor
+  /// ingested, and stays 0 for one that does not forecast).
   const NwsForecaster &forecaster() const { return Fc; }
 
   /// Takes one sample immediately, outside the periodic schedule.
@@ -155,16 +162,23 @@ private:
   /// One batch tick: a scheduled sample.
   void tick() { sampleNow(); }
 
-  /// Ingests one already-measured sample: last sample + forecaster.
-  /// The corrupted/gated path branches out once, so the healthy fast path
-  /// stays two pointer-width checks.
+  /// Ingests one already-measured sample: the last sample, plus the
+  /// forecaster when the sensor forecasts.  The corrupted/gated path
+  /// branches out once, so the healthy fast path stays two pointer-width
+  /// checks.
   void record(SimTime Now, double Value) {
     if (Faults || GateCfg) {
       recordSlow(Now, Value);
       return;
     }
+    ingest(Now, Value);
+  }
+
+  /// Stores one admitted sample.
+  void ingest(SimTime Now, double Value) {
     Last = {Now, Value};
-    Fc.observe(Value);
+    if (Forecasts)
+      Fc.observe(Value);
   }
 
   /// The corruption/gating pipeline: dropout -> stuck -> bias -> noise,
@@ -184,6 +198,7 @@ private:
   SensorBatch *Batch = nullptr;
   size_t BatchPos = 0;
   bool Suspended = false;
+  bool Forecasts;
   std::unique_ptr<SensorFaultState> Faults;
   const GateConfig *GateCfg = nullptr;
   PlausibilityGate Gate;

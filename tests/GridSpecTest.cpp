@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The declarative construction contract: a grid built imperatively records
-/// a spec equal to what it was asked to build; buildFrom() replays a spec
-/// into an equivalent grid; and the spec hash is a stable content hash that
-/// moves when (and only when) the described grid changes.
+/// The declarative construction contract: buildFrom() builds every section
+/// of a spec into the grid and keeps the spec it was given; two grids built
+/// from one spec simulate identically; and the spec hash is a stable
+/// content hash that moves when (and only when) the described grid
+/// changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +25,11 @@ using namespace dgsim::units;
 
 namespace {
 
-/// A small two-site grid built through the imperative API.
-std::unique_ptr<DataGrid> buildImperative(uint64_t Seed) {
-  auto G = std::make_unique<DataGrid>(Seed);
+/// A small two-site grid: sites behind one backbone, cross-traffic and
+/// one catalog file.
+GridSpec twoSiteSpec(uint64_t Seed) {
+  GridSpec Spec;
+  Spec.Seed = Seed;
   for (const char *Name : {"left", "right"}) {
     SiteConfig S;
     S.Name = Name;
@@ -34,84 +37,146 @@ std::unique_ptr<DataGrid> buildImperative(uint64_t Seed) {
     S.Hosts[0].Name = std::string(Name) + "0";
     S.Hosts[1].Name = std::string(Name) + "1";
     S.Hosts[1].CpuSpeed = 0.5;
-    G->addSite(S);
+    Spec.Sites.push_back(S);
   }
-  NodeId Core = G->addBackboneNode("core");
-  G->connectToBackbone("left", Core, gbps(1), 0.002, 1e-5);
-  G->connectToBackbone("right", Core, mbps(30), 0.01, 1e-2);
-  G->finalize();
-  G->addCrossTraffic("left", "right", 5.0, megabytes(1), 2);
-  CatalogFileSpec F;
-  F.Lfn = "file-x";
-  F.SizeBytes = megabytes(64);
-  F.ReplicaHosts = {"right0"};
-  G->registerCatalogFile(F);
-  return G;
+  Spec.Backbones.push_back("core");
+  Spec.Links.push_back({"left", "core", gbps(1), 0.002, 1e-5});
+  Spec.Links.push_back({"right", "core", mbps(30), 0.01, 1e-2});
+  Spec.Traffic.push_back({"left", "right", 5.0, megabytes(1), 2});
+  Spec.Files.push_back({"file-x", megabytes(64), {"right0"}});
+  return Spec;
+}
+
+/// twoSiteSpec() grown to fill every section: a second backbone, one link
+/// of each endpoint shape (site-site, site-backbone, backbone-backbone), a
+/// workload and a fault plan.
+GridSpec everySectionSpec() {
+  GridSpec Spec = twoSiteSpec(11);
+  Spec.Info.BandwidthPeriod = 5.0;
+  Spec.Backbones.push_back("edge");
+  Spec.Links[1].B = "edge";
+  Spec.Links.push_back({"core", "edge", mbps(622), 0.004, 1e-5});
+  Spec.Links.push_back({"left", "right", mbps(10), 0.03, 1e-3});
+  WorkloadSpec W;
+  W.Clients = {"left0"};
+  W.Lfns = {"file-x"};
+  Spec.Workloads.push_back(W);
+  Spec.Faults.hostCrash("left1", 40.0, 10.0);
+  return Spec;
+}
+
+/// True when \p Topo has a link between \p A and \p B of \p Capacity.
+bool hasLink(const Topology &Topo, NodeId A, NodeId B, BitRate Capacity) {
+  for (LinkId L : Topo.linksAt(A)) {
+    const NetLink &Link = Topo.link(L);
+    if (((Link.A == A && Link.B == B) || (Link.A == B && Link.B == A)) &&
+        Link.Capacity == Capacity)
+      return true;
+  }
+  return false;
+}
+
+/// Warms \p G up, fetches 64 MB from right0 to left0 and runs the grid
+/// dry.  \returns the fetch's total seconds.
+double fetchSeconds(DataGrid &G) {
+  G.sim().runUntil(30.0);
+  TransferSpec Fetch;
+  Fetch.Source = G.findHost("right0");
+  Fetch.Destination = G.findHost("left0");
+  Fetch.FileBytes = megabytes(64);
+  Fetch.Protocol = TransferProtocol::GridFtpModeE;
+  Fetch.Streams = 4;
+  double Seconds = 0.0;
+  G.transfers().submit(
+      Fetch, [&](const TransferResult &R) { Seconds = R.totalSeconds(); });
+  G.sim().run();
+  return Seconds;
 }
 
 } // namespace
 
-TEST(GridSpec, ImperativeBuildRecordsFullSpec) {
-  auto G = buildImperative(7);
-  const GridSpec &S = G->spec();
-  EXPECT_EQ(S.Seed, 7u);
-  ASSERT_EQ(S.Sites.size(), 2u);
-  EXPECT_EQ(S.Sites[0].Name, "left");
-  ASSERT_EQ(S.Backbones.size(), 1u);
-  EXPECT_EQ(S.Backbones[0], "core");
-  ASSERT_EQ(S.Links.size(), 2u);
-  ASSERT_EQ(S.Traffic.size(), 1u);
-  EXPECT_EQ(S.Traffic[0].Streams, 2u);
-  ASSERT_EQ(S.Files.size(), 1u);
-  EXPECT_EQ(S.Files[0].Lfn, "file-x");
+TEST(GridSpec, BuildFromBuildsEverySection) {
+  const GridSpec Spec = everySectionSpec();
+  ASSERT_TRUE(Spec.validate().empty());
+  std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
+
+  // The grid keeps the spec it was given.
+  EXPECT_EQ(G->spec().canonicalJson(), Spec.canonicalJson());
+
+  // Sites and hosts.
+  ASSERT_NE(G->findSite("left"), nullptr);
+  ASSERT_NE(G->findSite("right"), nullptr);
+  EXPECT_EQ(G->findSite("right")->hostCount(), 2u);
+  ASSERT_NE(G->findHost("right1"), nullptr);
+  EXPECT_EQ(G->siteOf(*G->findHost("right1"))->name(), "right");
+
+  // Backbones, and every link between the nodes its endpoints name: a
+  // site resolves to its switch, anything else to a backbone node.
+  const Topology &Topo = G->topology();
+  auto Node = [&](const std::string &Name) {
+    if (Site *S = G->findSite(Name))
+      return S->switchNode();
+    return Topo.findNode(Name);
+  };
+  EXPECT_NE(Topo.findNode("core"), InvalidNodeId);
+  EXPECT_NE(Topo.findNode("edge"), InvalidNodeId);
+  // 4 hosts' LAN links plus the spec's links.
+  EXPECT_EQ(Topo.linkCount(), 4u + Spec.Links.size());
+  for (const LinkSpec &L : Spec.Links)
+    EXPECT_TRUE(hasLink(Topo, Node(L.A), Node(L.B), L.Capacity))
+        << L.A << " -- " << L.B;
+
+  // Services: every host is registered with the information service
+  // (reading an unregistered host asserts) and primed with a sample.
+  for (Host *H : G->allHosts())
+    EXPECT_GT(G->info().cpuIdle(*H), 0.0) << H->name();
+
+  // Catalog files, workloads and the fault plan.
+  ASSERT_TRUE(G->catalog().hasFile("file-x"));
+  EXPECT_EQ(G->catalog().locateRef("file-x").size(), 1u);
+  EXPECT_FALSE(G->workloadArrivals(0).empty());
+  ASSERT_NE(G->faults(), nullptr);
+  EXPECT_EQ(G->faults()->windows().size(), 1u);
+
+  // Cross-traffic: background flows commit rebalances before any
+  // foreground transfer exists.
+  G->sim().runUntil(30.0);
+  EXPECT_GT(G->network().rebalanceEvents(), 0u);
 }
 
 TEST(GridSpec, CanonicalJsonIsWellFormedAndDeterministic) {
-  auto G = buildImperative(7);
+  auto G = DataGrid::buildFrom(twoSiteSpec(7));
   std::string Doc = G->spec().canonicalJson();
   EXPECT_TRUE(json::validate(Doc));
-  EXPECT_EQ(Doc, buildImperative(7)->spec().canonicalJson());
+  EXPECT_EQ(Doc, DataGrid::buildFrom(twoSiteSpec(7))->spec().canonicalJson());
 }
 
 TEST(GridSpec, HashTracksContent) {
-  auto A = buildImperative(7);
-  auto B = buildImperative(7);
+  auto A = DataGrid::buildFrom(twoSiteSpec(7));
+  auto B = DataGrid::buildFrom(twoSiteSpec(7));
   EXPECT_EQ(A->spec().hash(), B->spec().hash());
-  auto C = buildImperative(8); // Seed is part of the content.
+  auto C = DataGrid::buildFrom(twoSiteSpec(8)); // Seed is part of the content.
   EXPECT_NE(A->spec().hash(), C->spec().hash());
   EXPECT_EQ(A->spec().hashHex().size(), 16u);
 }
 
-TEST(GridSpec, BuildFromRoundTripsTheSpec) {
-  auto Hand = buildImperative(7);
-  auto Replayed = DataGrid::buildFrom(Hand->spec());
-  EXPECT_EQ(Replayed->spec().hash(), Hand->spec().hash());
-  EXPECT_EQ(Replayed->spec().canonicalJson(), Hand->spec().canonicalJson());
-}
-
 TEST(GridSpec, BuildFromGridBehavesIdentically) {
-  // The replayed grid must not just describe the same topology — it must
-  // *simulate* identically.  Same seed, same transfer, same result.
-  auto RunOnce = [](DataGrid &G) {
-    G.sim().runUntil(30.0);
-    TransferSpec Spec;
-    Spec.Source = G.findHost("right0");
-    Spec.Destination = G.findHost("left0");
-    Spec.FileBytes = megabytes(64);
-    Spec.Protocol = TransferProtocol::GridFtpModeE;
-    Spec.Streams = 4;
-    double Seconds = 0.0;
-    G.transfers().submit(
-        Spec, [&](const TransferResult &R) { Seconds = R.totalSeconds(); });
-    G.sim().run();
-    return Seconds;
-  };
-  auto Hand = buildImperative(7);
-  auto Replayed = DataGrid::buildFrom(Hand->spec());
-  double A = RunOnce(*Hand);
-  double B = RunOnce(*Replayed);
-  EXPECT_GT(A, 0.0);
-  EXPECT_EQ(A, B); // Bit-identical, not approximately equal.
+  // Two grids built from one spec must not just describe the same
+  // topology — they must *simulate* identically: same transfer, same
+  // result, the same workload arrivals and the same faults fired.
+  const GridSpec Spec = everySectionSpec();
+  std::unique_ptr<DataGrid> A = DataGrid::buildFrom(Spec);
+  std::unique_ptr<DataGrid> B = DataGrid::buildFrom(Spec);
+  double SecondsA = fetchSeconds(*A);
+  double SecondsB = fetchSeconds(*B);
+  EXPECT_GT(SecondsA, 0.0);
+  EXPECT_EQ(SecondsA, SecondsB); // Bit-identical, not approximately equal.
+  EXPECT_EQ(A->sim().eventsExecuted(), B->sim().eventsExecuted());
+  ASSERT_EQ(A->workloadArrivals(0).size(), B->workloadArrivals(0).size());
+  for (size_t I = 0; I != A->workloadArrivals(0).size(); ++I)
+    EXPECT_EQ(A->workloadArrivals(0)[I].Time, B->workloadArrivals(0)[I].Time);
+  EXPECT_EQ(A->faults()->counters().HostCrashes, 1u);
+  EXPECT_EQ(B->faults()->counters().HostCrashes, 1u);
 }
 
 TEST(GridSpec, PaperTestbedIsSpecBuilt) {
@@ -124,7 +189,7 @@ TEST(GridSpec, PaperTestbedIsSpecBuilt) {
 }
 
 TEST(GridSpec, FindHostAndSiteIndexes) {
-  auto G = buildImperative(7);
+  auto G = DataGrid::buildFrom(twoSiteSpec(7));
   Host *H = G->findHost("left1");
   ASSERT_NE(H, nullptr);
   EXPECT_EQ(H->name(), "left1");
@@ -152,7 +217,7 @@ bool flags(const GridSpec &S, const std::string &Needle) {
 }
 
 /// A well-formed baseline the malformed cases each perturb.
-GridSpec validSpec() { return buildImperative(7)->spec(); }
+GridSpec validSpec() { return twoSiteSpec(7); }
 
 } // namespace
 

@@ -23,29 +23,29 @@ using namespace dgsim::units;
 //===----------------------------------------------------------------------===//
 
 TEST(DataGrid, BuildsSitesAndHosts) {
-  DataGrid G(1);
+  GridSpec Spec;
   SiteConfig S;
   S.Name = "demo";
   S.Hosts.resize(3);
   S.Hosts[0].Name = "n0";
   S.Hosts[1].Name = "n1";
   S.Hosts[2].Name = "n2";
-  Site &Built = G.addSite(S);
-  EXPECT_EQ(Built.hostCount(), 3u);
-  G.finalize();
-  EXPECT_TRUE(G.finalized());
-  EXPECT_NE(G.findSite("demo"), nullptr);
-  EXPECT_EQ(G.findSite("nope"), nullptr);
-  EXPECT_NE(G.findHost("n1"), nullptr);
-  EXPECT_EQ(G.findHost("n9"), nullptr);
-  EXPECT_EQ(G.allHosts().size(), 3u);
+  Spec.Sites.push_back(S);
+  std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
+  ASSERT_NE(G->findSite("demo"), nullptr);
+  EXPECT_EQ(G->findSite("demo")->hostCount(), 3u);
+  EXPECT_EQ(G->findSite("nope"), nullptr);
+  EXPECT_NE(G->findHost("n1"), nullptr);
+  EXPECT_EQ(G->findHost("n9"), nullptr);
+  EXPECT_EQ(G->allHosts().size(), 3u);
   // 3 hosts + 1 switch, 3 LAN links.
-  EXPECT_EQ(G.topology().nodeCount(), 4u);
-  EXPECT_EQ(G.topology().linkCount(), 3u);
+  EXPECT_EQ(G->topology().nodeCount(), 4u);
+  EXPECT_EQ(G->topology().linkCount(), 3u);
 }
 
 TEST(DataGrid, ConnectedSitesCanTransfer) {
-  DataGrid G(2);
+  GridSpec Spec;
+  Spec.Seed = 2;
   for (const char *Name : {"a", "b"}) {
     SiteConfig S;
     S.Name = Name;
@@ -54,23 +54,23 @@ TEST(DataGrid, ConnectedSitesCanTransfer) {
     S.Hosts[0].LoadVolatility = 0.0;
     S.Hosts[0].CpuMeanLoad = 0.0;
     S.Hosts[0].IoMeanLoad = 0.0;
-    G.addSite(S);
+    Spec.Sites.push_back(S);
   }
-  G.connectSites("a", "b", mbps(100), milliseconds(5));
-  G.finalize();
+  Spec.Links.push_back({"a", "b", mbps(100), milliseconds(5)});
+  std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
 
-  TransferSpec Spec;
-  Spec.Source = G.findHost("a0");
-  Spec.Destination = G.findHost("b0");
-  Spec.FileBytes = megabytes(64);
-  Spec.Protocol = TransferProtocol::GridFtpModeE;
-  Spec.Streams = 8;
+  TransferSpec Fetch;
+  Fetch.Source = G->findHost("a0");
+  Fetch.Destination = G->findHost("b0");
+  Fetch.FileBytes = megabytes(64);
+  Fetch.Protocol = TransferProtocol::GridFtpModeE;
+  Fetch.Streams = 8;
   bool Done = false;
-  G.transfers().submit(Spec, [&](const TransferResult &R) {
+  G->transfers().submit(Fetch, [&](const TransferResult &R) {
     Done = true;
     EXPECT_GT(R.meanThroughput(), mbps(50));
   });
-  G.sim().run();
+  G->sim().run();
   EXPECT_TRUE(Done);
 }
 
