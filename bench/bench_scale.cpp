@@ -69,11 +69,13 @@ std::mutex RssMutex;
 std::vector<RssProbe> RssProbes;
 
 /// The network's solver work in one trial: monitoring probe solves,
-/// committed rebalances and the flow demands those rebalances solved.
+/// committed rebalances, the flow demands those rebalances solved and the
+/// fill events all those solves created.
 struct SolveCounts {
   uint64_t ProbeSolves = 0;
   uint64_t Rebalances = 0;
   uint64_t DemandsSolved = 0;
+  uint64_t FillEvents = 0;
 
   bool operator==(const SolveCounts &) const = default;
 };
@@ -202,6 +204,7 @@ exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
   Solves.ProbeSolves = G->network().probeSolves();
   Solves.Rebalances = G->network().rebalanceEvents();
   Solves.DemandsSolved = G->network().rebalanceDemandsSolved();
+  Solves.FillEvents = G->network().fillEvents();
   return Result;
 }
 
@@ -235,13 +238,14 @@ struct PerfFigures {
   double ProbeSolves = 0.0;
   double Rebalances = 0.0;
   double DemandsSolved = 0.0;
+  double FillEvents = 0.0;
   double EventsPerS = 0.0;
   double CallbackHeapFallbacks = 0.0;
 };
 
 /// Reads the "perf" figures, and every trial's "spec_hash" comma-separated
 /// in trial order, out of a committed document.  Hand-rolled scan: the
-/// repo carries a JSON writer, not a parser, and a seven-key probe does
+/// repo carries a JSON writer, not a parser, and an eight-key probe does
 /// not justify growing one.  \returns false, after saying why, when the
 /// file or any key is missing.
 bool readBaseline(const std::string &Path, PerfFigures &Out,
@@ -272,6 +276,7 @@ bool readBaseline(const std::string &Path, PerfFigures &Out,
   Ok = Read("probe_solves", Out.ProbeSolves) && Ok;
   Ok = Read("rebalances", Out.Rebalances) && Ok;
   Ok = Read("demands_solved", Out.DemandsSolved) && Ok;
+  Ok = Read("fill_events", Out.FillEvents) && Ok;
   Ok = Read("events_per_s", Out.EventsPerS) && Ok;
   Ok = Read("callback_heap_fallbacks", Out.CallbackHeapFallbacks) && Ok;
   const std::string HashKey = "\"spec_hash\":\"";
@@ -344,6 +349,7 @@ int main(int argc, char **argv) {
     P.ProbeSolves = double(TrialSolves.ProbeSolves);
     P.Rebalances = double(TrialSolves.Rebalances);
     P.DemandsSolved = double(TrialSolves.DemandsSolved);
+    P.FillEvents = double(TrialSolves.FillEvents);
     P.EventsPerS = TrialWall > 0.0 ? double(TrialEvents) / TrialWall : 0.0;
     P.CallbackHeapFallbacks =
         double(InlineFunctionStats::heapFallbacks() - Sbo0);
@@ -388,6 +394,7 @@ int main(int argc, char **argv) {
     TrialSolves.ProbeSolves += Solves.ProbeSolves;
     TrialSolves.Rebalances += Solves.Rebalances;
     TrialSolves.DemandsSolved += Solves.DemandsSolved;
+    TrialSolves.FillEvents += Solves.FillEvents;
     RepeatsAgree = RepeatsAgree && Agree;
     return R;
   };
@@ -399,6 +406,7 @@ int main(int argc, char **argv) {
     W.member("probe_solves", uint64_t(P.ProbeSolves));
     W.member("rebalances", uint64_t(P.Rebalances));
     W.member("demands_solved", uint64_t(P.DemandsSolved));
+    W.member("fill_events", uint64_t(P.FillEvents));
     W.member("events_per_s", P.EventsPerS);
     W.member("callback_heap_fallbacks", uint64_t(P.CallbackHeapFallbacks));
     W.endObject();
@@ -434,8 +442,9 @@ int main(int argc, char **argv) {
   if (!BaselinePath.empty()) {
     // The perf-regression gate.  Work counters repeat exactly for a fixed
     // configuration, so they are gated tightly: a run may not execute more
-    // kernel events, probe solves, committed rebalances or solved
-    // demands, or spill more callbacks to the heap, than the capture.
+    // kernel events, probe solves, committed rebalances, solved demands or
+    // solver fill events, or spill more callbacks to the heap, than the
+    // capture.
     // Events/s is host time and noisy: each trial is timed over
     // BaselineRepeats repeats and counts its fastest, and the floor sits
     // below the spread of such runs (EXPERIMENTS.md), so only a real
@@ -459,13 +468,15 @@ int main(int argc, char **argv) {
                         "the committed baseline was captured on this run's "
                         "grid (same spec_hash)");
       std::printf("baseline: %.0f events, %.0f probe solves, %.0f "
-                  "rebalances, %.0f demands solved, %.0f callback heap "
-                  "fallbacks, %.0f events/s (fastest of %d repeats) vs "
-                  "%.0f, %.0f, %.0f, %.0f, %.0f, %.0f committed (%.2fx)\n",
+                  "rebalances, %.0f demands solved, %.0f fill events, "
+                  "%.0f callback heap fallbacks, %.0f events/s (fastest of "
+                  "%d repeats) vs %.0f, %.0f, %.0f, %.0f, %.0f, %.0f, %.0f "
+                  "committed (%.2fx)\n",
                   Perf.EventsExecuted, Perf.ProbeSolves, Perf.Rebalances,
-                  Perf.DemandsSolved, Perf.CallbackHeapFallbacks,
-                  Perf.EventsPerS, Repeats, Base.EventsExecuted,
-                  Base.ProbeSolves, Base.Rebalances, Base.DemandsSolved,
+                  Perf.DemandsSolved, Perf.FillEvents,
+                  Perf.CallbackHeapFallbacks, Perf.EventsPerS, Repeats,
+                  Base.EventsExecuted, Base.ProbeSolves, Base.Rebalances,
+                  Base.DemandsSolved, Base.FillEvents,
                   Base.CallbackHeapFallbacks, Base.EventsPerS,
                   Perf.EventsPerS / Base.EventsPerS);
       bench::shapeCheckLe(Perf.EventsExecuted, Base.EventsExecuted,
@@ -481,6 +492,9 @@ int main(int argc, char **argv) {
       bench::shapeCheckLe(Perf.DemandsSolved, Base.DemandsSolved,
                           "demands_solved",
                           "the run's rebalances solve no more flow demands "
+                          "than in the committed baseline");
+      bench::shapeCheckLe(Perf.FillEvents, Base.FillEvents, "fill_events",
+                          "the run's solves create no more fill events "
                           "than in the committed baseline");
       bench::shapeCheckLe(Perf.CallbackHeapFallbacks,
                           Base.CallbackHeapFallbacks,
@@ -515,6 +529,16 @@ int main(int argc, char **argv) {
   std::fflush(stdout);
   std::fprintf(stderr, "host: %.0f transfers/s\n",
                SweepWall > 0.0 ? Completed / SweepWall : 0.0);
+  // Solver work per solve, on stderr beside the host figures so the
+  // pinned stdout stays as it was.
+  const double Solves = Perf.ProbeSolves + Perf.Rebalances;
+  std::fprintf(stderr,
+               "solver: %.0f fill events over %.0f probe solves and "
+               "rebalances (%.1f per solve), %.1f demands per rebalance\n",
+               Perf.FillEvents, Solves,
+               Solves > 0.0 ? Perf.FillEvents / Solves : 0.0,
+               Perf.Rebalances > 0.0 ? Perf.DemandsSolved / Perf.Rebalances
+                                     : 0.0);
   bench::printRunFooter(Events, SweepWall);
   return bench::exitCode();
 }

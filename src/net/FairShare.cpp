@@ -12,13 +12,28 @@
 //   * its cap binds, at the statically known level Cap / Weight, or
 //   * a resource it uses saturates, at level L + Residual / ActiveWeight.
 //
-// Both live in one min-heap keyed by level.  Resource events go stale when
-// a freeze elsewhere changes the resource's active weight; a per-resource
-// version counter invalidates them lazily (pop, compare, drop), the same
-// trick event-driven simulators use for cancellable timers.  Residuals are
+// Cap levels never move, so cap events form one run sorted by (level, id),
+// built once during classification; a cap event whose demand froze first
+// is skipped without touching any heap.  Resource events live in a
+// min-heap, and the drain merges the two by the same order.  A resource's
+// level moves whenever a freeze changes its active weight, so each event
+// (a cap binding or a resource saturating) first freezes every demand it
+// stops and only then re-keys each resource those freezes touched: one
+// push per resource per event, at its final residual and weight.  Pushes
+// from earlier events go stale; a per-resource version counter
+// invalidates them lazily (pop, compare, drop), the same trick
+// event-driven simulators use for cancellable timers.  Residuals are
 // settled lazily too: a resource's residual is only brought forward to the
 // current level when its active weight is about to change, which keeps the
 // per-freeze cost proportional to the demand's own footprint.
+//
+// Neither device changes which event fires when.  Every event that can
+// still fire carries the level, id and version it would carry if the
+// solver pushed one event per (frozen demand, resource) listing: within
+// one event only the last such push per resource escapes invalidation,
+// and it is computed from the same settled residual and the same weight,
+// reached by the same subtractions in the same order.  Ids are unique
+// among live events, so the merged drain pops them in the same order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,19 +81,21 @@ void FairShareWorkspace::demandUses(uint32_t Res) {
   DemandRes.push_back(Res);
 }
 
-/// Heap order: fill level, ties broken by Id.  The tie-break is a
-/// determinism contract, not a heuristic: with it, the pop order of any
-/// subset of demands/resources is a pure function of their *relative*
-/// indices, never of how the heap happens to arrange equal levels, so
-/// solving a connected component alone is bit-identical to solving it
-/// inside a merged problem (demand ids always precede resource ids, and
-/// sub-problem assembly preserves relative order within each class).
+/// Drain order, of the heap and the cap run alike: fill level, ties broken
+/// by Id.  The tie-break is a determinism contract, not a heuristic: with
+/// it, the pop order of any subset of demands/resources is a pure function
+/// of their *relative* indices, never of how the heap happens to arrange
+/// equal levels, so solving a connected component alone is bit-identical
+/// to solving it inside a merged problem (demand ids always precede
+/// resource ids, and sub-problem assembly preserves relative order within
+/// each class).
 bool FairShareWorkspace::eventAfter(const FillEvent &A, const FillEvent &B) {
   return A.Level > B.Level || (A.Level == B.Level && A.Id > B.Id);
 }
 
 void FairShareWorkspace::pushEvent(double Level, uint32_t Id,
                                    uint32_t Version) {
+  ++FillEventCount;
   Heap.push_back(FillEvent{Level, Id, Version});
   std::push_heap(Heap.begin(), Heap.end(), eventAfter);
 }
@@ -94,12 +111,13 @@ FairShareWorkspace::FillEvent FairShareWorkspace::popEvent() {
 /// settles is ActiveWeight * (level delta) because every active demand on
 /// the resource rises at its weight.
 void FairShareWorkspace::settleResource(uint32_t R, double Level) {
-  double Dl = Level - ResLevel[R];
+  ResourceState &S = ResState[R];
+  double Dl = Level - S.Level;
   if (Dl > 0.0) {
-    Residual[R] -= ActiveWeight[R] * Dl;
-    if (Residual[R] < 0.0)
-      Residual[R] = 0.0; // FP residue only; consumption is exact otherwise.
-    ResLevel[R] = Level;
+    S.Residual -= S.ActiveWeight * Dl;
+    if (S.Residual < 0.0)
+      S.Residual = 0.0; // FP residue only; consumption is exact otherwise.
+    S.Level = Level;
   }
 }
 
@@ -113,12 +131,27 @@ void FairShareWorkspace::freezeDemand(uint32_t D, double Level, bool AtCap) {
   for (uint32_t I = DemandOffset[D]; I != End; ++I) {
     uint32_t R = DemandRes[I];
     settleResource(R, Level);
-    ActiveWeight[R] -= DemandWeight[D];
-    ++ResVersion[R];
-    if (!ResSaturated[R] && ActiveWeight[R] > 0.0)
-      pushEvent(Level + std::max(0.0, Residual[R]) / ActiveWeight[R],
-                static_cast<uint32_t>(DemandCap.size()) + R, ResVersion[R]);
+    ResourceState &S = ResState[R];
+    S.ActiveWeight -= DemandWeight[D];
+    ++S.Version;
+    if (!S.Touched) {
+      S.Touched = 1;
+      Touched.push_back(R);
+    }
   }
+}
+
+/// Pushes one saturation event per resource the last freezes re-weighed,
+/// at the level its final residual and active weight reach.
+void FairShareWorkspace::rekeyTouched(double Level) {
+  for (uint32_t R : Touched) {
+    ResourceState &S = ResState[R];
+    S.Touched = 0;
+    if (!S.Saturated && S.ActiveWeight > 0.0)
+      pushEvent(Level + std::max(0.0, S.Residual) / S.ActiveWeight,
+                static_cast<uint32_t>(DemandCap.size()) + R, S.Version);
+  }
+  Touched.clear();
 }
 
 void FairShareWorkspace::solve() {
@@ -127,14 +160,13 @@ void FairShareWorkspace::solve() {
   const size_t NumDem = DemandCap.size();
 
   Rate.assign(NumDem, 0.0);
-  ResSaturated.assign(NumRes, 0);
   Frozen.assign(NumDem, 0);
-  Residual = ResCapacity;
-  ActiveWeight.assign(NumRes, 0.0);
-  ResLevel.assign(NumRes, 0.0);
-  ResVersion.assign(NumRes, 0);
+  ResState.resize(NumRes);
+  for (size_t R = 0; R != NumRes; ++R)
+    ResState[R] = ResourceState{ResCapacity[R], 0.0, 0.0, 0, 0, 0};
   ResDemOffset.assign(NumRes + 1, 0);
   Heap.clear();
+  CapRun.clear();
 
   auto listingEnd = [&](uint32_t D) {
     return D + 1 < NumDem ? DemandOffset[D + 1]
@@ -157,10 +189,15 @@ void FairShareWorkspace::solve() {
     }
     ++ActiveCount;
     for (uint32_t I = DemandOffset[D]; I != listingEnd(D); ++I)
-      ActiveWeight[DemandRes[I]] += DemandWeight[D];
+      ResState[DemandRes[I]].ActiveWeight += DemandWeight[D];
     if (std::isfinite(DemandCap[D]))
-      pushEvent(DemandCap[D] / DemandWeight[D], D, 0);
+      CapRun.push_back(FillEvent{DemandCap[D] / DemandWeight[D], D, 0});
   }
+  std::sort(CapRun.begin(), CapRun.end(),
+            [](const FillEvent &A, const FillEvent &B) {
+              return eventAfter(B, A);
+            });
+  FillEventCount += CapRun.size();
 
   // Transpose to CSR demands-per-resource (active demands only), so a
   // saturation event can enumerate exactly the demands it freezes.
@@ -183,33 +220,40 @@ void FairShareWorkspace::solve() {
   }
 
   for (uint32_t R = 0; R != NumRes; ++R)
-    if (ActiveWeight[R] > 0.0)
-      pushEvent(Residual[R] / ActiveWeight[R],
+    if (ResState[R].ActiveWeight > 0.0)
+      pushEvent(ResState[R].Residual / ResState[R].ActiveWeight,
                 static_cast<uint32_t>(NumDem) + R, 0);
 
-  // Drain events in level order.
-  while (ActiveCount != 0 && !Heap.empty()) {
-    FillEvent Ev = popEvent();
-    if (Ev.Id < NumDem) {
-      // Cap event.
-      uint32_t D = Ev.Id;
-      if (Frozen[D])
+  // Drain events in level order, merging the cap run with the heap.
+  size_t NextCap = 0;
+  while (ActiveCount != 0) {
+    bool CapsLeft = NextCap != CapRun.size();
+    if (!CapsLeft && Heap.empty())
+      break;
+    if (CapsLeft &&
+        (Heap.empty() || eventAfter(Heap.front(), CapRun[NextCap]))) {
+      const FillEvent &Ev = CapRun[NextCap++];
+      if (Frozen[Ev.Id])
         continue;
-      freezeDemand(D, Ev.Level, /*AtCap=*/true);
+      freezeDemand(Ev.Id, Ev.Level, /*AtCap=*/true);
+      rekeyTouched(Ev.Level);
       continue;
     }
+    FillEvent Ev = popEvent();
     uint32_t R = Ev.Id - static_cast<uint32_t>(NumDem);
-    if (Ev.Version != ResVersion[R] || ActiveWeight[R] <= 0.0)
+    ResourceState &S = ResState[R];
+    if (Ev.Version != S.Version || S.ActiveWeight <= 0.0)
       continue; // Stale: a freeze changed this resource since the push.
     settleResource(R, Ev.Level);
-    ResSaturated[R] = 1;
-    Residual[R] = 0.0;
+    S.Saturated = 1;
+    S.Residual = 0.0;
     for (uint32_t I = ResDemOffset[R]; I != ResDemOffset[R + 1]; ++I) {
       uint32_t D = ResDem[I];
       if (!Frozen[D])
         freezeDemand(D, Ev.Level, /*AtCap=*/false);
     }
-    assert(ActiveWeight[R] <= 1e-9 && "saturated resource kept demands");
+    assert(S.ActiveWeight <= 1e-9 && "saturated resource kept demands");
+    rekeyTouched(Ev.Level);
   }
 
   // No finite constraint remains (unreachable when every demand touches a

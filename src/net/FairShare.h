@@ -24,9 +24,10 @@
 ///     problem into flat CSR-style arrays owned by the workspace and calls
 ///     solve(); after the first few solves at a given problem size no memory
 ///     is allocated.  Instead of re-scanning every resource per filling
-///     iteration, the solver runs event-driven: saturation levels and cap
-///     levels live in one min-heap, so the cost is O((listings + events)
-///     log n) rather than O(iterations x resources).
+///     iteration, the solver runs event-driven: saturation levels live in
+///     a min-heap and cap levels in one sorted run merged with it, so the
+///     cost is O((listings + events) log n) rather than O(iterations x
+///     resources).
 ///
 ///   * `solveMaxMinFairShare(...)` — the original convenience wrapper over
 ///     per-demand vectors; it assembles a workspace internally and is kept
@@ -98,7 +99,12 @@ public:
 
   /// \returns true when resource \p R was driven to saturation — i.e. it
   /// is the binding constraint that froze at least one demand.
-  bool saturated(uint32_t R) const { return ResSaturated[R] != 0; }
+  bool saturated(uint32_t R) const { return ResState[R].Saturated != 0; }
+
+  /// Perf introspection: fill events created over this workspace's
+  /// lifetime (saturation events pushed onto the heap plus cap events
+  /// placed in the cap run), a deterministic measure of solver work.
+  uint64_t fillEvents() const { return FillEventCount; }
 
 private:
   struct FillEvent {
@@ -107,9 +113,21 @@ private:
     uint32_t Version;
   };
 
+  /// A resource's drain state, kept in one record because settling,
+  /// freezing and re-keying each read most of it for the same resource.
+  struct ResourceState {
+    double Residual = 0.0;
+    double ActiveWeight = 0.0;
+    double Level = 0.0;    // Fill level of last settle.
+    uint32_t Version = 0;  // Bumped per weight change; validates heap events.
+    uint8_t Saturated = 0; // Result: the resource froze demands.
+    uint8_t Touched = 0;   // Listed in Touched (reset by rekeyTouched).
+  };
+
   static bool eventAfter(const FillEvent &A, const FillEvent &B);
   void settleResource(uint32_t R, double Level);
   void freezeDemand(uint32_t D, double Level, bool AtCap);
+  void rekeyTouched(double Level);
   void pushEvent(double Level, uint32_t Id, uint32_t Version);
   FillEvent popEvent();
 
@@ -120,20 +138,19 @@ private:
   std::vector<double> DemandCap;
   std::vector<double> DemandWeight;
 
-  // Results.
+  // Results (with the per-resource drain state).
   std::vector<double> Rate;
-  std::vector<uint8_t> ResSaturated;
+  std::vector<ResourceState> ResState;
 
   // Scratch (sized in solve(), reused across calls).
   std::vector<uint32_t> ResDem;       // CSR transpose: demands per resource.
   std::vector<uint32_t> ResDemOffset;
-  std::vector<double> Residual;
-  std::vector<double> ActiveWeight;
-  std::vector<double> ResLevel;       // Fill level of last settle.
-  std::vector<uint32_t> ResVersion;
+  std::vector<uint32_t> Touched;      // Re-weighed by the current event.
   std::vector<uint8_t> Frozen;
-  std::vector<FillEvent> Heap;
+  std::vector<FillEvent> Heap;        // Saturation events.
+  std::vector<FillEvent> CapRun;      // Cap events, ascending.
   size_t ActiveCount = 0;
+  uint64_t FillEventCount = 0;
 };
 
 /// Solves the weighted max-min fair allocation (convenience wrapper).

@@ -167,6 +167,11 @@ public:
   /// answer without one and are not counted.
   uint64_t probeSolves() const { return StatProbes; }
 
+  /// Perf introspection: fill events created by the solves behind
+  /// rebalances and probes (FairShareWorkspace::fillEvents), the solver's
+  /// event-ordering work.  Check-mode verification solves are not counted.
+  uint64_t fillEvents() const { return Ws.fillEvents(); }
+
   /// How often fully stalled foreground flows re-check for capacity.
   static constexpr SimTime StallRecheckPeriod = 1.0;
 

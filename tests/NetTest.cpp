@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <queue>
+#include <vector>
 
 using namespace dgsim;
 using namespace dgsim::units;
@@ -389,6 +392,232 @@ TEST(FairShare, WorkspaceReusesAcrossProblems) {
   Ws.beginDemand(7.0, 1.0); // No listings: allocated exactly its cap.
   Ws.solve();
   EXPECT_DOUBLE_EQ(Ws.rate(0), 7.0);
+}
+
+namespace {
+
+/// The event-driven solver with its original drain order, kept as the
+/// reference the workspace must match bit for bit: every freeze pushes one
+/// event per resource listing it touches, and cap events wait in the same
+/// heap as saturation events.  It records the levels its valid events
+/// fired at, so a test can show its problems reach the edge cases.
+struct ReferenceFill {
+  std::vector<double> Rate;
+  std::vector<uint8_t> Saturated;
+  uint64_t Pushes = 0;
+  std::vector<double> CapLevels; // One per cap that froze its demand.
+  std::vector<double> SatLevels; // One per resource that saturated.
+  std::vector<uint32_t> SatResources;
+
+  void solve(const std::vector<double> &Capacity,
+             const std::vector<FairShareDemand> &Demands) {
+    struct Event {
+      double Level;
+      uint32_t Id;
+      uint32_t Version;
+    };
+    auto After = [](const Event &A, const Event &B) {
+      return A.Level > B.Level || (A.Level == B.Level && A.Id > B.Id);
+    };
+    std::priority_queue<Event, std::vector<Event>, decltype(After)> Heap(
+        After);
+    const size_t NumRes = Capacity.size();
+    const uint32_t NumDem = uint32_t(Demands.size());
+    Rate.assign(NumDem, 0.0);
+    Saturated.assign(NumRes, 0);
+    std::vector<uint8_t> Frozen(NumDem, 0);
+    std::vector<double> Residual = Capacity;
+    std::vector<double> Weight(NumRes, 0.0), SettledAt(NumRes, 0.0);
+    std::vector<uint32_t> Version(NumRes, 0);
+    std::vector<std::vector<uint32_t>> OnRes(NumRes);
+    size_t Active = 0;
+    auto push = [&](double Level, uint32_t Id, uint32_t V) {
+      ++Pushes;
+      Heap.push(Event{Level, Id, V});
+    };
+    auto settle = [&](uint32_t R, double Level) {
+      double Dl = Level - SettledAt[R];
+      if (Dl > 0.0) {
+        Residual[R] -= Weight[R] * Dl;
+        if (Residual[R] < 0.0)
+          Residual[R] = 0.0;
+        SettledAt[R] = Level;
+      }
+    };
+    auto freeze = [&](uint32_t D, double Level, bool AtCap) {
+      const FairShareDemand &Dem = Demands[D];
+      Frozen[D] = 1;
+      --Active;
+      Rate[D] = AtCap ? Dem.Cap : Dem.Weight * Level;
+      for (uint32_t R : Dem.Resources) {
+        settle(R, Level);
+        Weight[R] -= Dem.Weight;
+        ++Version[R];
+        if (!Saturated[R] && Weight[R] > 0.0)
+          push(Level + std::max(0.0, Residual[R]) / Weight[R], NumDem + R,
+               Version[R]);
+      }
+    };
+
+    for (uint32_t D = 0; D != NumDem; ++D) {
+      const FairShareDemand &Dem = Demands[D];
+      if (Dem.Resources.empty()) {
+        Rate[D] = Dem.Cap;
+        Frozen[D] = 1;
+        continue;
+      }
+      if (Dem.Cap <= 0.0) {
+        Frozen[D] = 1;
+        continue;
+      }
+      ++Active;
+      for (uint32_t R : Dem.Resources) {
+        Weight[R] += Dem.Weight;
+        OnRes[R].push_back(D);
+      }
+      if (std::isfinite(Dem.Cap))
+        push(Dem.Cap / Dem.Weight, D, 0);
+    }
+    for (uint32_t R = 0; R != NumRes; ++R)
+      if (Weight[R] > 0.0)
+        push(Residual[R] / Weight[R], NumDem + R, 0);
+
+    while (Active != 0 && !Heap.empty()) {
+      Event Ev = Heap.top();
+      Heap.pop();
+      if (Ev.Id < NumDem) {
+        if (!Frozen[Ev.Id]) {
+          CapLevels.push_back(Ev.Level);
+          freeze(Ev.Id, Ev.Level, /*AtCap=*/true);
+        }
+        continue;
+      }
+      uint32_t R = Ev.Id - NumDem;
+      if (Ev.Version != Version[R] || Weight[R] <= 0.0)
+        continue;
+      settle(R, Ev.Level);
+      Saturated[R] = 1;
+      Residual[R] = 0.0;
+      SatLevels.push_back(Ev.Level);
+      SatResources.push_back(R);
+      for (uint32_t D : OnRes[R])
+        if (!Frozen[D])
+          freeze(D, Ev.Level, /*AtCap=*/false);
+    }
+    if (Active != 0)
+      for (uint32_t D = 0; D != NumDem; ++D)
+        if (!Frozen[D])
+          Rate[D] = Inf;
+  }
+};
+
+/// A random problem built to reach the drain's edge cases.  Weights and
+/// levels are small dyadic numbers, so a capacity of `level x listed
+/// weight` saturates at exactly `level` and a cap of `level x weight` binds
+/// there too: caps tie with saturations, and resources sharing a level
+/// saturate together.  A third of the problems route 50-199 demands
+/// through one hub resource; caps are sometimes zero or infinite,
+/// capacities sometimes zero, and listings repeat.
+struct FillProblem {
+  std::vector<double> Capacity;
+  std::vector<FairShareDemand> Demands;
+  bool Hub = false;
+};
+
+FillProblem randomFillProblem(RandomEngine &Rng) {
+  static const double Levels[] = {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0};
+  auto level = [&] { return Levels[Rng.uniformInt(std::size(Levels))]; };
+  FillProblem P;
+  const size_t NumRes = 1 + Rng.uniformInt(12);
+  P.Hub = Rng.bernoulli(1.0 / 3.0);
+  const size_t NumDem =
+      P.Hub ? 50 + Rng.uniformInt(150) : 1 + Rng.uniformInt(40);
+  std::vector<double> Listed(NumRes, 0.0);
+  P.Demands.resize(NumDem);
+  for (FairShareDemand &D : P.Demands) {
+    D.Weight = double(1 + Rng.uniformInt(4));
+    if (P.Hub)
+      D.Resources.push_back(0);
+    for (size_t K = Rng.uniformInt(4); K != 0; --K)
+      D.Resources.push_back(uint32_t(Rng.uniformInt(NumRes)));
+    double U = Rng.uniform();
+    D.Cap = U < 0.1    ? 0.0
+            : U < 0.35 ? Inf
+            : U < 0.7  ? level() * D.Weight
+                       : Rng.uniform(0.5, 20.0);
+    if (D.Cap > 0.0)
+      for (uint32_t R : D.Resources)
+        Listed[R] += D.Weight;
+  }
+  P.Capacity.resize(NumRes);
+  for (size_t R = 0; R != NumRes; ++R) {
+    double U = Rng.uniform();
+    P.Capacity[R] = U < 0.1   ? 0.0
+                    : U < 0.6 ? level() * Listed[R]
+                              : Rng.uniform(1.0, 200.0);
+  }
+  return P;
+}
+
+} // namespace
+
+TEST(FairShare, BatchedDrainIsBitIdenticalToPerListingPushes) {
+  // The workspace re-keys each resource once per event and keeps cap
+  // events in a sorted run; neither may change which event fires when, so
+  // every rate and saturation flag must equal the reference's exactly.
+  RandomEngine Rng(27);
+  FairShareWorkspace Ws; // Reused across problems, as FlowNetwork does.
+  size_t HubProblems = 0, CapTies = 0, SharedLevels = 0, ZeroCapacity = 0;
+  size_t ZeroCaps = 0, InfiniteCaps = 0;
+  for (int Trial = 0; Trial != 3000; ++Trial) {
+    FillProblem P = randomFillProblem(Rng);
+    ReferenceFill Ref;
+    Ref.solve(P.Capacity, P.Demands);
+
+    Ws.clear();
+    for (double C : P.Capacity)
+      Ws.addResource(C);
+    for (const FairShareDemand &D : P.Demands) {
+      Ws.beginDemand(D.Cap, D.Weight);
+      for (uint32_t R : D.Resources)
+        Ws.demandUses(R);
+    }
+    uint64_t Before = Ws.fillEvents();
+    Ws.solve();
+    for (uint32_t D = 0; D != P.Demands.size(); ++D)
+      EXPECT_EQ(Ws.rate(D), Ref.Rate[D]) << "trial " << Trial << " demand "
+                                         << D;
+    for (uint32_t R = 0; R != P.Capacity.size(); ++R)
+      EXPECT_EQ(Ws.saturated(R), Ref.Saturated[R] != 0)
+          << "trial " << Trial << " resource " << R;
+    EXPECT_LE(Ws.fillEvents() - Before, Ref.Pushes) << "trial " << Trial;
+    if (HasFailure())
+      return; // One diverging problem says enough.
+
+    HubProblems += P.Hub;
+    std::vector<double> Sat = Ref.SatLevels;
+    std::sort(Sat.begin(), Sat.end());
+    SharedLevels += std::adjacent_find(Sat.begin(), Sat.end()) != Sat.end();
+    CapTies += std::any_of(Ref.CapLevels.begin(), Ref.CapLevels.end(),
+                           [&](double L) {
+                             return std::binary_search(Sat.begin(), Sat.end(),
+                                                       L);
+                           });
+    ZeroCapacity += std::any_of(
+        Ref.SatResources.begin(), Ref.SatResources.end(),
+        [&](uint32_t R) { return P.Capacity[R] == 0.0; });
+    for (const FairShareDemand &D : P.Demands) {
+      ZeroCaps += D.Cap == 0.0;
+      InfiniteCaps += std::isinf(D.Cap);
+    }
+  }
+  // Every edge case the generator aims at is reached many times over.
+  EXPECT_GT(HubProblems, 500u);
+  EXPECT_GT(CapTies, 100u);
+  EXPECT_GT(SharedLevels, 100u);
+  EXPECT_GT(ZeroCapacity, 100u);
+  EXPECT_GT(ZeroCaps, 100u);
+  EXPECT_GT(InfiniteCaps, 100u);
 }
 
 //===----------------------------------------------------------------------===//
