@@ -16,7 +16,7 @@
 /// identically seeded testbed, and reports mean/95th-percentile transfer
 /// time and job completion time.
 ///
-/// Runs on the ExperimentRunner: `--seeds N --jobs M` sweeps N testbed
+/// Runs as a Scenario: `--seeds N --jobs M` sweeps N testbed
 /// seeds per policy in parallel; the summary table averages over seeds.
 ///
 //===----------------------------------------------------------------------===//

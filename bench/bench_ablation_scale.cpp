@@ -15,7 +15,7 @@
 /// sites, and compares the cost-model policy against random selection as
 /// the grid grows.
 ///
-/// The showcase sweep for the parallel runner: sites x policy x seeds are
+/// The showcase sweep for parallel trials: sites x policy x seeds are
 /// fully independent trials, so `--seeds 8 --jobs 8` scales near-linearly
 /// on a multi-core host while staying bit-identical to `--jobs 1`.
 ///

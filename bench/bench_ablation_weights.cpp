@@ -16,7 +16,7 @@
 /// theoretical bandwidth" (client-access vs per-path), showing the literal
 /// per-path reading can invert the ranking on heterogeneous links.
 ///
-/// Runs on the ExperimentRunner as two scenarios: the weight sweep writes
+/// Runs as two scenarios: the weight sweep writes
 /// BENCH_abl-weights.json, the normalisation comparison
 /// BENCH_abl-weights-norm.json.
 ///

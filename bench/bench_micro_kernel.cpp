@@ -12,9 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "exp/ExperimentRunner.h"
-#include "exp/MetricSink.h"
-#include "exp/Scenario.h"
+#include "exp/BenchJson.h"
 #include "host/Host.h"
 #include "monitor/Forecaster.h"
 #include "monitor/InformationService.h"
@@ -388,9 +386,9 @@ static void BM_OrderedMapLookup(benchmark::State &State) {
 BENCHMARK(BM_OrderedMapLookup)->Arg(1000)->Arg(100000);
 
 //===----------------------------------------------------------------------===//
-// --kernel-json=PATH: fixed-size kernel workloads through the experiment
-// runner, so the sweep benches and this microbench emit the same BENCH_*.json
-// schema and commits can be compared with the same tooling.
+// --kernel-json=PATH: fixed-size kernel workloads run as a Scenario, so the
+// sweep benches and this microbench emit the same BENCH_*.json schema and
+// commits can be compared with the same tooling.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -481,11 +479,13 @@ int writeKernelReport(const std::string &Path) {
   S.Seeds = {1};
   S.Metrics = {"ops_per_sec", "events_per_sec", "wall_seconds"};
   S.Run = runKernelTrial;
-  exp::JsonSink Sink(Path);
-  exp::RunnerOptions Options;
-  Options.Sinks.push_back(&Sink);
-  exp::ExperimentRunner Runner;
-  Runner.run(S, Options);
+  auto T0 = std::chrono::steady_clock::now();
+  std::vector<exp::TrialRecord> Records = exp::runTrials(S, 1);
+  exp::JsonRun Run;
+  Run.WallSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+          .count();
+  exp::writeBenchJson(Path, exp::benchJson(S, Records, Run));
   std::printf("kernel report -> %s\n", Path.c_str());
   return 0;
 }
@@ -493,7 +493,7 @@ int writeKernelReport(const std::string &Path) {
 } // namespace
 
 int main(int argc, char **argv) {
-  // google-benchmark rejects flags it does not know, so the sink flag is
+  // google-benchmark rejects flags it does not know, so --kernel-json is
   // stripped before Initialize sees the argument vector.
   std::string KernelJson;
   std::vector<char *> Args;

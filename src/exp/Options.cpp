@@ -6,10 +6,10 @@
 
 #include "exp/Options.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 
 using namespace dgsim;
 using namespace dgsim::exp;
@@ -96,23 +96,22 @@ BenchOptions exp::parseBenchOptions(int Argc, char **Argv, std::string Id,
 std::vector<TrialRecord>
 exp::runScenario(const Scenario &S, const BenchOptions &Options,
                  std::function<void(json::JsonWriter &)> JsonFooter) {
-  std::unique_ptr<JsonSink> Json;
-  RunnerOptions RO;
-  RO.Jobs = Options.Jobs;
+  auto Start = std::chrono::steady_clock::now();
+  std::vector<TrialRecord> Records = runTrials(S, Options.Jobs);
   std::string Path = Options.jsonPath();
   if (!Path.empty()) {
-    Json = std::make_unique<JsonSink>(Path);
-    if (JsonFooter)
-      Json->setFooter(std::move(JsonFooter));
-    RO.Sinks.push_back(Json.get());
+    JsonRun Run;
+    Run.Jobs = Options.Jobs;
+    Run.WallSeconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - Start)
+                          .count();
+    Run.Footer = std::move(JsonFooter);
+    writeBenchJson(Path, benchJson(S, Records, Run));
   }
-
-  ExperimentRunner Runner;
-  std::vector<TrialRecord> Records = Runner.run(S, RO);
 
   std::printf("run: %zu trials (%zu seeds x %zu points), %u jobs%s%s\n\n",
               Records.size(), S.Seeds.size(),
               S.Seeds.empty() ? 0 : Records.size() / S.Seeds.size(),
-              RO.Jobs, Path.empty() ? "" : " -> ", Path.c_str());
+              Options.Jobs, Path.empty() ? "" : " -> ", Path.c_str());
   return Records;
 }

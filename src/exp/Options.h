@@ -15,16 +15,17 @@
 ///   --no-json       skip the JSON document
 ///   --quick         reduced matrix for CI smoke runs (bench-defined)
 ///
-/// parseBenchOptions() handles parsing (and --help); runScenario() wires
-/// the standard sinks and executes.  Benches keep their bespoke summary
-/// tables and paper-shape checks, computed from the returned records.
+/// parseBenchOptions() handles parsing (and --help); runScenario() runs
+/// the trials and writes the JSON document.  Benches keep their bespoke
+/// summary tables and paper-shape checks, computed from the returned
+/// records.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DGSIM_EXP_OPTIONS_H
 #define DGSIM_EXP_OPTIONS_H
 
-#include "exp/ExperimentRunner.h"
+#include "exp/BenchJson.h"
 
 #include <string>
 #include <vector>
@@ -58,11 +59,10 @@ struct BenchOptions {
 BenchOptions parseBenchOptions(int Argc, char **Argv, std::string Id,
                                uint64_t BaseSeed);
 
-/// Runs \p S with the standard sink for \p Options (the JSON file unless
-/// disabled) and returns the records.
-/// Prints a one-line run summary to stdout.  \p JsonFooter, when given,
-/// is installed on the JSON sink (JsonSink::setFooter) to append
-/// run-level members to the document.
+/// Runs \p S on \p Options.Jobs threads, writes its JSON document unless
+/// disabled, and returns the records.  Prints a one-line run summary to
+/// stdout.  \p JsonFooter, when given, appends run-level members to the
+/// document (JsonRun::Footer).
 std::vector<TrialRecord>
 runScenario(const Scenario &S, const BenchOptions &Options,
             std::function<void(json::JsonWriter &)> JsonFooter = nullptr);

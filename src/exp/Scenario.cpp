@@ -6,7 +6,11 @@
 
 #include "exp/Scenario.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <chrono>
+#include <thread>
 
 using namespace dgsim;
 using namespace dgsim::exp;
@@ -92,6 +96,39 @@ std::vector<TrialPoint> Scenario::expand() const {
     if (Axes.empty())
       return Points;
   }
+}
+
+std::vector<TrialRecord> exp::runTrials(const Scenario &S, unsigned Jobs) {
+  assert(S.Run && "scenario has no trial function");
+  std::vector<TrialRecord> Records;
+  for (TrialPoint &P : S.expand())
+    Records.push_back(TrialRecord{std::move(P), {}, 0.0});
+
+  auto RunOne = [&S](TrialRecord &R) {
+    auto Start = std::chrono::steady_clock::now();
+    R.Result = S.Run(R.Point);
+    R.WallSeconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - Start)
+                        .count();
+  };
+  if (Jobs <= 1) {
+    for (TrialRecord &R : Records)
+      RunOne(R);
+    return Records;
+  }
+  // Each worker claims the next unrun index; only its claimant writes a
+  // record, and the workers join (jthread) before Records is returned.
+  std::atomic<size_t> Next{0};
+  {
+    std::vector<std::jthread> Workers;
+    for (size_t T = 0, N = std::min<size_t>(Jobs, Records.size()); T != N;
+         ++T)
+      Workers.emplace_back([&] {
+        for (size_t I = Next++; I < Records.size(); I = Next++)
+          RunOne(Records[I]);
+      });
+  }
+  return Records;
 }
 
 double exp::meanMetric(const std::vector<TrialRecord> &Records,

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A Scenario describes one experiment: named parameter axes, a seed list,
-/// declared metrics, and a trial function.  The runner expands
+/// declared metrics, and a trial function.  runTrials() expands
 /// axes × seeds into TrialPoints (odometer order: first axis slowest,
 /// seeds innermost) and calls the trial function once per point.
 ///
@@ -15,6 +15,8 @@
 /// values.  They may run on worker threads concurrently with other trials,
 /// so they must not touch shared mutable state — no printing, no globals.
 /// This is what makes a parallel sweep bit-identical to a serial one.
+/// Trials are the only unit of parallelism: each simulator runs on one
+/// thread (DESIGN.md §12).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +40,7 @@ struct Axis {
 
 /// One expanded trial: a combination of axis values plus a seed.
 struct TrialPoint {
-  /// Position in the deterministic expansion order; results are emitted in
+  /// Position in the deterministic expansion order; records come back in
   /// this order regardless of completion order.
   size_t Index = 0;
   uint64_t Seed = 0;
@@ -59,8 +61,8 @@ struct TrialResult {
   uint64_t SpecHash = 0;
   /// Kernel events the trial executed (Simulator::eventsExecuted(); 0 when
   /// not recorded).  Deterministic — same seed, same count — so the JSON
-  /// sink emits it unconditionally, and throughput readers can divide by
-  /// wall time without re-running the trial.
+  /// document carries it unconditionally, and throughput readers can
+  /// divide by wall time without re-running the trial.
   uint64_t EventsExecuted = 0;
 
   void set(const std::string &Name, double Value);
@@ -74,7 +76,7 @@ struct TrialResult {
   double getOr(const std::string &Name, double Fallback) const;
 };
 
-/// A completed trial as delivered to sinks and callers.
+/// A completed trial.
 struct TrialRecord {
   TrialPoint Point;
   TrialResult Result;
@@ -103,6 +105,13 @@ struct Scenario {
   /// Number of trials expand() will produce.
   size_t trialCount() const;
 };
+
+/// Runs every trial of \p S and \returns the records in expansion order.
+/// With \p Jobs <= 1 the trials run serially on the calling thread;
+/// otherwise up to \p Jobs threads claim trial indexes from one counter,
+/// each writing only the records it claimed.  Every trial owns its whole
+/// world, so the records are identical for any \p Jobs.
+std::vector<TrialRecord> runTrials(const Scenario &S, unsigned Jobs);
 
 /// Mean of \p Metric over all records whose axis \p AxisName has value
 /// \p Value (all records when AxisName is empty).  Asserts at least one

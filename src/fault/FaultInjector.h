@@ -118,7 +118,6 @@ private:
   LinkId resolveLink(const std::string &A, const std::string &B) const;
   Host *resolveHost(const std::string &Name) const;
   NodeId resolveEndpoint(const std::string &Name) const;
-  void trace(const char *Fmt, ...) const;
 
   Simulator &Sim;
   const Topology &Topo;

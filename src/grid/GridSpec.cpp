@@ -217,6 +217,10 @@ std::string GridSpec::canonicalJson() const {
            Info.Normalization == BwNormalization::ClientAccess
                ? "client-access"
                : "per-path");
+  W.member("batch_sensors", Info.BatchSensors);
+  W.member("stagger_groups", Info.StaggerGroups);
+  W.member("path_sensor_ttl", Info.PathSensorTtl);
+  W.member("batch_host_loads", Info.BatchHostLoads);
   W.endObject();
   W.key("sites");
   W.beginArray();

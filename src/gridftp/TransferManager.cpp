@@ -11,21 +11,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 
 using namespace dgsim;
-
-void TransferManager::trace(const char *Fmt, ...) const {
-  if (!Trace || !Trace->enabled(TraceCategory::Transfer))
-    return;
-  char Buf[256];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Trace->record(Sim.now(), TraceCategory::Transfer, Buf);
-}
 
 TransferManager::TransferManager(Simulator &Sim, FlowNetwork &Net)
     : Sim(Sim), Net(Net) {
@@ -97,9 +84,10 @@ void TransferManager::releaseTransfer(TransferId Id) {
         assert(N && N->Queued && "pending list out of sync");
         N->Queued = false;
         N->Result.QueueSeconds = Sim.now() - N->Result.StartTime;
-        trace("#%llu dequeued after %.3f s queue wait",
-              static_cast<unsigned long long>(Next),
-              N->Result.QueueSeconds);
+        TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                          "#%llu dequeued after %.3f s queue wait",
+                          static_cast<unsigned long long>(Next),
+                          N->Result.QueueSeconds);
         startTransfer(Next);
       }
     }
@@ -193,11 +181,15 @@ TransferId TransferManager::submit(const TransferSpec &Spec,
       SlowerCpu);
   T.Result.StartupSeconds = Startup;
 
-  trace("#%llu submit %s %s -> %s, %.0f MB, %u stream(s), startup %.3f s",
-        static_cast<unsigned long long>(Id),
-        transferProtocolName(Spec.Protocol), PrimarySource->name().c_str(),
-        Spec.Destination->name().c_str(),
-        T.Result.FileBytes / (1024.0 * 1024.0), Spec.Streams, Startup);
+  TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                    "#%llu submit %s %s -> %s, %.0f MB, %u stream(s), "
+                    "startup %.3f s",
+                    static_cast<unsigned long long>(Id),
+                    transferProtocolName(Spec.Protocol),
+                    PrimarySource->name().c_str(),
+                    Spec.Destination->name().c_str(),
+                    T.Result.FileBytes / (1024.0 * 1024.0), Spec.Streams,
+                    Startup);
   IdToSlot.emplace(Id, Slot);
   T.ActivePos = static_cast<uint32_t>(ActiveList.size());
   ActiveList.emplace_back(Id, Slot); // Ids are monotonic: stays sorted.
@@ -239,10 +231,11 @@ void TransferManager::enqueueTransfer(TransferId Id, DestState &D) {
   ++QueuedNow;
   ++TotalQueued;
   D.Pending.push_back(Id);
-  trace("#%llu queued at %s (%u active, %zu pending)",
-        static_cast<unsigned long long>(Id),
-        Found->Spec.Destination->name().c_str(), D.Active,
-        D.Pending.size());
+  TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                    "#%llu queued at %s (%u active, %zu pending)",
+                    static_cast<unsigned long long>(Id),
+                    Found->Spec.Destination->name().c_str(), D.Active,
+                    D.Pending.size());
   if (D.Pending.size() <= Admission.QueueDepth)
     return;
   // Full: pick the victim deterministically.  The newcomer sits at the
@@ -269,9 +262,10 @@ void TransferManager::shedTransfer(TransferId Id, const char *Reason) {
   CompletionFn Done = std::move(Found->OnComplete);
   releaseTransfer(Id);
   ++TotalShed;
-  trace("#%llu SHED (%s) after %.3f s queued",
-        static_cast<unsigned long long>(Result.Id), Reason,
-        Result.QueueSeconds);
+  TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                    "#%llu SHED (%s) after %.3f s queued",
+                    static_cast<unsigned long long>(Result.Id), Reason,
+                    Result.QueueSeconds);
   // Defer the callback: a Reject-policy shed happens inside submit(),
   // before the caller even has the transfer id in hand.  The (callback,
   // result) pair parks in a FIFO so the zero-delay event captures only
@@ -364,9 +358,11 @@ void TransferManager::startStripeFlow(TransferId Id, size_t StripeIdx,
     assert(Path && "transfer endpoints became disconnected");
     SimTime Delay = TcpModel::connectTime(*Path) + Path->Rtt +
                     backoffSeconds(S.ConsecutiveFailures);
-    trace("#%llu stripe %zu connect refused (attempt %u); retry in %.3f s",
-          static_cast<unsigned long long>(Id), StripeIdx,
-          S.ConsecutiveFailures, Delay);
+    TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                      "#%llu stripe %zu connect refused (attempt %u); "
+                      "retry in %.3f s",
+                      static_cast<unsigned long long>(Id), StripeIdx,
+                      S.ConsecutiveFailures, Delay);
     S.RetryEvent = Sim.schedule(Delay, [this, Id, StripeIdx, Volume] {
       if (ActiveTransfer *A = findTransfer(Id)) {
         A->StripesLive[StripeIdx].RetryEvent = InvalidEventId;
@@ -417,9 +413,11 @@ void TransferManager::onStripeDone(TransferId Id, size_t StripeIdx) {
   CompletionFn Done = std::move(T.OnComplete);
   releaseTransfer(Id);
   ++Completed;
-  trace("#%llu done in %.3f s (%.1f Mb/s mean, %u restart(s))",
-        static_cast<unsigned long long>(Result.Id), Result.totalSeconds(),
-        Result.meanThroughput() / 1e6, Result.Restarts);
+  TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                    "#%llu done in %.3f s (%.1f Mb/s mean, %u restart(s))",
+                    static_cast<unsigned long long>(Result.Id),
+                    Result.totalSeconds(), Result.meanThroughput() / 1e6,
+                    Result.Restarts);
   if (Done)
     Done(Result);
 }
@@ -443,7 +441,8 @@ bool TransferManager::cancel(TransferId Id) {
     Net.cancelFlow(S.Flow);
     tearDownStripe(T, S);
   }
-  trace("#%llu cancelled", static_cast<unsigned long long>(Id));
+  TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                    "#%llu cancelled", static_cast<unsigned long long>(Id));
   releaseTransfer(Id);
   return true;
 }
@@ -489,19 +488,21 @@ void TransferManager::failStripe(TransferId Id, size_t StripeIdx,
   S.AttemptWire = 0.0;
 
   if (Policy.MaxAttempts && S.ConsecutiveFailures > Policy.MaxAttempts) {
-    trace("#%llu stripe %zu out of attempts (%u)",
-          static_cast<unsigned long long>(Id), StripeIdx,
-          S.ConsecutiveFailures);
+    TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                      "#%llu stripe %zu out of attempts (%u)",
+                      static_cast<unsigned long long>(Id), StripeIdx,
+                      S.ConsecutiveFailures);
     failTransfer(Id, Timeout ? "stalled" : "connection lost");
     return;
   }
 
   Bytes RetryVolume = Resumable ? Remaining : S.WireBytes;
-  trace("#%llu stripe %zu failed%s; %s %.0f MB",
-        static_cast<unsigned long long>(Id), StripeIdx,
-        Timeout ? " (stall timeout)" : "",
-        Resumable ? "resuming remaining" : "restarting full",
-        RetryVolume / (1024.0 * 1024.0));
+  TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                    "#%llu stripe %zu failed%s; %s %.0f MB",
+                    static_cast<unsigned long long>(Id), StripeIdx,
+                    Timeout ? " (stall timeout)" : "",
+                    Resumable ? "resuming remaining" : "restarting full",
+                    RetryVolume / (1024.0 * 1024.0));
   // Reconnect: a fresh data connection plus one control round trip to
   // re-issue RETR (with a REST marker when resumable), plus the backoff
   // this losing streak has earned.
@@ -553,12 +554,13 @@ void TransferManager::failTransfer(TransferId Id, const char *Reason,
     ++TotalDeadlineExpired;
   else
     ++Failed;
-  trace("#%llu %s (%s): %.0f of %.0f MB delivered, %u restart(s)",
-        static_cast<unsigned long long>(Result.Id),
-        St == TransferStatus::DeadlineExpired ? "DEADLINE EXPIRED"
-                                              : "FAILED",
-        Reason, Result.DeliveredBytes / (1024.0 * 1024.0),
-        Result.FileBytes / (1024.0 * 1024.0), Result.Restarts);
+  TraceLog::recordf(Trace, Sim.now(), TraceCategory::Transfer,
+                    "#%llu %s (%s): %.0f of %.0f MB delivered, %u restart(s)",
+                    static_cast<unsigned long long>(Result.Id),
+                    St == TransferStatus::DeadlineExpired ? "DEADLINE EXPIRED"
+                                                          : "FAILED",
+                    Reason, Result.DeliveredBytes / (1024.0 * 1024.0),
+                    Result.FileBytes / (1024.0 * 1024.0), Result.Restarts);
   if (Done)
     Done(Result);
 }

@@ -404,8 +404,6 @@ private:
   /// failure count.
   SimTime backoffSeconds(unsigned ConsecutiveFailures) const;
 
-  void trace(const char *Fmt, ...) const;
-
   Simulator &Sim;
   FlowNetwork &Net;
   RetryPolicy Policy;

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 using namespace dgsim;
 
@@ -159,8 +158,6 @@ SystemFactors InformationService::query(NodeId ClientNode,
   if (Log)
     F.PredictedBandwidth = Log->predict(Candidate.node(), ClientNode,
                                         HintBytes, F.PredictedBandwidth);
-  const NetPath *Path = Net.routing().pathRef(Candidate.node(), ClientNode);
-  F.TheoreticalBandwidth = Path ? Path->BottleneckCapacity : 0.0;
 
   double Denominator = 0.0;
   if (Config.Normalization == BwNormalization::ClientAccess) {
@@ -168,8 +165,9 @@ SystemFactors InformationService::query(NodeId ClientNode,
     const Topology &Topo = Net.topology();
     for (LinkId L : Topo.linksAt(ClientNode))
       Denominator = std::max(Denominator, Topo.link(L).Capacity);
-  } else {
-    Denominator = F.TheoreticalBandwidth;
+  } else if (const NetPath *Path =
+                 Net.routing().pathRef(Candidate.node(), ClientNode)) {
+    Denominator = Path->BottleneckCapacity;
   }
   if (Candidate.node() == ClientNode || !std::isfinite(Denominator) ||
       Denominator <= 0.0) {
@@ -181,19 +179,6 @@ SystemFactors InformationService::query(NodeId ClientNode,
   const HostSensors &HS = hostSensors(Candidate);
   F.CpuIdle = HS.Cpu->lastValue();
   F.IoIdle = HS.Io->lastValue();
-
-  // Staleness tags: how old the data behind the answer is.  Sensors keep
-  // serving their last sample through a blackout, so these ages are the
-  // only signal that the measurements have stopped being fresh.
-  auto AgeOf = [this](const Sensor &S) {
-    SimTime Last = S.lastSampleTime();
-    return std::isfinite(Last) ? Sim.now() - Last
-                               : std::numeric_limits<double>::infinity();
-  };
-  // A clock-skewed sensor can stamp samples in the future; a negative age
-  // is the lie's artefact, not a meaningful reading.
-  F.BwAgeSeconds = std::max(AgeOf(*Bw), 0.0);
-  F.HostAgeSeconds = std::max(AgeOf(*HS.Cpu), 0.0);
   return F;
 }
 

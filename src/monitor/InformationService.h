@@ -62,7 +62,8 @@ enum class BwNormalization {
   PerPath,
 };
 
-/// The three system factors of the paper's cost model, plus raw context.
+/// The three system factors of the paper's cost model, plus the forecast
+/// behind P^BW.
 struct SystemFactors {
   /// P^BW: predicted bandwidth / highest theoretical bandwidth, in [0, 1].
   double BwFraction = 0.0;
@@ -72,15 +73,6 @@ struct SystemFactors {
   double IoIdle = 0.0;
   /// NWS-forecast available bandwidth, bits/second.
   BitRate PredictedBandwidth = 0.0;
-  /// Bottleneck capacity of the candidate-to-client path.
-  BitRate TheoreticalBandwidth = 0.0;
-  /// Age of the bandwidth measurement backing BwFraction, seconds.  Under
-  /// normal operation this stays below the bandwidth period; it grows
-  /// without bound through a sensor blackout (the service keeps answering
-  /// from last-known data, it just tags how old the data is).
-  SimTime BwAgeSeconds = 0.0;
-  /// Age of the host CPU/I-O readings, seconds.
-  SimTime HostAgeSeconds = 0.0;
 };
 
 /// One active data-plane telemetry fault as the information service
@@ -179,10 +171,11 @@ public:
   double ioIdle(const Host &H) const;
 
   /// Starts or ends a monitoring blackout (NWS deployment outage): every
-  /// sensor stops sampling, queries keep answering from last-known values
-  /// with their ages tagged in SystemFactors, so selection degrades
-  /// gracefully instead of crashing.  Sensors created during a blackout
-  /// start suspended and report never-sampled staleness.
+  /// sensor stops sampling and queries keep answering from last-known
+  /// values, so selection degrades gracefully instead of crashing; each
+  /// sensor's lastSampleTime() shows how old its value is.  Sensors
+  /// created during a blackout start suspended and report never-sampled
+  /// staleness.
   void setBlackout(bool V);
   bool blackout() const { return Blackout; }
 

@@ -9,8 +9,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 
 using namespace dgsim;
 
@@ -22,24 +20,14 @@ HealthTracker::HealthTracker(Simulator &Sim, HealthConfig Config)
          "probe jitter is a fraction of the open window");
 }
 
-void HealthTracker::trace(const Host &Site, const char *Fmt, ...) const {
-  if (!Trace || !Trace->enabled(TraceCategory::Health))
-    return;
-  char Buf[256];
-  int N = std::snprintf(Buf, sizeof(Buf), "%s: ", Site.name().c_str());
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf + N, sizeof(Buf) - N, Fmt, Args);
-  va_end(Args);
-  Trace->record(Sim.now(), TraceCategory::Health, Buf);
-}
-
 HealthTracker::SiteState &HealthTracker::refresh(const Host &Site) {
   SiteState &S = Sites[&Site];
   if (S.State == BreakerState::Open && Sim.now() >= S.OpenUntil) {
     S.State = BreakerState::HalfOpen;
     S.ProbeInFlight = false;
-    trace(Site, "breaker half-open (probe window)");
+    TraceLog::recordf(Trace, Sim.now(), TraceCategory::Health,
+                      "%s: breaker half-open (probe window)",
+                      Site.name().c_str());
   }
   return S;
 }
@@ -59,8 +47,10 @@ void HealthTracker::trip(SiteState &S, const Host &Site) {
   S.State = BreakerState::Open;
   S.OpenUntil = Sim.now() + Window;
   S.ProbeInFlight = false;
-  trace(Site, "breaker OPEN for %.3f s (trip %u, failure ewma %.3f)",
-        Window, S.ConsecutiveTrips, S.FailEwma);
+  TraceLog::recordf(Trace, Sim.now(), TraceCategory::Health,
+                    "%s: breaker OPEN for %.3f s (trip %u, failure ewma %.3f)",
+                    Site.name().c_str(), Window, S.ConsecutiveTrips,
+                    S.FailEwma);
 }
 
 void HealthTracker::recordSuccess(const Host &Site, Bytes PayloadBytes,
@@ -79,7 +69,9 @@ void HealthTracker::recordSuccess(const Host &Site, Bytes PayloadBytes,
     if (S.FailEwma <= HealthConfig::CloseThreshold) {
       S.State = BreakerState::Closed;
       S.ConsecutiveTrips = 0;
-      trace(Site, "breaker closed (failure ewma %.3f)", S.FailEwma);
+      TraceLog::recordf(Trace, Sim.now(), TraceCategory::Health,
+                        "%s: breaker closed (failure ewma %.3f)",
+                        Site.name().c_str(), S.FailEwma);
     }
     // Otherwise stay HalfOpen: the next probe keeps draining the EWMA.
   }
@@ -127,7 +119,8 @@ void HealthTracker::noteDispatch(const Host &Site) {
   SiteState &S = refresh(Site);
   if (S.State == BreakerState::HalfOpen && !S.ProbeInFlight) {
     S.ProbeInFlight = true;
-    trace(Site, "probe dispatched");
+    TraceLog::recordf(Trace, Sim.now(), TraceCategory::Health,
+                      "%s: probe dispatched", Site.name().c_str());
   }
 }
 

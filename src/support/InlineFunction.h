@@ -39,8 +39,8 @@ namespace dgsim {
 
 /// Shared fallback accounting for every InlineFunction instantiation: one
 /// process-wide counter so benches can diff "SBO heap fallbacks" across a
-/// workload without enumerating signatures.  Atomic because the experiment
-/// runner executes simulators on worker threads.
+/// workload without enumerating signatures.  Atomic because `--jobs` runs
+/// simulators on worker threads.
 struct InlineFunctionStats {
   inline static std::atomic<uint64_t> HeapFallbacks{0};
 

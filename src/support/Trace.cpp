@@ -7,6 +7,7 @@
 #include "support/Trace.h"
 
 #include <cassert>
+#include <cstdarg>
 #include <cstdio>
 
 using namespace dgsim;
@@ -52,6 +53,18 @@ void TraceLog::record(SimTime Time, TraceCategory C, std::string Message) {
   if (!enabled(C))
     return;
   Events.push_back(TraceEvent{Time, C, std::move(Message)});
+}
+
+void TraceLog::recordf(TraceLog *Log, SimTime Time, TraceCategory C,
+                       const char *Fmt, ...) {
+  if (!Log || !Log->enabled(C))
+    return;
+  char Buf[256];
+  va_list Args;
+  va_start(Args, Fmt);
+  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  Log->Events.push_back(TraceEvent{Time, C, Buf});
 }
 
 std::vector<const TraceEvent *>

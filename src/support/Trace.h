@@ -8,8 +8,9 @@
 /// A lightweight trace log for simulation-level events: transfers starting
 /// and finishing, replica selections, replication triggers, link failures.
 /// Components hold an optional TraceLog pointer and record only when the
-/// category is enabled, so tracing costs nothing when off.  Tools dump the
-/// log after a run (`gridftp_url_copy -v` does).
+/// category is enabled, so tracing costs nothing when off (recordf()
+/// checks both before it formats).  Tools dump the log after a run
+/// (`gridftp_url_copy -v` does).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,6 +70,13 @@ public:
 
   /// Appends an event if its category is enabled.
   void record(SimTime Time, TraceCategory C, std::string Message);
+
+  /// Appends a printf-formatted event (at most 255 characters) to \p Log.
+  /// Does nothing, formatting included, when \p Log is null or \p C is
+  /// disabled: the one record call of components whose log is optional.
+  static void recordf(TraceLog *Log, SimTime Time, TraceCategory C,
+                      const char *Fmt, ...)
+      __attribute__((format(printf, 4, 5)));
 
   /// All recorded events, in record order.
   const std::vector<TraceEvent> &events() const { return Events; }

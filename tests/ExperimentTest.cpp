@@ -12,7 +12,7 @@
 ///   * same-seed reruns are bit-identical;
 ///   * a multi-worker sweep produces byte-identical JSON (modulo wall-time
 ///     fields) to a serial one;
-///   * sinks observe trials in expansion order regardless of completion
+///   * records come back in expansion order regardless of completion
 ///     order.
 ///
 /// Trials here run real (small) simulations, so these are end-to-end
@@ -20,14 +20,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "exp/ExperimentRunner.h"
+#include "exp/BenchJson.h"
 #include "grid/Testbed.h"
 #include "support/Json.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -69,15 +67,6 @@ exp::Scenario tinyScenario() {
   return S;
 }
 
-/// Records the order trial() was observed in.
-class OrderProbeSink final : public exp::MetricSink {
-public:
-  std::vector<size_t> Order;
-  void trial(const exp::TrialRecord &R) override {
-    Order.push_back(R.Point.Index);
-  }
-};
-
 } // namespace
 
 TEST(Scenario, ExpansionOrderIsOdometerWithSeedsInnermost) {
@@ -99,9 +88,8 @@ TEST(Scenario, ExpansionOrderIsOdometerWithSeedsInnermost) {
 }
 
 TEST(ExperimentRunner, SameSeedRerunsAreBitIdentical) {
-  exp::ExperimentRunner R;
-  std::vector<exp::TrialRecord> A = R.run(tinyScenario());
-  std::vector<exp::TrialRecord> B = R.run(tinyScenario());
+  std::vector<exp::TrialRecord> A = exp::runTrials(tinyScenario(), 1);
+  std::vector<exp::TrialRecord> B = exp::runTrials(tinyScenario(), 1);
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I < A.size(); ++I) {
     EXPECT_EQ(A[I].Result.get("transfer_s"), B[I].Result.get("transfer_s"));
@@ -111,27 +99,15 @@ TEST(ExperimentRunner, SameSeedRerunsAreBitIdentical) {
 
 TEST(ExperimentRunner, ParallelJsonIsByteIdenticalToSerial) {
   exp::Scenario S = tinyScenario();
-  std::string SerialDoc, ParallelDoc;
-  {
-    exp::JsonSink Sink(&SerialDoc, /*IncludeTimings=*/false);
-    exp::RunnerOptions O;
-    O.Jobs = 1;
-    O.Sinks = {&Sink};
-    exp::ExperimentRunner().run(S, O);
-  }
-  {
-    exp::JsonSink Sink(&ParallelDoc, /*IncludeTimings=*/false);
-    exp::RunnerOptions O;
-    O.Jobs = 4;
-    O.Sinks = {&Sink};
-    exp::ExperimentRunner().run(S, O);
-  }
-  EXPECT_FALSE(SerialDoc.empty());
+  exp::JsonRun Untimed;
+  Untimed.IncludeTimings = false;
+  std::string SerialDoc = exp::benchJson(S, exp::runTrials(S, 1), Untimed);
+  std::string ParallelDoc = exp::benchJson(S, exp::runTrials(S, 4), Untimed);
   EXPECT_TRUE(json::validate(SerialDoc));
   EXPECT_EQ(SerialDoc, ParallelDoc); // Byte-identical, timings omitted.
 }
 
-TEST(ExperimentRunner, SinksObserveExpansionOrderUnderParallelism) {
+TEST(ExperimentRunner, RecordsComeBackInExpansionOrderUnderParallelism) {
   // Trials deliberately finish out of order: earlier indexes sleep longer.
   exp::Scenario S;
   S.Id = "test-order";
@@ -145,25 +121,18 @@ TEST(ExperimentRunner, SinksObserveExpansionOrderUnderParallelism) {
     R.set("v", static_cast<double>(P.Index));
     return R;
   };
-  OrderProbeSink Probe;
-  exp::RunnerOptions O;
-  O.Jobs = 4;
-  O.Sinks = {&Probe};
-  std::vector<exp::TrialRecord> Records = exp::ExperimentRunner().run(S, O);
-  ASSERT_EQ(Probe.Order.size(), 8u);
+  std::vector<exp::TrialRecord> Records = exp::runTrials(S, 4);
+  ASSERT_EQ(Records.size(), 8u);
   for (size_t I = 0; I < 8; ++I) {
-    EXPECT_EQ(Probe.Order[I], I);
+    EXPECT_EQ(Records[I].Point.Index, I);
+    EXPECT_EQ(Records[I].Point.param("k"), std::to_string(I));
     EXPECT_EQ(Records[I].Result.get("v"), static_cast<double>(I));
   }
 }
 
 TEST(ExperimentRunner, JsonDocumentCarriesProvenance) {
   exp::Scenario S = tinyScenario();
-  std::string Doc;
-  exp::JsonSink Sink(&Doc);
-  exp::RunnerOptions O;
-  O.Sinks = {&Sink};
-  exp::ExperimentRunner().run(S, O);
+  std::string Doc = exp::benchJson(S, exp::runTrials(S, 1), exp::JsonRun());
   EXPECT_TRUE(json::validate(Doc));
   EXPECT_NE(Doc.find("\"schema\":\"dgsim-bench-v1\""), std::string::npos);
   EXPECT_NE(Doc.find("\"id\":\"test-tiny\""), std::string::npos);
@@ -172,17 +141,3 @@ TEST(ExperimentRunner, JsonDocumentCarriesProvenance) {
   EXPECT_NE(Doc.find("\"wall_s\":"), std::string::npos);
   EXPECT_NE(Doc.find("\"seed\":2005"), std::string::npos);
 }
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool Pool(4);
-  std::atomic<int> Count{0};
-  for (int I = 0; I < 100; ++I)
-    Pool.submit([&Count] { Count.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 100);
-  // The pool is reusable after wait().
-  Pool.submit([&Count] { Count.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 101);
-}
-

@@ -595,7 +595,9 @@ TEST(FaultBlackout, InformationServiceServesStaleTaggedDataThroughOutage) {
   ASSERT_NE(Sel.select(Client, "chaos-a").Chosen, nullptr);
   auto Before = Sel.scoreAll(Client, "chaos-a");
   ASSERT_FALSE(Before.empty());
-  SimTime FreshAge = Before.front().Factors.BwAgeSeconds;
+  const Sensor *Bw =
+      G->info().bandwidthSensor(Client, Before.front().Candidate->node());
+  ASSERT_NE(Bw, nullptr);
 
   G->sim().runUntil(120.0); // 80 s into the blackout.
   EXPECT_TRUE(G->info().blackout());
@@ -603,14 +605,36 @@ TEST(FaultBlackout, InformationServiceServesStaleTaggedDataThroughOutage) {
   ASSERT_NE(Sel.select(Client, "chaos-a").Chosen, nullptr);
   auto During = Sel.scoreAll(Client, "chaos-a");
   ASSERT_FALSE(During.empty());
-  // ...with the staleness visible: ages grew well past a probe period.
-  EXPECT_GT(During.front().Factors.BwAgeSeconds, FreshAge + 60.0);
-  EXPECT_GT(During.front().Factors.HostAgeSeconds, 60.0);
+  // ...with the staleness visible: the path sensor's last sample predates
+  // the blackout.
+  SimTime LastDuring = Bw->lastSampleTime();
+  EXPECT_LE(LastDuring, 40.0);
 
   G->sim().runUntil(160.0); // Blackout over: sensors resample.
   EXPECT_FALSE(G->info().blackout());
   auto After = Sel.scoreAll(Client, "chaos-a");
   ASSERT_FALSE(After.empty());
-  EXPECT_LT(After.front().Factors.BwAgeSeconds,
-            During.front().Factors.BwAgeSeconds);
+  EXPECT_GE(Bw->lastSampleTime(), 140.0);
+}
+
+TEST(FaultBlackout, HostReadingsFreezeWhileTheLoadMoves) {
+  // The default testbed's host loads move (the chaos spec's are static),
+  // so a served reading that stands still shows the host sensors stopped.
+  GridSpec Spec = PaperTestbed::spec({});
+  Spec.Faults.sensorBlackout(40.0, 100.0);
+  std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
+  const Host &H = *G->findHost("hit0");
+
+  G->sim().runUntil(60.0);
+  ASSERT_TRUE(G->info().blackout());
+  double Served = G->info().cpuIdle(H);
+  double Actual = H.cpuIdle();
+
+  G->sim().runUntil(130.0);
+  EXPECT_EQ(G->info().cpuIdle(H), Served);
+  EXPECT_NE(H.cpuIdle(), Actual);
+
+  G->sim().runUntil(160.0); // Blackout over: host sensors resample.
+  EXPECT_FALSE(G->info().blackout());
+  EXPECT_NE(G->info().cpuIdle(H), Served);
 }

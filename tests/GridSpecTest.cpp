@@ -158,6 +158,16 @@ TEST(GridSpec, HashTracksContent) {
   auto C = DataGrid::buildFrom(twoSiteSpec(8)); // Seed is part of the content.
   EXPECT_NE(A->spec().hash(), C->spec().hash());
   EXPECT_EQ(A->spec().hashHex().size(), 16u);
+  // The scale-out knobs change when sensors and host loads tick and which
+  // path sensors survive, so each is part of the content too.
+  const GridSpec Base = twoSiteSpec(7);
+  GridSpec Batched = Base, Staggered = Base, Ttl = Base, BatchedLoads = Base;
+  Batched.Info.BatchSensors = true;
+  Staggered.Info.StaggerGroups = 4;
+  Ttl.Info.PathSensorTtl = 60.0;
+  BatchedLoads.Info.BatchHostLoads = true;
+  for (const GridSpec *S : {&Batched, &Staggered, &Ttl, &BatchedLoads})
+    EXPECT_NE(S->hash(), Base.hash());
 }
 
 TEST(GridSpec, BuildFromGridBehavesIdentically) {

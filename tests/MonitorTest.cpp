@@ -235,8 +235,11 @@ TEST_F(InfoFixture, QueryReportsAllThreeFactors) {
   EXPECT_NEAR(F.IoIdle, 0.7, 0.01);
   EXPECT_GT(F.BwFraction, 0.0);
   EXPECT_LE(F.BwFraction, 1.0);
-  EXPECT_DOUBLE_EQ(F.TheoreticalBandwidth, mbps(100));
   EXPECT_GT(F.PredictedBandwidth, 0.0);
+  // The query watched the path, and its new sensor sampled at once.
+  const Sensor *Bw = Info->bandwidthSensor(Client, Server);
+  ASSERT_NE(Bw, nullptr);
+  EXPECT_DOUBLE_EQ(Bw->lastSampleTime(), 30.0);
 }
 
 TEST_F(InfoFixture, BwFractionDropsUnderContention) {

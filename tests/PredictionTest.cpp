@@ -389,8 +389,8 @@ TEST(TransferForecasterDegraded, AllNanProbeStreamNeverScoresArmZero) {
 TEST_F(LogRefinedQueryFixture, BlackoutWithEmptyLogAnswersFromLastKnown) {
   // Append gate armed on a log that never sees an append, then a
   // monitoring blackout: queries must keep answering from last-known
-  // data with the staleness tagged in BwAgeSeconds — never throw, never
-  // serve NaN.
+  // data, whose age the path sensor's last sample time shows — never
+  // throw, never serve NaN.
   Log.setAppendGate(true);
   Info->setQueryHint(megabytes(8));
   (void)Info->query(Client, *HostA);
@@ -402,15 +402,18 @@ TEST_F(LogRefinedQueryFixture, BlackoutWithEmptyLogAnswersFromLastKnown) {
   SystemFactors F = Info->query(Client, *HostA);
   EXPECT_TRUE(std::isfinite(F.PredictedBandwidth));
   EXPECT_TRUE(std::isfinite(F.BwFraction));
-  EXPECT_GT(F.BwAgeSeconds, 60.0); // Staleness is visible, not hidden.
+  const Sensor *Bw = Info->bandwidthSensor(Client, HostA->node());
+  ASSERT_NE(Bw, nullptr);
+  // Staleness is visible, not hidden.
+  EXPECT_GT(Sim.now() - Bw->lastSampleTime(), 60.0);
   EXPECT_EQ(Log.totalAppends(), 0u);
   EXPECT_EQ(Log.rejectedAppends(), 0u);
 
   Info->setBlackout(false);
   Sim.runUntil(150.0);
-  SystemFactors After = Info->query(Client, *HostA);
+  (void)Info->query(Client, *HostA);
   // Sampling resumed: the age is back within one probe period.
-  EXPECT_LE(After.BwAgeSeconds, 10.0);
+  EXPECT_LE(Sim.now() - Bw->lastSampleTime(), 10.0);
 }
 
 TEST_F(LogRefinedQueryFixture, PartialPerPathLogsServeMixedPipelines) {
