@@ -73,10 +73,9 @@ void DynamicReplicator::onJob(const JobRecord &Record) {
     uint64_t Hotness =
         Config.HotnessAdmission ? Times.size() : ~0ULL;
     if (!Storage->ensureSpace(Target, Size, Now, Hotness)) {
-      if (Trace)
-        Trace->record(Now, TraceCategory::Replication,
-                      Lfn + ": no space at " + Target.name() +
-                          ", replication skipped");
+      TraceLog::recordf(Trace, Now, TraceCategory::Replication,
+                        "%s: no space at %s, replication skipped",
+                        Lfn.c_str(), Target.name().c_str());
       return;
     }
     SE->add(Lfn, Size, Now);
@@ -86,11 +85,10 @@ void DynamicReplicator::onJob(const JobRecord &Record) {
 
   InFlight.insert(Key);
   ++Started;
-  if (Trace)
-    Trace->record(Now, TraceCategory::Replication,
-                  Lfn + ": " + std::to_string(Times.size()) +
-                      " remote fetches by site " + ClientSite->name() +
-                      ", replicating to " + Target.name());
+  TraceLog::recordf(Trace, Now, TraceCategory::Replication,
+                    "%s: %zu remote fetches by site %s, replicating to %s",
+                    Lfn.c_str(), Times.size(), ClientSite->name().c_str(),
+                    Target.name().c_str());
   FetchOptions Options;
   Options.Streams = Config.Streams;
   Manager.fetch(Lfn, Target, Options,
@@ -102,10 +100,9 @@ void DynamicReplicator::onJob(const JobRecord &Record) {
                   if (!R.Succeeded)
                     return;
                   ++Completed;
-                  if (Trace)
-                    Trace->record(Grid.sim().now(),
-                                  TraceCategory::Replication,
-                                  R.Lfn + ": replica live at " +
-                                      Target.name());
+                  TraceLog::recordf(Trace, Grid.sim().now(),
+                                    TraceCategory::Replication,
+                                    "%s: replica live at %s", R.Lfn.c_str(),
+                                    Target.name().c_str());
                 });
 }

@@ -17,8 +17,9 @@
 /// several gains, plus the adaptive meta-forecaster.
 ///
 /// The predictors are plain value types that NwsForecaster holds and calls
-/// directly: a grid run keeps one battery per sensor, so a battery carries
-/// no names, vtables or pointer tables, only predictor state.  Member
+/// directly: a grid run keeps one battery per bandwidth sensor that has
+/// sampled twice, so a battery carries no names, vtables or pointer
+/// tables, only predictor state.  Member
 /// names live once, in a static table in battery order.  The sliding
 /// means and medians keep no copy of their window: the battery keeps one
 /// ring of its last 40 observations and hands each of them the value

@@ -20,6 +20,37 @@ static uint64_t pathKey(NodeId Client, NodeId Server) {
   return (static_cast<uint64_t>(Client) << 32) | Server;
 }
 
+/// Forwards one telemetry-fault edge to \p S.  Only a noise window's begin
+/// draws, seeding the sensor's stream with Seed ^ fnv1a(name), so only it
+/// calls \p Name to build the sensor's name.
+template <class NameFn>
+static void applyTelemetryFault(Sensor &S, const TelemetryFault &F,
+                                bool Begin, NameFn Name) {
+  if (!Begin) {
+    S.faultEnd(F.Kind);
+    return;
+  }
+  uint64_t NoiseSeed =
+      F.Kind == FaultKind::SensorNoise ? F.Seed ^ fnv1a(Name()) : 0;
+  S.faultBegin(F.Kind, F.Magnitude, F.Offset, NoiseSeed);
+}
+
+/// One host's edge: its sensors are named "cpu/<host>" and "io/<host>".
+static void applyHostFault(Sensor &Cpu, Sensor &Io, const std::string &Host,
+                           const TelemetryFault &F, bool Begin) {
+  applyTelemetryFault(Cpu, F, Begin, [&Host] { return "cpu/" + Host; });
+  applyTelemetryFault(Io, F, Begin, [&Host] { return "io/" + Host; });
+}
+
+/// One path's edge: the sensor watching \p Server -> \p Client is named
+/// "bw/<server>-><client>" after the node ids.
+static void applyPathFault(Sensor &Bw, NodeId Client, NodeId Server,
+                           const TelemetryFault &F, bool Begin) {
+  applyTelemetryFault(Bw, F, Begin, [Client, Server] {
+    return "bw/" + std::to_string(Server) + "->" + std::to_string(Client);
+  });
+}
+
 InformationService::InformationService(Simulator &Sim, FlowNetwork &Net,
                                        InformationServiceConfig Config)
     : Sim(Sim), Net(Net), Config(Config) {
@@ -62,18 +93,15 @@ void InformationService::registerHost(const Host &H) {
   // host sensors keep the last sample only.
   HostSensors S;
   if (SensorBatch *B = hostBatch()) {
-    S.Cpu = std::make_unique<Sensor>(Sim, "cpu/" + H.name(), *B,
-                                     [&H] { return H.cpuIdle(); },
+    S.Cpu = std::make_unique<Sensor>(Sim, *B, [&H] { return H.cpuIdle(); },
                                      /*Forecasts=*/false);
-    S.Io = std::make_unique<Sensor>(Sim, "io/" + H.name(), *B,
-                                    [&H] { return H.ioIdle(); },
+    S.Io = std::make_unique<Sensor>(Sim, *B, [&H] { return H.ioIdle(); },
                                     /*Forecasts=*/false);
   } else {
-    S.Cpu = std::make_unique<Sensor>(Sim, "cpu/" + H.name(),
-                                     Config.HostPeriod,
+    S.Cpu = std::make_unique<Sensor>(Sim, Config.HostPeriod,
                                      [&H] { return H.cpuIdle(); },
                                      /*Forecasts=*/false);
-    S.Io = std::make_unique<Sensor>(Sim, "io/" + H.name(), Config.HostPeriod,
+    S.Io = std::make_unique<Sensor>(Sim, Config.HostPeriod,
                                     [&H] { return H.ioIdle(); },
                                     /*Forecasts=*/false);
   }
@@ -84,10 +112,8 @@ void InformationService::registerHost(const Host &H) {
   // A host registered mid-window inherits the global telemetry faults
   // (host-scoped ones cannot target a host that did not exist at arm).
   for (const TelemetryFault &F : ActiveFaults)
-    if (F.S == TelemetryFault::Scope::Global) {
-      applyTelemetryFault(*S.Cpu, F, /*Begin=*/true);
-      applyTelemetryFault(*S.Io, F, /*Begin=*/true);
-    }
+    if (F.S == TelemetryFault::Scope::Global)
+      applyHostFault(*S.Cpu, *S.Io, H.name(), F, /*Begin=*/true);
   // Prime the series so queries before the first tick see a value.
   S.Cpu->sampleNow();
   S.Io->sampleNow();
@@ -118,16 +144,13 @@ InformationService::watchPathEntry(NodeId Client, NodeId Server) {
     // forecaster arithmetic stays well defined.
     return std::min(R, 1e12);
   };
-  std::string Name =
-      "bw/" + std::to_string(Server) + "->" + std::to_string(Client);
   PathSensors PS;
   PS.LastQuery = Sim.now();
   if (SensorBatch *B = pathBatch())
-    PS.Bandwidth =
-        std::make_unique<Sensor>(Sim, std::move(Name), *B, std::move(Probe));
+    PS.Bandwidth = std::make_unique<Sensor>(Sim, *B, std::move(Probe));
   else
-    PS.Bandwidth = std::make_unique<Sensor>(
-        Sim, std::move(Name), Config.BandwidthPeriod, std::move(Probe));
+    PS.Bandwidth = std::make_unique<Sensor>(Sim, Config.BandwidthPeriod,
+                                            std::move(Probe));
   // A probe launched during a blackout measures nothing: the sensor is
   // born suspended and its series stays empty until the blackout lifts.
   PS.Bandwidth->setSuspended(Blackout);
@@ -140,7 +163,7 @@ InformationService::watchPathEntry(NodeId Client, NodeId Server) {
     if (F.S == TelemetryFault::Scope::Global ||
         (F.S == TelemetryFault::Scope::Path && F.Server == Server &&
          F.Client == Client))
-      applyTelemetryFault(*PS.Bandwidth, F, /*Begin=*/true);
+      applyPathFault(*PS.Bandwidth, Client, Server, F, /*Begin=*/true);
   PS.Bandwidth->sampleNow();
   return Paths.emplace(Key, std::move(PS)).first->second;
 }
@@ -182,36 +205,30 @@ SystemFactors InformationService::query(NodeId ClientNode,
   return F;
 }
 
-void InformationService::applyTelemetryFault(Sensor &S,
-                                             const TelemetryFault &F,
-                                             bool Begin) {
-  if (Begin)
-    S.faultBegin(F.Kind, F.Magnitude, F.Offset,
-                 F.Seed ^ fnv1a(S.name()));
-  else
-    S.faultEnd(F.Kind);
-}
-
 void InformationService::routeTelemetryFault(const TelemetryFault &F,
                                              bool Begin) {
   switch (F.S) {
   case TelemetryFault::Scope::Global:
-    forEachSensor([&](Sensor &S) { applyTelemetryFault(S, F, Begin); });
+    for (StringInterner::Id Id = 0; Id != Hosts.size(); ++Id)
+      applyHostFault(*Hosts[Id].Cpu, *Hosts[Id].Io, HostIds.name(Id), F,
+                     Begin);
+    for (auto &[Key, PS] : Paths)
+      applyPathFault(*PS.Bandwidth, NodeId(Key >> 32), NodeId(Key), F,
+                     Begin);
     break;
   case TelemetryFault::Scope::Host: {
     StringInterner::Id Id = HostIds.find(F.TargetHost->name());
     assert(Id != StringInterner::InvalidId &&
            "telemetry fault on unregistered host");
-    HostSensors &S = Hosts[Id];
-    applyTelemetryFault(*S.Cpu, F, Begin);
-    applyTelemetryFault(*S.Io, F, Begin);
+    applyHostFault(*Hosts[Id].Cpu, *Hosts[Id].Io, HostIds.name(Id), F,
+                   Begin);
     break;
   }
   case TelemetryFault::Scope::Path: {
     auto It = Paths.find(pathKey(F.Client, F.Server));
     if (It == Paths.end())
       break; // Not watched yet; watchPathEntry applies on creation.
-    applyTelemetryFault(*It->second.Bandwidth, F, Begin);
+    applyPathFault(*It->second.Bandwidth, F.Client, F.Server, F, Begin);
     break;
   }
   }

@@ -22,10 +22,11 @@
 ///
 /// The service is also the sensor registry (the NWS nameserver's role):
 /// its host table and (client, server) path table index every sensor it
-/// owns, and their keys keep sensor names unique.  A host's CPU and I/O
-/// sensors store their last sample only; a path's bandwidth sensor stores
-/// its last sample and its forecaster's 40-value window (the NWS memory's
-/// role).  No other series is stored.
+/// owns, and their keys are the sensors' names: a sensor stores none, and
+/// the service derives one only to seed a noise window.  A host's CPU and
+/// I/O sensors store their last sample only; a path's bandwidth sensor
+/// stores its last sample and, from its second sample, its forecaster's
+/// 40-value window (the NWS memory's role).  No other series is stored.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,7 +104,9 @@ struct TelemetryFault {
   double Offset = 0.0;
   /// Window seed for SensorNoise; each sensor derives its private stream
   /// as Seed ^ fnv1a(sensor name), so streams are independent of sensor
-  /// creation and tick order.
+  /// creation and tick order.  Sensors store no name: the service builds
+  /// it from what the sensor watches, "cpu/<host>", "io/<host>" or
+  /// "bw/<server>-><client>" (node ids).
   uint64_t Seed = 0;
 };
 
@@ -285,10 +288,6 @@ private:
   /// Routes \p F to the sensors its scope matches, pushing (\p Begin) or
   /// popping one fault depth level on each.
   void routeTelemetryFault(const TelemetryFault &F, bool Begin);
-  /// One sensor's edge: forwards to faultBegin/faultEnd with the
-  /// name-hashed noise seed.
-  static void applyTelemetryFault(Sensor &S, const TelemetryFault &F,
-                                  bool Begin);
 
   Simulator &Sim;
   FlowNetwork &Net;

@@ -13,23 +13,20 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 using namespace dgsim;
 
-Sensor::Sensor(Simulator &Sim, std::string Name, SimTime Period,
+Sensor::Sensor(Simulator &Sim, SimTime Period,
                std::function<double()> Measure, bool Forecasts)
-    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)),
-      Forecasts(Forecasts) {
+    : Sim(Sim), Measure(std::move(Measure)), Forecasts(Forecasts) {
   assert(Period > 0.0 && "sensors need a positive period");
   assert(this->Measure && "sensors need a measurement closure");
   Periodic = Sim.schedulePeriodic(Period, [this] { sampleNow(); });
 }
 
-Sensor::Sensor(Simulator &Sim, std::string Name, SensorBatch &Batch,
+Sensor::Sensor(Simulator &Sim, SensorBatch &Batch,
                std::function<double()> Measure, bool Forecasts)
-    : Sim(Sim), Name(std::move(Name)), Measure(std::move(Measure)),
-      Forecasts(Forecasts) {
+    : Sim(Sim), Measure(std::move(Measure)), Forecasts(Forecasts) {
   assert(this->Measure && "sensors need a measurement closure");
   Batch.add(*this);
 }
@@ -38,6 +35,22 @@ Sensor::~Sensor() {
   if (Batch)
     Batch->remove(*this);
   Sim.cancelPeriodic(Periodic);
+}
+
+const NwsForecaster &Sensor::forecaster() const {
+  if (!Forecasts) {
+    static const NwsForecaster None;
+    return None;
+  }
+  return Fc ? *Fc : *buildForecaster();
+}
+
+NwsForecaster *Sensor::buildForecaster() const {
+  assert(Forecasts && !Fc && "battery built twice or without forecasting");
+  Fc = std::make_unique<NwsForecaster>();
+  if (Last.Time != NoSample)
+    Fc->observe(Last.Value);
+  return Fc.get();
 }
 
 void Sensor::sampleNow() {
@@ -123,7 +136,7 @@ void Sensor::recordSlow(SimTime Now, double Value) {
       return;
     }
     if (F.StuckDepth) {
-      if (Last.Time == -std::numeric_limits<double>::infinity())
+      if (Last.Time == NoSample)
         return; // Nothing to freeze at yet: stuck-from-birth stays mute.
       Value = Last.Value;
     } else {
@@ -135,7 +148,7 @@ void Sensor::recordSlow(SimTime Now, double Value) {
         return; // A corrupted non-finite reading is a dropped reading.
     }
   }
-  if (GateCfg && !Gate.admit(Value, *GateCfg))
+  if (GateCfg && !Gate->admit(Value, *GateCfg))
     return; // Rejected: counted by the gate, surfaced by the service.
   ingest(Now, Value);
 }

@@ -12,8 +12,16 @@
 /// 40-value window is the only stored series (the nws_memory analogue).
 /// The InformationService makes its bandwidth sensors forecast and keeps
 /// only the last sample of host CPU and I/O, which the paper read from MDS
-/// and sysstat rather than from a forecaster.  A sensor holds only its own
-/// state; the service that owns it indexes it by host or path.
+/// and sysstat rather than from a forecaster.
+///
+/// A sensor holds only state some reader can reach.  The battery is built
+/// out of line at the second sample (or at the first forecaster() read),
+/// fed the first sample and then the second, so its state is what it
+/// would have been from birth; a battery that has seen one value forecasts
+/// exactly that value, so until then forecast() serves the last sample.
+/// The plausibility gate is built when a configuration first attaches.
+/// A sensor stores no name: the service that owns it indexes it by host
+/// or path and derives the name a noise seed hashes from those.
 ///
 /// Sensors come in two scheduling modes.  A self-scheduled sensor owns one
 /// periodic kernel event (the historical behaviour, and still the default).
@@ -37,7 +45,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <string>
 
 namespace dgsim {
 
@@ -62,7 +69,8 @@ struct SensorFaultState {
   double NoiseScale = 0.0;
   /// Sensor-private noise stream: a shared stream would make values
   /// depend on sampling interleave.
-  /// Seeded from the window seed hashed with the sensor name, so the
+  /// Seeded from the window seed hashed with the sensor's name, which
+  /// its owner derives from the host or path it watches, so the
   /// draw sequence is independent of sensor creation or tick order.
   std::optional<RandomEngine> NoiseRng;
   int DropDepth = 0;
@@ -77,27 +85,24 @@ class Sensor {
 public:
   /// Self-scheduled: the sensor owns a periodic event firing every
   /// \p Period seconds, first at creation time.
-  /// \param Name unique sensor name, e.g. "bw/alpha1->hit0".
   /// \param Period sampling period, seconds.
   /// \param Measure closure producing the current value of the resource.
   /// \param Forecasts whether samples also feed the forecaster; when
   ///        false only the last sample is kept.
-  Sensor(Simulator &Sim, std::string Name, SimTime Period,
-         std::function<double()> Measure, bool Forecasts = true);
+  Sensor(Simulator &Sim, SimTime Period, std::function<double()> Measure,
+         bool Forecasts = true);
 
   /// Batch-driven: the sensor is sampled whenever \p Batch ticks, first at
   /// the batch's next tick (adding it takes no sample; an owner that needs
   /// one now calls sampleNow()).  It owns no kernel event and detaches
   /// from the batch on destruction.
-  Sensor(Simulator &Sim, std::string Name, SensorBatch &Batch,
-         std::function<double()> Measure, bool Forecasts = true);
+  Sensor(Simulator &Sim, SensorBatch &Batch, std::function<double()> Measure,
+         bool Forecasts = true);
 
   ~Sensor();
 
   Sensor(const Sensor &) = delete;
   Sensor &operator=(const Sensor &) = delete;
-
-  const std::string &name() const { return Name; }
 
   /// \returns the most recent sample value; 0 before the first sample.
   double lastValue() const { return Last.Value; }
@@ -108,13 +113,22 @@ public:
   SimTime lastSampleTime() const { return Last.Time + clockSkew(); }
 
   /// \returns the NWS forecast of the next value; 0 for a sensor that
-  /// does not forecast.
-  double forecast() const { return Fc.predict(); }
+  /// does not forecast.  Before the battery exists that is the last
+  /// sample (0 before any), which is what a one-value battery predicts:
+  /// every member's error is 0, so member 0 (last value) wins the tie.
+  double forecast() const {
+    if (Fc)
+      return Fc->predict();
+    return Forecasts ? Last.Value : 0.0;
+  }
 
   /// \returns the adaptive forecaster (for error introspection; its
   /// observationCount() is the number of samples a forecasting sensor
-  /// ingested, and stays 0 for one that does not forecast).
-  const NwsForecaster &forecaster() const { return Fc; }
+  /// ingested, and stays 0 for one that does not forecast).  The first
+  /// read of a forecasting sensor's battery builds it from the sample it
+  /// holds; a sensor that does not forecast returns one shared empty
+  /// battery and never builds its own.
+  const NwsForecaster &forecaster() const;
 
   /// Takes one sample immediately, outside the periodic schedule.
   /// No-op while suspended.
@@ -147,10 +161,16 @@ public:
   /// Attaches the owner's shared plausibility-gate configuration (null
   /// detaches).  While attached and enabled, every sample is judged by a
   /// median/MAD gate before ingest; rejected samples are counted here and
-  /// aggregated by the information service, never silently dropped.
-  void setGateConfig(const GateConfig *Cfg) { GateCfg = Cfg; }
+  /// aggregated by the information service, never silently dropped.  The
+  /// first attach builds the gate; a detached gate keeps its window.
+  void setGateConfig(const GateConfig *Cfg) {
+    if (Cfg && !Gate)
+      Gate = std::make_unique<PlausibilityGate>();
+    GateCfg = Cfg;
+  }
 
-  uint64_t gateRejected() const { return Gate.rejected(); }
+  /// \returns samples the gate rejected; 0 before a gate was attached.
+  uint64_t gateRejected() const { return Gate ? Gate->rejected() : 0; }
 
   /// Reported-clock drift currently in force (0 when unskewed): consumers
   /// reading lastSampleTime() see the true time plus this.
@@ -174,12 +194,19 @@ private:
     ingest(Now, Value);
   }
 
-  /// Stores one admitted sample.
+  /// Stores one admitted sample.  A forecasting sensor's second sample
+  /// builds the battery.
   void ingest(SimTime Now, double Value) {
+    if (Fc)
+      Fc->observe(Value);
+    else if (Forecasts && Last.Time != NoSample)
+      buildForecaster()->observe(Value);
     Last = {Now, Value};
-    if (Forecasts)
-      Fc.observe(Value);
   }
+
+  /// Builds the battery and feeds it the sample already held, if any.
+  /// \returns the new battery.
+  NwsForecaster *buildForecaster() const;
 
   /// The corruption/gating pipeline: dropout -> stuck -> bias -> noise,
   /// then the plausibility gate, then ingest.
@@ -187,12 +214,16 @@ private:
 
   SensorFaultState &faults();
 
+  static constexpr SimTime NoSample = -std::numeric_limits<double>::infinity();
+
   Simulator &Sim;
-  std::string Name;
   std::function<double()> Measure;
-  /// The most recent ingested sample; Time is -inf before the first.
-  Sample Last{-std::numeric_limits<double>::infinity(), 0.0};
-  NwsForecaster Fc;
+  /// The most recent ingested sample; Time is NoSample before the first.
+  Sample Last{NoSample, 0.0};
+  /// The battery of a forecasting sensor, from its second sample or first
+  /// forecaster() read on; null until then and for one that does not
+  /// forecast.
+  mutable std::unique_ptr<NwsForecaster> Fc;
   EventId Periodic = InvalidEventId;
   /// Batch membership (batch-driven mode); maintained by SensorBatch.
   SensorBatch *Batch = nullptr;
@@ -201,7 +232,8 @@ private:
   bool Forecasts;
   std::unique_ptr<SensorFaultState> Faults;
   const GateConfig *GateCfg = nullptr;
-  PlausibilityGate Gate;
+  /// Built by the first setGateConfig() that attaches a configuration.
+  std::unique_ptr<PlausibilityGate> Gate;
 };
 
 } // namespace dgsim

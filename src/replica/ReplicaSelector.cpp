@@ -52,9 +52,9 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
     if (Local->available() && !Excluded(Local)) {
       R.Chosen = Local;
       R.LocalHit = true;
-      if (Trace)
-        Trace->record(Info.now(), TraceCategory::Selection,
-                      Lfn + ": local hit at " + Local->name());
+      TraceLog::recordf(Trace, Info.now(), TraceCategory::Selection,
+                        "%s: local hit at %s", Lfn.c_str(),
+                        Local->name().c_str());
       return R;
     }
   }
@@ -68,10 +68,9 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
     if (H->available() && !Excluded(H))
       Candidates.push_back(H);
   if (Candidates.empty()) {
-    if (Trace)
-      Trace->record(Info.now(), TraceCategory::Selection,
-                    Lfn + ": no live replica among " +
-                        std::to_string(Holders.size()) + " holder(s)");
+    TraceLog::recordf(Trace, Info.now(), TraceCategory::Selection,
+                      "%s: no live replica among %zu holder(s)", Lfn.c_str(),
+                      Holders.size());
     return R; // Chosen stays null.
   }
   // Breaker gate: holders resting behind an Open breaker (or half-open
@@ -87,19 +86,17 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
       if (Health->allows(*H))
         Admitted.push_back(H);
     if (!Admitted.empty()) {
-      if (Trace && Admitted.size() != Candidates.size())
-        Trace->record(Info.now(), TraceCategory::Selection,
-                      Lfn + ": breaker gate removed " +
-                          std::to_string(Candidates.size() -
-                                         Admitted.size()) +
-                          " of " + std::to_string(Candidates.size()) +
-                          " candidate(s)");
+      if (Admitted.size() != Candidates.size())
+        TraceLog::recordf(Trace, Info.now(), TraceCategory::Selection,
+                          "%s: breaker gate removed %zu of %zu candidate(s)",
+                          Lfn.c_str(), Candidates.size() - Admitted.size(),
+                          Candidates.size());
       Candidates.swap(Admitted);
-    } else if (Trace) {
-      Trace->record(Info.now(), TraceCategory::Selection,
-                    Lfn + ": every breaker open; falling back to all " +
-                        std::to_string(Candidates.size()) +
-                        " live holder(s)");
+    } else {
+      TraceLog::recordf(
+          Trace, Info.now(), TraceCategory::Selection,
+          "%s: every breaker open; falling back to all %zu live holder(s)",
+          Lfn.c_str(), Candidates.size());
     }
   }
   // The policy's own factor queries are the only monitoring a selection
@@ -108,11 +105,10 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
   assert(R.Chosen && "policy returned no choice");
   if (Health)
     Health->noteDispatch(*R.Chosen);
-  if (Trace)
-    Trace->record(Info.now(), TraceCategory::Selection,
-                  Lfn + ": " + Policy.name() + " chose " +
-                      R.Chosen->name() + " of " +
-                      std::to_string(Candidates.size()) + " candidates");
+  TraceLog::recordf(Trace, Info.now(), TraceCategory::Selection,
+                    "%s: %s chose %s of %zu candidates", Lfn.c_str(),
+                    Policy.name().c_str(), R.Chosen->name().c_str(),
+                    Candidates.size());
   return R;
 }
 

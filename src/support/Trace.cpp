@@ -49,12 +49,6 @@ bool TraceLog::enabled(TraceCategory C) const {
   return (EnabledMask & bit(C)) != 0;
 }
 
-void TraceLog::record(SimTime Time, TraceCategory C, std::string Message) {
-  if (!enabled(C))
-    return;
-  Events.push_back(TraceEvent{Time, C, std::move(Message)});
-}
-
 void TraceLog::recordf(TraceLog *Log, SimTime Time, TraceCategory C,
                        const char *Fmt, ...) {
   if (!Log || !Log->enabled(C))

@@ -68,12 +68,10 @@ public:
   /// \returns true when \p C is currently recorded.
   bool enabled(TraceCategory C) const;
 
-  /// Appends an event if its category is enabled.
-  void record(SimTime Time, TraceCategory C, std::string Message);
-
   /// Appends a printf-formatted event (at most 255 characters) to \p Log.
   /// Does nothing, formatting included, when \p Log is null or \p C is
-  /// disabled: the one record call of components whose log is optional.
+  /// disabled: the one record call, so no component builds a message
+  /// nobody keeps.
   static void recordf(TraceLog *Log, SimTime Time, TraceCategory C,
                       const char *Fmt, ...)
       __attribute__((format(printf, 4, 5)));

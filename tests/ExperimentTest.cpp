@@ -87,7 +87,7 @@ TEST(Scenario, ExpansionOrderIsOdometerWithSeedsInnermost) {
     EXPECT_EQ(Points[I].Index, I);
 }
 
-TEST(ExperimentRunner, SameSeedRerunsAreBitIdentical) {
+TEST(RunTrials, SameSeedRerunsAreBitIdentical) {
   std::vector<exp::TrialRecord> A = exp::runTrials(tinyScenario(), 1);
   std::vector<exp::TrialRecord> B = exp::runTrials(tinyScenario(), 1);
   ASSERT_EQ(A.size(), B.size());
@@ -97,7 +97,7 @@ TEST(ExperimentRunner, SameSeedRerunsAreBitIdentical) {
   }
 }
 
-TEST(ExperimentRunner, ParallelJsonIsByteIdenticalToSerial) {
+TEST(BenchJson, ParallelJsonIsByteIdenticalToSerial) {
   exp::Scenario S = tinyScenario();
   exp::JsonRun Untimed;
   Untimed.IncludeTimings = false;
@@ -107,7 +107,7 @@ TEST(ExperimentRunner, ParallelJsonIsByteIdenticalToSerial) {
   EXPECT_EQ(SerialDoc, ParallelDoc); // Byte-identical, timings omitted.
 }
 
-TEST(ExperimentRunner, RecordsComeBackInExpansionOrderUnderParallelism) {
+TEST(RunTrials, RecordsComeBackInExpansionOrderUnderParallelism) {
   // Trials deliberately finish out of order: earlier indexes sleep longer.
   exp::Scenario S;
   S.Id = "test-order";
@@ -130,7 +130,7 @@ TEST(ExperimentRunner, RecordsComeBackInExpansionOrderUnderParallelism) {
   }
 }
 
-TEST(ExperimentRunner, JsonDocumentCarriesProvenance) {
+TEST(BenchJson, JsonDocumentCarriesProvenance) {
   exp::Scenario S = tinyScenario();
   std::string Doc = exp::benchJson(S, exp::runTrials(S, 1), exp::JsonRun());
   EXPECT_TRUE(json::validate(Doc));

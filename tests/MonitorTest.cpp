@@ -4,9 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fault/FaultPlan.h"
 #include "grid/Testbed.h"
 #include "monitor/Forecaster.h"
 #include "monitor/InformationService.h"
+#include "monitor/Robust.h"
 #include "monitor/Sensor.h"
 #include "monitor/Sysstat.h"
 #include "net/CrossTraffic.h"
@@ -18,6 +20,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 using namespace dgsim;
 using namespace dgsim::units;
@@ -177,7 +180,7 @@ TEST(NwsForecaster, BatteryDigestIsPinned) {
 TEST(Sensor, SamplesPeriodically) {
   Simulator Sim(1);
   double Value = 5.0;
-  Sensor S(Sim, "test", 2.0, [&] { return Value; });
+  Sensor S(Sim, 2.0, [&] { return Value; });
   Sim.runUntil(7.0); // Ticks at 0, 2, 4, 6.
   EXPECT_EQ(S.forecaster().observationCount(), 4u);
   EXPECT_DOUBLE_EQ(S.lastValue(), 5.0);
@@ -187,9 +190,144 @@ TEST(Sensor, SamplesPeriodically) {
 TEST(Sensor, ForecastFollowsMeasurements) {
   Simulator Sim(2);
   double Value = 10.0;
-  Sensor S(Sim, "test", 1.0, [&] { return Value; });
+  Sensor S(Sim, 1.0, [&] { return Value; });
   Sim.runUntil(50.0);
   EXPECT_NEAR(S.forecast(), 10.0, 1e-9);
+}
+
+//===----------------------------------------------------------------------===//
+// A sensor's battery is a battery fed the values the sensor admitted
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \returns \p N noisy readings whose level steps from 10 to 16 halfway,
+/// rounded to half units so members tie as well as differ.
+std::vector<double> batterySeries(size_t N) {
+  RandomEngine Rng(77);
+  std::vector<double> V;
+  for (size_t I = 0; I != N; ++I) {
+    double Level = I < N / 2 ? 10.0 : 16.0;
+    V.push_back(std::round(2.0 * (Level + Rng.normal(0.0, 3.0))) / 2.0);
+  }
+  return V;
+}
+
+/// Expects \p S to serve exactly what an NwsForecaster fed \p Admitted
+/// serves.  forecast() is read first, since reading forecaster() builds a
+/// battery the sensor may not have built yet.
+void expectSameBattery(const Sensor &S, const std::vector<double> &Admitted) {
+  NwsForecaster Ref;
+  for (double V : Admitted)
+    Ref.observe(V);
+  EXPECT_EQ(S.forecast(), Ref.predict());
+  const NwsForecaster &Fc = S.forecaster();
+  EXPECT_EQ(Fc.observationCount(), Ref.observationCount());
+  EXPECT_STREQ(Fc.bestMemberName(), Ref.bestMemberName());
+  EXPECT_EQ(Fc.predict(), Ref.predict());
+  for (size_t M = 0; M != NwsForecaster::memberCount(); ++M) {
+    EXPECT_EQ(Fc.memberPredict(M), Ref.memberPredict(M))
+        << NwsForecaster::memberName(M);
+    EXPECT_EQ(Fc.memberMse(M), Ref.memberMse(M))
+        << NwsForecaster::memberName(M);
+  }
+}
+
+} // namespace
+
+TEST(SensorBattery, MatchesABatteryFedTheSameSamples) {
+  // 0 and 1 samples: no battery until forecaster() builds one.  2 and 3:
+  // built at the second sample.  41: past the widest window.
+  const std::vector<double> Series = batterySeries(41);
+  for (size_t N : {0, 1, 2, 3, 41}) {
+    SCOPED_TRACE(N);
+    Simulator Sim(3);
+    size_t Next = 0;
+    Sensor S(Sim, 1.0, [&] { return Series[Next++]; });
+    for (size_t I = 0; I != N; ++I)
+      S.sampleNow();
+    expectSameBattery(S, {Series.begin(), Series.begin() + N});
+  }
+}
+
+TEST(SensorBattery, ReadBeforeTheSecondSampleThenKeepsSampling) {
+  // A battery built by an early forecaster() read ingests every later
+  // sample, exactly like one built at the second sample.
+  const std::vector<double> Series = batterySeries(41);
+  for (size_t ReadAt : {0, 1}) {
+    SCOPED_TRACE(ReadAt);
+    Simulator Sim(4);
+    size_t Next = 0;
+    Sensor S(Sim, 1.0, [&] { return Series[Next++]; });
+    for (size_t I = 0; I != ReadAt; ++I)
+      S.sampleNow();
+    EXPECT_EQ(S.forecaster().observationCount(), ReadAt);
+    for (size_t I = ReadAt; I != Series.size(); ++I)
+      S.sampleNow();
+    expectSameBattery(S, Series);
+  }
+}
+
+TEST(SensorBattery, StuckSamplesFeedTheFrozenValue) {
+  // Stuck from birth (samples 0-1 stay mute), honest at 2, stuck again
+  // from 3 to 47 (so the battery is built at a frozen second sample and
+  // its window fills with it), honest after.
+  const std::vector<double> Series = batterySeries(60);
+  Simulator Sim(5);
+  size_t Next = 0;
+  Sensor S(Sim, 1.0, [&] { return Series[Next++]; });
+  std::vector<double> Admitted;
+  for (size_t I = 0; I != Series.size(); ++I) {
+    if (I == 0 || I == 3)
+      S.faultBegin(FaultKind::SensorStuck, 0.0, 0.0, 0);
+    if (I == 2 || I == 48)
+      S.faultEnd(FaultKind::SensorStuck);
+    S.sampleNow();
+    bool Stuck = I < 2 || (I >= 3 && I < 48);
+    if (!Stuck)
+      Admitted.push_back(Series[I]);
+    else if (!Admitted.empty())
+      Admitted.push_back(Admitted.back());
+  }
+  ASSERT_EQ(Admitted.size(), 58u);
+  expectSameBattery(S, Admitted);
+}
+
+TEST(SensorBattery, GateAttachedMidStreamFeedsOnlyAdmittedValues) {
+  std::vector<double> Series = batterySeries(50);
+  for (size_t I : {30, 31, 40})
+    Series[I] = 1e6; // Lies a warm gate rejects.
+  GateConfig Cfg;
+  Cfg.MinSamples = 4;
+  Simulator Sim(6);
+  size_t Next = 0;
+  Sensor S(Sim, 1.0, [&] { return Series[Next++]; });
+  // The sensor's gate is born cold at attach, like this one.
+  PlausibilityGate RefGate;
+  std::vector<double> Admitted;
+  for (size_t I = 0; I != Series.size(); ++I) {
+    if (I == 20) {
+      EXPECT_EQ(S.gateRejected(), 0u);
+      S.setGateConfig(&Cfg);
+    }
+    S.sampleNow();
+    if (I < 20 || RefGate.admit(Series[I], Cfg))
+      Admitted.push_back(Series[I]);
+  }
+  EXPECT_EQ(S.gateRejected(), RefGate.rejected());
+  EXPECT_GE(S.gateRejected(), 3u);
+  expectSameBattery(S, Admitted);
+}
+
+TEST(SensorBattery, HostSensorForecastsNothing) {
+  Simulator Sim(7);
+  double Value = 0.5;
+  Sensor S(Sim, 1.0, [&] { return Value; }, /*Forecasts=*/false);
+  for (int I = 0; I != 5; ++I)
+    S.sampleNow();
+  EXPECT_EQ(S.lastValue(), 0.5);
+  EXPECT_EQ(S.forecast(), 0.0);
+  EXPECT_EQ(S.forecaster().observationCount(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

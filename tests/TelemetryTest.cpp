@@ -29,6 +29,7 @@
 #include "monitor/Sensor.h"
 #include "monitor/TransferLog.h"
 #include "replica/ReplicaManager.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -123,7 +124,7 @@ TEST(PlausibilityGateTest, ScaleFloorsGovernNearConstantStreams) {
 TEST(SensorFaultTest, BiasScalesAndOffsetsReadings) {
   Simulator Sim(41);
   double Value = 100.0;
-  Sensor S(Sim, "bw/a->b", 1.0, [&] { return Value; });
+  Sensor S(Sim, 1.0, [&] { return Value; });
   Sim.runUntil(2.5);
   EXPECT_DOUBLE_EQ(S.lastValue(), 100.0);
   EXPECT_EQ(S.faultState(), nullptr);
@@ -148,7 +149,7 @@ TEST(SensorFaultTest, BiasScalesAndOffsetsReadings) {
 TEST(SensorFaultTest, StuckFreezesLastReadingButKeepsIngesting) {
   Simulator Sim(42);
   double Value = 50.0;
-  Sensor S(Sim, "cpu/h", 1.0, [&] { return Value; });
+  Sensor S(Sim, 1.0, [&] { return Value; });
   Sim.runUntil(1.5);
   EXPECT_DOUBLE_EQ(S.lastValue(), 50.0);
 
@@ -171,7 +172,7 @@ TEST(SensorFaultTest, StuckFreezesLastReadingButKeepsIngesting) {
 TEST(SensorFaultTest, DropoutSilencesSamplesAndCountsThem) {
   Simulator Sim(43);
   double Value = 10.0;
-  Sensor S(Sim, "io/h", 1.0, [&] { return Value; });
+  Sensor S(Sim, 1.0, [&] { return Value; });
   Sim.runUntil(1.5);
   SimTime LastSample = S.lastSampleTime();
 
@@ -191,7 +192,7 @@ TEST(SensorFaultTest, NoiseIsSeededAndDeterministic) {
   auto Run = [](uint64_t NoiseSeed) {
     Simulator Sim(44);
     double Value = 100.0;
-    Sensor S(Sim, "bw/x->y", 1.0, [&] { return Value; });
+    Sensor S(Sim, 1.0, [&] { return Value; });
     Sim.runUntil(1.5);
     S.faultBegin(FaultKind::SensorNoise, 0.8, 0.0, NoiseSeed);
     std::vector<double> Readings; // The samples at t = 2, 3, ..., 9.
@@ -212,10 +213,65 @@ TEST(SensorFaultTest, NoiseIsSeededAndDeterministic) {
   EXPECT_TRUE(Perturbed);
 }
 
+TEST(SensorFaultTest, PathNoiseSeedHashesTheDerivedName) {
+  // The service names a path sensor "bw/<server>-><client>" (node ids)
+  // only to seed its noise stream; a sensor seeded with that name's hash
+  // must draw the same readings.  An idle path probes one value, so the
+  // reference sensor can measure it as a constant.
+  Simulator Sim(46);
+  Topology Topo;
+  NodeId Client = Topo.addNode("client");
+  NodeId Server = Topo.addNode("server");
+  Topo.addLink(Client, Server, mbps(100), milliseconds(5), 0.0001);
+  Routing Router(Topo);
+  FlowNetwork Net(Sim, Topo, Router);
+  InformationService Info(Sim, Net); // Self-scheduled, 10 s period.
+  Info.watchPath(Client, Server);    // Primed: an honest first sample.
+  const Sensor *Bw = Info.bandwidthSensor(Client, Server);
+  ASSERT_NE(Bw, nullptr);
+  const double Truth = Bw->lastValue();
+  ASSERT_GT(Truth, 0.0);
+
+  TelemetryFault F;
+  F.Kind = FaultKind::SensorNoise;
+  F.S = TelemetryFault::Scope::Path;
+  F.Server = Server;
+  F.Client = Client;
+  F.Magnitude = 0.5;
+  F.Seed = 0x5eed;
+  Info.beginTelemetryFault(F);
+  std::vector<double> Readings; // The ticks at t = 0, 10, ..., 50.
+  for (int K = 0; K != 6; ++K) {
+    Sim.runUntil(10.0 * K + 0.5);
+    Readings.push_back(Bw->lastValue());
+  }
+
+  auto Draws = [&](const std::string &Name) {
+    Simulator RefSim(47);
+    Sensor Ref(RefSim, 10.0, [&] { return Truth; });
+    Ref.faultBegin(FaultKind::SensorNoise, F.Magnitude, 0.0,
+                   F.Seed ^ fnv1a(Name));
+    std::vector<double> V;
+    for (size_t I = 0; I != Readings.size(); ++I) {
+      Ref.sampleNow();
+      V.push_back(Ref.lastValue());
+    }
+    return V;
+  };
+  const std::string Name =
+      "bw/" + std::to_string(Server) + "->" + std::to_string(Client);
+  EXPECT_EQ(Readings, Draws(Name));
+  // Another name draws another stream, so the match pins every byte,
+  // down to which endpoint comes first.
+  EXPECT_NE(Readings, Draws(Name + " "));
+  EXPECT_NE(Readings, Draws("bw/" + std::to_string(Client) + "->" +
+                            std::to_string(Server)));
+}
+
 TEST(SensorFaultTest, ClockSkewLiesAboutSampleAgeReadSideOnly) {
   Simulator Sim(45);
   double Value = 5.0;
-  Sensor S(Sim, "cpu/h", 1.0, [&] { return Value; });
+  Sensor S(Sim, 1.0, [&] { return Value; });
   Sim.runUntil(3.5);
   SimTime Truth = S.lastSampleTime();
   EXPECT_DOUBLE_EQ(S.clockSkew(), 0.0);

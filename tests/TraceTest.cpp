@@ -17,7 +17,7 @@ TEST(TraceLog, CategoriesStartDisabled) {
   TraceLog Log;
   for (unsigned I = 0; I < NumTraceCategories; ++I)
     EXPECT_FALSE(Log.enabled(static_cast<TraceCategory>(I)));
-  Log.record(1.0, TraceCategory::Transfer, "dropped");
+  TraceLog::recordf(&Log, 1.0, TraceCategory::Transfer, "dropped");
   EXPECT_EQ(Log.size(), 0u);
 }
 
@@ -26,11 +26,11 @@ TEST(TraceLog, EnableDisable) {
   Log.enable(TraceCategory::Selection);
   EXPECT_TRUE(Log.enabled(TraceCategory::Selection));
   EXPECT_FALSE(Log.enabled(TraceCategory::Transfer));
-  Log.record(1.0, TraceCategory::Selection, "kept");
-  Log.record(2.0, TraceCategory::Transfer, "dropped");
+  TraceLog::recordf(&Log, 1.0, TraceCategory::Selection, "kept");
+  TraceLog::recordf(&Log, 2.0, TraceCategory::Transfer, "dropped");
   EXPECT_EQ(Log.size(), 1u);
   Log.disable(TraceCategory::Selection);
-  Log.record(3.0, TraceCategory::Selection, "dropped");
+  TraceLog::recordf(&Log, 3.0, TraceCategory::Selection, "dropped");
   EXPECT_EQ(Log.size(), 1u);
   EXPECT_EQ(Log.events()[0].Message, "kept");
 }
@@ -38,9 +38,9 @@ TEST(TraceLog, EnableDisable) {
 TEST(TraceLog, EnableAllAndByCategory) {
   TraceLog Log;
   Log.enableAll();
-  Log.record(1.0, TraceCategory::Transfer, "t1");
-  Log.record(2.0, TraceCategory::Network, "n1");
-  Log.record(3.0, TraceCategory::Transfer, "t2");
+  TraceLog::recordf(&Log, 1.0, TraceCategory::Transfer, "t1");
+  TraceLog::recordf(&Log, 2.0, TraceCategory::Network, "n1");
+  TraceLog::recordf(&Log, 3.0, TraceCategory::Transfer, "t2");
   EXPECT_EQ(Log.size(), 3u);
   auto Transfers = Log.byCategory(TraceCategory::Transfer);
   ASSERT_EQ(Transfers.size(), 2u);
@@ -52,7 +52,7 @@ TEST(TraceLog, EnableAllAndByCategory) {
 TEST(TraceLog, FormattedDump) {
   TraceLog Log;
   Log.enableAll();
-  Log.record(12.5, TraceCategory::Replication, "copy live");
+  TraceLog::recordf(&Log, 12.5, TraceCategory::Replication, "copy live");
   std::string S = Log.str();
   EXPECT_NE(S.find("12.500"), std::string::npos);
   EXPECT_NE(S.find("replication"), std::string::npos);
